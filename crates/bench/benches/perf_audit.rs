@@ -13,12 +13,6 @@
 //!    budget, and the decision path's latency with the audit on vs off
 //!    (the decision itself must not get slower; the audit only spends
 //!    the leftover budget).
-//! 3. **Contract classes**: the audit GEMM under the approximate rungs
-//!    versus the exact f32 path, at the shapes the audit's
-//!    reduced-precision Monte-Carlo suffix actually runs (the two 1x1
-//!    heads of the paper-default net over a 64x64 audit crop). This is
-//!    the PR's acceptance measurement: the approximate audit GEMM must
-//!    be at least 1.5x the exact path on the host tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use el_bench::trained_model;
@@ -132,82 +126,9 @@ fn print_audit_budget_profile() {
     }
 }
 
-/// P3c: the audit GEMM under each contract class. Shapes are the
-/// stochastic-suffix GEMMs of `MsdNetConfig::default_uavid` on a 64x64
-/// audit crop (`head1`: 32x48 @ 4096 columns, `head2`: 8x32 @ 4096) —
-/// the only GEMMs an approximate [`el_kernels::KernelPolicy`] ever
-/// routes. Rounds are interleaved and each side keeps its best so the
-/// shared box's noise cancels out of the ratios.
-fn print_contract_class_gemm() {
-    use el_kernels::{ApproxRung, KernelPolicy};
-    eprintln!("\n===== P3c: audit GEMM contract classes (exact vs approximate rungs) =====");
-    let exact = KernelPolicy::exact()
-        .resolve()
-        .expect("exact resolves on every tier");
-    let rungs: Vec<_> = [ApproxRung::F16, ApproxRung::Int8]
-        .into_iter()
-        .filter_map(|r| {
-            KernelPolicy::approximate(r)
-                .resolve()
-                .ok()
-                .map(|k| (r.name(), k))
-        })
-        .collect();
-    if rungs.is_empty() {
-        eprintln!("no approximate rungs on the active kernel tier, section skipped");
-        return;
-    }
-    eprintln!(
-        "{:>14} {:>12} {:>12} {:>8}",
-        "shape", "contract", "best (us)", "speedup"
-    );
-    for (m, k_dim, n) in [(32usize, 48usize, 4096usize), (8, 32, 4096)] {
-        let a: Vec<f32> = (0..m * k_dim)
-            .map(|i| ((i * 37 % 100) as f32 - 50.0) / 53.0)
-            .collect();
-        let b: Vec<f32> = (0..k_dim * n)
-            .map(|i| ((i * 91 % 100) as f32 - 50.0) / 47.0)
-            .collect();
-        let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01).collect();
-        let mut out = vec![0.0f32; m * n];
-        let reps = 30;
-        let mut best = vec![f64::INFINITY; rungs.len() + 1];
-        for _ in 0..9 {
-            for (slot, kernels) in std::iter::once(&exact)
-                .chain(rungs.iter().map(|(_, k)| k))
-                .enumerate()
-            {
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    kernels.gemm_bias(&a, &b, &bias, black_box(&mut out), m, k_dim, n);
-                }
-                best[slot] = best[slot].min(t0.elapsed().as_secs_f64() / reps as f64);
-            }
-        }
-        let shape = format!("{m}x{k_dim} @ {n}");
-        eprintln!(
-            "{:>14} {:>12} {:>12.1} {:>8}",
-            shape,
-            "exact",
-            best[0] * 1e6,
-            "1.00x"
-        );
-        for (i, (name, _)) in rungs.iter().enumerate() {
-            eprintln!(
-                "{:>14} {:>12} {:>12.1} {:>7.2}x",
-                "",
-                name,
-                best[i + 1] * 1e6,
-                best[0] / best[i + 1]
-            );
-        }
-    }
-}
-
 fn bench(c: &mut Criterion) {
     print_tiled_eval_batching();
     print_audit_budget_profile();
-    print_contract_class_gemm();
     let net = trained_model();
     let mut group = c.benchmark_group("audit");
     group.sample_size(10);

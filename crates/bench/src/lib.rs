@@ -1,7 +1,6 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every bench target regenerates one table or figure of the paper (see
-//! `EXPERIMENTS.md` at the workspace root for the experiment index). The
+//! Every bench target regenerates one table or figure of the paper. The
 //! perception benches share a deterministic benchmark dataset and a
 //! trained model; training is deterministic, so the trained weights are
 //! cached on disk under `target/` to keep `cargo bench` iteration fast.

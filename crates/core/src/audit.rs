@@ -28,9 +28,8 @@
 
 use el_geom::components::Connectivity;
 use el_geom::{label_components, Grid, Rect};
-use el_monitor::precision::{AuditPrecision, PrecisionOutcome};
 use el_monitor::rule::MonitorRule;
-use el_monitor::tiledbayes::{bayesian_segment_tiled_precise_with_clock, TiledBayesStats};
+use el_monitor::tiledbayes::{bayesian_segment_tiled_with_clock, TiledBayesStats};
 use el_scene::Image;
 use el_seg::{MsdNet, TileConfig};
 use serde::{Deserialize, Serialize};
@@ -60,14 +59,6 @@ pub struct AuditConfig {
     /// [`AuditRegion`] — smaller speckle is summarized only by the
     /// warning fraction.
     pub min_region_px: usize,
-    /// The sweep's precision policy ([`AuditPrecision::exact`] by
-    /// default). An approximate policy routes the sweep's Monte-Carlo
-    /// suffix GEMMs through a reduced-precision kernel rung under a
-    /// calibrated σ-inflation margin and an online exact-path
-    /// cross-check; validated (including kernel support on the resolved
-    /// tier) at pipeline construction time.
-    #[serde(default)]
-    pub precision: AuditPrecision,
 }
 
 impl AuditConfig {
@@ -89,7 +80,6 @@ impl AuditConfig {
             margin: 8,
             samples: 5,
             min_region_px: 16,
-            precision: AuditPrecision::exact(),
         }
     }
 
@@ -103,13 +93,7 @@ impl AuditConfig {
             margin: 4,
             samples: 3,
             min_region_px: 4,
-            precision: AuditPrecision::exact(),
         }
-    }
-
-    /// This configuration under an approximate precision policy.
-    pub fn with_precision(self, precision: AuditPrecision) -> Self {
-        AuditConfig { precision, ..self }
     }
 
     /// Validates the configuration (only when enabled — a disabled audit
@@ -133,7 +117,6 @@ impl AuditConfig {
         if self.budget_s.is_nan() || self.budget_s < 0.0 {
             return Err("audit budget must be non-negative".into());
         }
-        self.precision.validate()?;
         Ok(())
     }
 
@@ -210,13 +193,6 @@ pub struct AuditReport {
     /// The raw budgeted sweep result: exact whole-frame statistics where
     /// covered, zeros elsewhere, plus the coverage mask and tile plan.
     pub tiled: TiledBayesStats,
-    /// What the precision machinery did: the contract the sweep ran
-    /// under, the cross-check/fallback tallies, and the σ-inflation
-    /// margin the report's warning rule was shifted by. Downstream
-    /// advisory classification pads its warning-fraction thresholds by
-    /// the same margin so an approximate audit escalates at least as
-    /// eagerly as the exact path.
-    pub precision: PrecisionOutcome,
 }
 
 impl AuditReport {
@@ -259,7 +235,7 @@ pub fn run_audit_with_clock(
     priority: &[Rect],
     elapsed_s: impl FnMut() -> f64,
 ) -> AuditReport {
-    let (tiled, outcome) = bayesian_segment_tiled_precise_with_clock(
+    let tiled = bayesian_segment_tiled_with_clock(
         net,
         image,
         config.tile_config(),
@@ -267,10 +243,9 @@ pub fn run_audit_with_clock(
         audit_seed(pipeline_seed),
         config.budget_s,
         priority,
-        &config.precision,
         elapsed_s,
     );
-    report_from_sweep(config, rule, tiled, outcome)
+    report_from_sweep(config, rule, tiled)
 }
 
 /// Mean `σ` over all classes of the pixels of `bbox` (image coordinates,
@@ -308,23 +283,12 @@ fn report_from_sweep(
     config: &AuditConfig,
     rule: &MonitorRule,
     tiled: TiledBayesStats,
-    precision: PrecisionOutcome,
 ) -> AuditReport {
     let (w, h) = (tiled.covered.width(), tiled.covered.height());
-    // An approximate sweep's warnings are computed under a τ lowered by
-    // the calibrated σ-inflation margin. The warning rule is monotone in
-    // τ (property-tested in `el_monitor::rule`), so as long as the
-    // approximation error stays within the calibrated bound — enforced
-    // online by the cross-check — the shifted map is a superset of the
-    // exact map: approximate audits over-warn, never under-warn.
-    let shifted = MonitorRule {
-        tau: (rule.tau - precision.sigma_margin).max(0.0),
-        ..*rule
-    };
     // Warnings restricted to the covered area (uncovered pixels hold
     // zero statistics, which the rule never flags, but the restriction
     // keeps the invariant explicit).
-    let rule_warn = shifted.warning_map(&tiled.stats);
+    let rule_warn = rule.warning_map(&tiled.stats);
     let warn: Grid<bool> = Grid::from_fn(w, h, |x, y| rule_warn[(x, y)] && tiled.covered[(x, y)]);
     let covered_px = tiled.covered.iter().filter(|&&c| c).count();
     let warn_px = warn.iter().filter(|&&c| c).count();
@@ -377,7 +341,6 @@ fn report_from_sweep(
         regions,
         warning_fraction,
         tiled,
-        precision,
     }
 }
 
@@ -427,12 +390,7 @@ mod tests {
             min_region_px: 4,
             ..AuditConfig::fast_test()
         };
-        let report = report_from_sweep(
-            &cfg,
-            &MonitorRule::paper(),
-            sweep_with_warnings(),
-            PrecisionOutcome::exact(),
-        );
+        let report = report_from_sweep(&cfg, &MonitorRule::paper(), sweep_with_warnings());
         assert!(report.is_complete());
         assert_eq!(report.coverage(), 1.0);
         assert_eq!(report.regions.len(), 1, "one connected warning block");
@@ -460,12 +418,7 @@ mod tests {
             min_region_px: 4,
             ..AuditConfig::fast_test()
         };
-        let report = report_from_sweep(
-            &cfg,
-            &MonitorRule::paper(),
-            sweep,
-            PrecisionOutcome::exact(),
-        );
+        let report = report_from_sweep(&cfg, &MonitorRule::paper(), sweep);
         assert!(report.regions.is_empty());
         assert!(report.warning_fraction > 0.0, "speckle still counted");
     }
@@ -476,51 +429,12 @@ mod tests {
         sweep.covered = Grid::new(16, 16, false);
         sweep.verified.clear();
         sweep.tiles_verified = 0;
-        let report = report_from_sweep(
-            &AuditConfig::fast_test(),
-            &MonitorRule::paper(),
-            sweep,
-            PrecisionOutcome::exact(),
-        );
+        let report = report_from_sweep(&AuditConfig::fast_test(), &MonitorRule::paper(), sweep);
         assert_eq!(report.coverage(), 0.0);
         assert_eq!(report.warning_fraction, 0.0);
         assert!(report.tile_stats.is_empty());
         assert!(report.regions.is_empty());
         assert!(!report.is_complete());
-    }
-
-    #[test]
-    fn approximate_outcome_shifts_tau_and_only_adds_warnings() {
-        // Pixels whose exact score sits in (τ − margin, τ] warn only
-        // under the shifted rule: the approximate report is a strict
-        // superset of the exact one here.
-        let mut sweep = sweep_with_warnings();
-        let road = el_geom::SemanticClass::Road.index();
-        // score = 3σ = 0.03: below τ = 0.125, above τ − 0.1 = 0.025.
-        for x in 0..4 {
-            sweep.stats.std.channel_mut(road)[12 * 16 + x] = 0.01;
-        }
-        let cfg = AuditConfig::fast_test();
-        let exact = report_from_sweep(
-            &cfg,
-            &MonitorRule::paper(),
-            sweep.clone(),
-            PrecisionOutcome::exact(),
-        );
-        let approx_outcome = PrecisionOutcome {
-            contract: el_kernels::Contract::Approximate(el_kernels::ApproxRung::F16),
-            sigma_margin: 0.1,
-            ..PrecisionOutcome::exact()
-        };
-        let approx = report_from_sweep(&cfg, &MonitorRule::paper(), sweep, approx_outcome);
-        assert!(approx.warning_fraction > exact.warning_fraction);
-        assert_eq!(approx.precision, approx_outcome);
-        assert_eq!(exact.precision, PrecisionOutcome::exact());
-        // Superset, not merely larger: every exact warning pixel also
-        // warns in the shifted tile stats.
-        for (e, a) in exact.tile_stats.iter().zip(&approx.tile_stats) {
-            assert!(a.warning_fraction >= e.warning_fraction);
-        }
     }
 
     #[test]

@@ -57,8 +57,7 @@ impl PipelineConfig {
     /// acceptance therefore tolerates a bounded warning fraction. The
     /// threshold is calibrated on the benchmark model: in-distribution
     /// zone crops warn on 5–28% of pixels, out-of-distribution crops on
-    /// 47–59%, so 25% cleanly separates the regimes (see
-    /// EXPERIMENTS.md, experiment F2).
+    /// 47–59%, so 25% cleanly separates the regimes.
     pub fn benchmark() -> Self {
         PipelineConfig {
             monitor: MonitorConfig {

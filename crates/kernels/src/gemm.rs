@@ -23,7 +23,7 @@ pub const GEMM_TILE: usize = 8;
 /// Same strict `k` order, so the bit-exactness contract has a single
 /// implementation to keep correct.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_cols_scalar(
+fn gemm_cols_scalar(
     a: &[f32],
     b: &[f32],
     bias: &[f32],

@@ -48,13 +48,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod approx;
 pub mod chacha;
 pub mod gemm;
 pub mod mask;
 pub mod welford;
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 pub use mask::{keyed_mask_word, keyed_row_seed, unit_f32};
@@ -87,23 +85,13 @@ pub const ALL_TIERS: [KernelTier; 5] = [
     KernelTier::Neon,
 ];
 
-/// Why a kernel-policy request could not be honoured.
+/// Why a tier request could not be honoured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelError {
     /// The name did not parse as a tier.
     UnknownTier(String),
     /// The tier parsed but this CPU cannot execute it.
     Unsupported(KernelTier),
-    /// The tier runs, but it has no kernels for the requested
-    /// approximate rung — rejected with this error, never silently
-    /// downgraded to exact (a run that claims approximate coverage
-    /// numbers must actually have executed the approximate kernels).
-    UnsupportedContract {
-        /// The tier the policy resolved to.
-        tier: KernelTier,
-        /// The approximate rung that tier cannot provide.
-        rung: ApproxRung,
-    },
 }
 
 impl std::fmt::Display for KernelError {
@@ -125,14 +113,6 @@ impl std::fmt::Display for KernelError {
                     supported.join(", ")
                 )
             }
-            KernelError::UnsupportedContract { tier, rung } => write!(
-                f,
-                "approximate rung '{}' is not available on kernel tier '{}' \
-                 (approximate kernels exist on portable, and on avx2/avx512 \
-                 when the CPU has fma and f16c)",
-                rung.name(),
-                tier.name()
-            ),
         }
     }
 }
@@ -197,265 +177,6 @@ impl KernelTier {
         *KernelTier::supported()
             .last()
             .expect("portable is always supported")
-    }
-}
-
-/// A reduced-precision GEMM rung of the [`Contract::Approximate`]
-/// class. See [`approx`] for what each rung computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ApproxRung {
-    /// Operands rounded to IEEE binary16, f32 accumulation with FMA
-    /// permitted.
-    F16,
-    /// Symmetric int8 quantisation (per-row weight scales,
-    /// per-column-group activation scales), i32 accumulation.
-    Int8,
-}
-
-impl ApproxRung {
-    /// The rung's canonical lower-case name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            ApproxRung::F16 => "f16",
-            ApproxRung::Int8 => "int8",
-        }
-    }
-}
-
-/// The accuracy contract class a kernel selection promises.
-///
-/// [`Contract::Exact`] is the project's five-rung bit-identical ladder,
-/// unchanged since PR 4 — the certified decision path only ever runs
-/// this class. [`Contract::Approximate`] swaps the GEMM for a
-/// reduced-precision rung under a calibrated error bound; the engine
-/// accepts it solely for the advisory audit sweep, paired with the
-/// σ-inflation margin and exact-path cross-check in `el-monitor`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Contract {
-    /// Bit-exact f32 kernels on every hot path (the default).
-    #[default]
-    Exact,
-    /// Reduced-precision GEMM for the audit's Monte-Carlo suffix.
-    Approximate(ApproxRung),
-}
-
-impl Contract {
-    /// `true` for [`Contract::Exact`].
-    pub const fn is_exact(self) -> bool {
-        matches!(self, Contract::Exact)
-    }
-
-    /// The approximate rung, if any.
-    pub const fn rung(self) -> Option<ApproxRung> {
-        match self {
-            Contract::Exact => None,
-            Contract::Approximate(rung) => Some(rung),
-        }
-    }
-}
-
-impl std::fmt::Display for Contract {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Contract::Exact => write!(f, "exact"),
-            Contract::Approximate(rung) => write!(f, "approximate({})", rung.name()),
-        }
-    }
-}
-
-/// How a [`KernelPolicy`] picks its tier.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TierSelection {
-    /// The process default: the tier named by `EL_FORCE_KERNEL` if set,
-    /// the highest detected tier otherwise — exactly the
-    /// [`Kernels::active`] policy, so CI's forced-tier matrix legs pin
-    /// approximate resolutions too.
-    #[default]
-    Auto,
-    /// An explicit rung, resolved with [`Kernels::for_tier`] semantics
-    /// (unsupported → error, never a downgrade).
-    Forced(KernelTier),
-}
-
-/// The single public kernel-selection surface: a tier selection plus an
-/// accuracy contract, resolved as one typed value.
-///
-/// This replaces ad-hoc `EL_FORCE_KERNEL` reads sprinkled through the
-/// engine: the environment override lives in exactly one constructor
-/// ([`KernelPolicy::from_env`]), and precision is **not** an
-/// env-string — callers opt into [`Contract::Approximate`] in typed
-/// configuration that is validated at construction time.
-///
-/// ```
-/// use el_kernels::{ApproxRung, Contract, KernelPolicy};
-///
-/// // The default policy: auto tier, exact contract.
-/// let exact = KernelPolicy::exact().resolve().unwrap();
-/// assert!(exact.contract().is_exact());
-///
-/// // An approximate policy resolves to the same exact table plus a
-/// // reduced-precision GEMM — or fails with a typed error.
-/// if let Ok(approx) = KernelPolicy::approximate(ApproxRung::F16).resolve() {
-///     assert_eq!(approx.contract(), Contract::Approximate(ApproxRung::F16));
-///     assert_eq!(approx.tier(), exact.tier());
-/// }
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct KernelPolicy {
-    /// Which ladder rung to run.
-    pub tier: TierSelection,
-    /// Which accuracy class to promise.
-    pub contract: Contract,
-}
-
-impl KernelPolicy {
-    /// Auto tier, exact contract — the policy every certified path uses.
-    pub const fn exact() -> Self {
-        KernelPolicy {
-            tier: TierSelection::Auto,
-            contract: Contract::Exact,
-        }
-    }
-
-    /// Auto tier, approximate contract at the given rung.
-    pub const fn approximate(rung: ApproxRung) -> Self {
-        KernelPolicy {
-            tier: TierSelection::Auto,
-            contract: Contract::Approximate(rung),
-        }
-    }
-
-    /// The `EL_FORCE_KERNEL` constructor: a forced tier when the
-    /// variable is set (unparseable names error here), auto otherwise.
-    /// Always the exact contract — precision is never selected through
-    /// the environment.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownTier`] when the variable is set to a name
-    /// that is not a tier.
-    pub fn from_env() -> Result<Self, KernelError> {
-        let tier = match std::env::var(FORCE_ENV) {
-            Ok(name) => TierSelection::Forced(KernelTier::parse(&name)?),
-            Err(_) => TierSelection::Auto,
-        };
-        Ok(KernelPolicy {
-            tier,
-            contract: Contract::Exact,
-        })
-    }
-
-    /// This policy pinned to an explicit tier.
-    pub const fn with_tier(self, tier: KernelTier) -> Self {
-        KernelPolicy {
-            tier: TierSelection::Forced(tier),
-            ..self
-        }
-    }
-
-    /// This policy with a different contract class.
-    pub const fn with_contract(self, contract: Contract) -> Self {
-        KernelPolicy { contract, ..self }
-    }
-
-    /// Resolves the policy to executable kernels.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownTier`] / [`KernelError::Unsupported`] with
-    /// [`Kernels::active`] semantics for the tier, and
-    /// [`KernelError::UnsupportedContract`] when the resolved tier has
-    /// no kernels for an approximate rung — never a silent fallback to
-    /// exact.
-    pub fn resolve(self) -> Result<ResolvedKernels, KernelError> {
-        let exact: &'static Kernels = match self.tier {
-            TierSelection::Auto => {
-                let force = std::env::var(FORCE_ENV).ok();
-                resolve(force.as_deref())?
-            }
-            TierSelection::Forced(tier) => Kernels::for_tier(tier)?,
-        };
-        let approx_gemm = match self.contract {
-            Contract::Exact => None,
-            Contract::Approximate(rung) => Some(approx::approx_gemm_for(exact.tier, rung).ok_or(
-                KernelError::UnsupportedContract {
-                    tier: exact.tier,
-                    rung,
-                },
-            )?),
-        };
-        Ok(ResolvedKernels {
-            exact,
-            contract: self.contract,
-            approx_gemm,
-        })
-    }
-}
-
-/// The outcome of [`KernelPolicy::resolve`]: the exact dispatch table
-/// for the resolved tier plus, under [`Contract::Approximate`], the
-/// reduced-precision GEMM entry. `Copy` so call sites thread it by
-/// value.
-#[derive(Debug, Clone, Copy)]
-pub struct ResolvedKernels {
-    exact: &'static Kernels,
-    contract: Contract,
-    approx_gemm: Option<GemmBiasFn>,
-}
-
-impl ResolvedKernels {
-    /// The exact dispatch table (every non-GEMM hot path, and the GEMM
-    /// itself under [`Contract::Exact`]).
-    pub fn exact(&self) -> &'static Kernels {
-        self.exact
-    }
-
-    /// The resolved tier.
-    pub fn tier(&self) -> KernelTier {
-        self.exact.tier
-    }
-
-    /// The contract class this resolution promises.
-    pub fn contract(&self) -> Contract {
-        self.contract
-    }
-
-    /// `true` when the GEMM routes through an approximate rung.
-    pub fn is_approximate(&self) -> bool {
-        self.approx_gemm.is_some()
-    }
-
-    /// Contract-routed GEMM: the approximate rung when the policy asked
-    /// for one, the tier's bit-exact kernel otherwise. Identical
-    /// signature and shape contract to [`Kernels::gemm_bias`].
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the buffer shapes (`a`: `m x k_dim`, `b`:
-    /// `k_dim x n`, `out`: `m x n`).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_bias(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k_dim: usize,
-        n: usize,
-    ) {
-        match self.approx_gemm {
-            Some(gemm) => {
-                debug_assert_eq!(a.len(), m * k_dim);
-                debug_assert_eq!(b.len(), k_dim * n);
-                debug_assert_eq!(out.len(), m * n);
-                let sw = el_metrics::Stopwatch::start();
-                gemm(a, b, bias, out, m, k_dim, n);
-                el_metrics::registry().gemm.record(sw);
-            }
-            None => self.exact.gemm_bias(a, b, bias, out, m, k_dim, n),
-        }
     }
 }
 
@@ -858,85 +579,6 @@ mod tests {
             resolve(Some("quantum")).unwrap_err(),
             KernelError::UnknownTier(_)
         ));
-    }
-
-    #[test]
-    fn policy_resolution_matches_active_and_contract() {
-        // The default policy is the active table with the exact contract.
-        let resolved = KernelPolicy::exact().resolve().unwrap();
-        assert_eq!(resolved.tier(), Kernels::active().tier());
-        assert!(resolved.contract().is_exact());
-        assert!(!resolved.is_approximate());
-        // from_env mirrors the active() policy as a typed value.
-        let from_env = KernelPolicy::from_env().unwrap().resolve().unwrap();
-        assert_eq!(from_env.tier(), Kernels::active().tier());
-        // Forcing a supported tier pins it.
-        for tier in KernelTier::supported() {
-            let forced = KernelPolicy::exact().with_tier(tier).resolve().unwrap();
-            assert_eq!(forced.tier(), tier);
-        }
-    }
-
-    #[test]
-    fn approximate_contract_is_typed_never_silent() {
-        for rung in [ApproxRung::F16, ApproxRung::Int8] {
-            for tier in KernelTier::supported() {
-                let policy = KernelPolicy::approximate(rung).with_tier(tier);
-                match policy.resolve() {
-                    Ok(resolved) => {
-                        assert!(resolved.is_approximate());
-                        assert_eq!(resolved.contract(), Contract::Approximate(rung));
-                        assert_eq!(resolved.tier(), tier);
-                    }
-                    Err(err) => {
-                        // Rejection is the typed error naming both halves.
-                        assert_eq!(
-                            err,
-                            KernelError::UnsupportedContract { tier, rung },
-                            "unexpected error for {tier:?}/{rung:?}"
-                        );
-                        let msg = err.to_string();
-                        assert!(msg.contains(tier.name()) && msg.contains(rung.name()));
-                    }
-                }
-            }
-        }
-        // The portable rung always carries the approximate class.
-        assert!(KernelPolicy::approximate(ApproxRung::F16)
-            .with_tier(KernelTier::Portable)
-            .resolve()
-            .unwrap()
-            .is_approximate());
-        // SSE2 never does (x86_64 only; the tier errors, exactly as CI's
-        // forced-sse2 leg expects).
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            KernelPolicy::approximate(ApproxRung::F16)
-                .with_tier(KernelTier::Sse2)
-                .resolve()
-                .unwrap_err(),
-            KernelError::UnsupportedContract {
-                tier: KernelTier::Sse2,
-                rung: ApproxRung::F16,
-            }
-        );
-    }
-
-    #[test]
-    fn exact_contract_gemm_routes_to_the_exact_table() {
-        let resolved = KernelPolicy::exact().resolve().unwrap();
-        let (m, k_dim, n) = (4, 9, 33);
-        let a: Vec<f32> = (0..m * k_dim).map(|i| (i as f32 * 0.17).sin()).collect();
-        let b: Vec<f32> = (0..k_dim * n).map(|i| (i as f32 * 0.29).cos()).collect();
-        let bias: Vec<f32> = (0..m).map(|i| i as f32).collect();
-        let mut expect = vec![0.0f32; m * n];
-        Kernels::active().gemm_bias(&a, &b, &bias, &mut expect, m, k_dim, n);
-        let mut out = vec![0.0f32; m * n];
-        resolved.gemm_bias(&a, &b, &bias, &mut out, m, k_dim, n);
-        assert!(out
-            .iter()
-            .zip(&expect)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -375,15 +375,6 @@ pub struct MetricsRegistry {
     pub tiles_planned: Counter,
     /// Tiles actually verified before the budget expired.
     pub tiles_verified: Counter,
-    /// Tiles whose statistics came from an approximate-contract kernel
-    /// rung (audit sweeps running `Contract::Approximate`).
-    pub audit_approx_tiles: Counter,
-    /// Approximate audit tiles re-run through the exact path by the
-    /// online cross-check.
-    pub audit_crosschecks: Counter,
-    /// Hard fallbacks: cross-checks whose divergence exceeded the
-    /// calibrated tolerance, switching the rest of the sweep to exact.
-    pub audit_fallbacks: Counter,
     // -- pipeline stages -------------------------------------------------
     /// `ElPipeline::run` propose stage (segmentation + zone proposal).
     pub stage_propose: Histogram,
@@ -450,9 +441,6 @@ impl MetricsRegistry {
             tile_refusals: Counter::new(),
             tiles_planned: Counter::new(),
             tiles_verified: Counter::new(),
-            audit_approx_tiles: Counter::new(),
-            audit_crosschecks: Counter::new(),
-            audit_fallbacks: Counter::new(),
             stage_propose: Histogram::new(),
             stage_verify: Histogram::new(),
             stage_decide: Histogram::new(),
@@ -489,9 +477,6 @@ impl MetricsRegistry {
         self.tile_refusals.reset();
         self.tiles_planned.reset();
         self.tiles_verified.reset();
-        self.audit_approx_tiles.reset();
-        self.audit_crosschecks.reset();
-        self.audit_fallbacks.reset();
         self.stage_propose.reset();
         self.stage_verify.reset();
         self.stage_decide.reset();
@@ -541,9 +526,6 @@ impl MetricsRegistry {
                 } else {
                     verified as f64 / planned as f64
                 },
-                approx_tiles: self.audit_approx_tiles.get(),
-                crosschecks: self.audit_crosschecks.get(),
-                fallbacks: self.audit_fallbacks.get(),
             },
             pipeline: PipelineMetrics {
                 propose: self.stage_propose.snapshot(),
@@ -621,12 +603,6 @@ pub struct AuditMetrics {
     pub verified: u64,
     /// `verified / planned` (1.0 when nothing was planned).
     pub coverage: f64,
-    /// Tiles verified on an approximate-contract rung.
-    pub approx_tiles: u64,
-    /// Approximate tiles cross-checked against the exact path.
-    pub crosschecks: u64,
-    /// Cross-checks that hard-failed back to the exact path.
-    pub fallbacks: u64,
 }
 
 /// Pipeline-stage metrics, frozen.
@@ -861,25 +837,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.riskmap.ingest.count, 0);
         assert_eq!(snap.riskmap.vetoes, 0);
-    }
-
-    #[test]
-    fn audit_precision_counters_snapshot_and_reset() {
-        let reg = MetricsRegistry::new();
-        reg.audit_approx_tiles.add_always(9);
-        reg.audit_crosschecks.add_always(2);
-        reg.audit_fallbacks.add_always(1);
-        let snap = reg.snapshot();
-        assert_eq!(snap.audit.approx_tiles, 9);
-        assert_eq!(snap.audit.crosschecks, 2);
-        assert_eq!(snap.audit.fallbacks, 1);
-        let json = serde_json::to_string(&snap).expect("snapshot serializes");
-        assert!(json.contains("\"approx_tiles\""));
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.audit.approx_tiles, 0);
-        assert_eq!(snap.audit.crosschecks, 0);
-        assert_eq!(snap.audit.fallbacks, 0);
     }
 
     #[test]

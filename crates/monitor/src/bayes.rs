@@ -303,49 +303,6 @@ fn run_chunk(
     acc
 }
 
-/// [`run_chunk`] with the suffix GEMMs routed through an explicit
-/// kernel resolution ([`el_kernels::ResolvedKernels`]) — the audit
-/// sweep's approximate-contract path. Sample seeds, dropout masks,
-/// softmax and the Welford fold are unchanged; only the two head GEMMs
-/// differ, so under [`el_kernels::Contract::Exact`] this is
-/// bit-identical to [`run_chunk`].
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_with(
-    net: &MsdNet,
-    fused: &Tensor,
-    seed: u64,
-    origin: (usize, usize),
-    start: usize,
-    len: usize,
-    stat_len: usize,
-    ws: &mut Workspace,
-    kernels: &el_kernels::ResolvedKernels,
-) -> Welford {
-    let mut acc = Welford::new(stat_len);
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut p0 = net.mc_sample_at_with(fused, sample_seed(seed, k), origin, ws, kernels);
-        softmax_in_place(&mut p0);
-        let mut p1 = net.mc_sample_at_with(fused, sample_seed(seed, k + 1), origin, ws, kernels);
-        softmax_in_place(&mut p1);
-        acc.push2(p0.as_slice(), p1.as_slice());
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut probs = net.mc_sample_at_with(fused, sample_seed(seed, k), origin, ws, kernels);
-        softmax_in_place(&mut probs);
-        acc.push(probs.as_slice());
-        ws.recycle(probs);
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    acc
-}
-
 /// Runs one chunk of Monte-Carlo samples for an **entire** batch of
 /// crops: each sample's stochastic suffix covers the whole batch via
 /// column-stacked head GEMMs ([`MsdNet::mc_sample_stacked`]). Returns
@@ -538,50 +495,6 @@ pub(crate) fn mc_stats_prefixed(
             .into_iter()
             .map(|(start, len)| {
                 pool.with(|ws| run_chunk(net, fused, seed, origin, start, len, stat_len, ws))
-            })
-            .collect()
-    };
-    stats_from(partials, samples, shape)
-}
-
-/// [`mc_stats_prefixed`] under an explicit kernel resolution: the
-/// chunk partition, seeds and merge order are identical — only the
-/// suffix GEMMs route through `kernels`, so an exact resolution is
-/// bit-identical to [`mc_stats_prefixed`] and an approximate one
-/// differs only by the rung's quantisation error.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mc_stats_prefixed_with(
-    net: &MsdNet,
-    fused: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-    pool: &WsPool,
-    kernels: &el_kernels::ResolvedKernels,
-) -> BayesStats {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    el_metrics::registry().samples_run.add(samples as u64);
-    let (h, w) = (fused.height(), fused.width());
-    let stat_len = net.classes() * h * w;
-    let shape = (net.classes(), h, w);
-    let chunks = chunk_layout(samples);
-    let partials: Vec<Welford> = if parallel {
-        chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| {
-                    run_chunk_with(net, fused, seed, origin, start, len, stat_len, ws, kernels)
-                })
-            })
-            .collect()
-    } else {
-        chunks
-            .into_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| {
-                    run_chunk_with(net, fused, seed, origin, start, len, stat_len, ws, kernels)
-                })
             })
             .collect()
     };

@@ -26,16 +26,6 @@
 //! untiled [`bayesian_segment`](crate::bayes::bayesian_segment)
 //! (property-tested), so partial coverage is a strict prefix of the exact
 //! full-frame answer — not an approximation of it.
-//!
-//! The audit sweep — and only the audit sweep — may additionally opt
-//! into an **approximate contract**
-//! ([`bayesian_segment_tiled_precise_with_clock`]): the per-tile
-//! Monte-Carlo *suffix* GEMMs route through a reduced-precision
-//! `el_kernels` rung, the invariant prefix stays exact, a
-//! deterministically sampled fraction of tiles is re-run through the
-//! exact path, and any divergence beyond the calibrated tolerance
-//! hard-fails the rest of the sweep back to exact (see
-//! [`crate::precision`]).
 
 use std::time::{Duration, Instant};
 
@@ -47,10 +37,7 @@ use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
 
 use el_nn::Workspace;
 
-use crate::bayes::{mc_stats_prefixed, mc_stats_prefixed_with, BayesStats, WsPool};
-use crate::precision::{
-    crosscheck_tile, resolve_validated, stats_divergence, AuditPrecision, PrecisionOutcome,
-};
+use crate::bayes::{mc_stats_prefixed, BayesStats, WsPool};
 
 /// The result of a (possibly budget-truncated) tiled Bayesian pass.
 #[derive(Debug, Clone)]
@@ -176,63 +163,8 @@ pub fn bayesian_segment_tiled_with_clock(
     seed: u64,
     budget_s: f64,
     priority: &[Rect],
-    elapsed_s: impl FnMut() -> f64,
-) -> TiledBayesStats {
-    let (stats, _outcome) = bayesian_segment_tiled_precise_with_clock(
-        net,
-        image,
-        config,
-        samples,
-        seed,
-        budget_s,
-        priority,
-        &AuditPrecision::exact(),
-        elapsed_s,
-    );
-    stats
-}
-
-/// [`bayesian_segment_tiled_with_clock`] under an explicit
-/// [`AuditPrecision`] policy — the audit sweep's entry point.
-///
-/// Under [`AuditPrecision::exact`] this is the exact pass, bit for bit
-/// (the wrapper above delegates here). Under an approximate contract:
-///
-/// - each tile's Monte-Carlo suffix runs through the policy's
-///   [`el_kernels::ApproxRung`]; the invariant prefix, sample seeds,
-///   dropout masks and fold order are unchanged;
-/// - tiles selected by [`crosscheck_tile`] (a pure seed-chained hash —
-///   the same tiles every replay) are re-run through the exact path;
-///   the worst observed µ/σ divergence is reported in the outcome;
-/// - a cross-check divergence beyond the policy's tolerance is a
-///   **hard failure**: that tile keeps its exact statistics and every
-///   subsequent tile runs exact (`el-metrics` counts the fallback), so
-///   a mis-calibrated rung degrades to coverage loss, never to wrong
-///   statistics surviving unflagged.
-///
-/// Tile admission, budget accounting and the returned
-/// [`TiledBayesStats`] layout are identical to the exact pass — the
-/// cross-check's extra exact passes charge the same budget clock, so
-/// an approximate sweep's coverage gain is measured net of its
-/// verification overhead.
-///
-/// # Panics
-///
-/// Panics on the same preconditions as the exact pass, and if the
-/// precision policy fails to resolve to kernels (rejected earlier by
-/// [`AuditPrecision::validate`] at configuration time).
-#[allow(clippy::too_many_arguments)]
-pub fn bayesian_segment_tiled_precise_with_clock(
-    net: &MsdNet,
-    image: &Image,
-    config: TileConfig,
-    samples: usize,
-    seed: u64,
-    budget_s: f64,
-    priority: &[Rect],
-    precision: &AuditPrecision,
     mut elapsed_s: impl FnMut() -> f64,
-) -> (TiledBayesStats, PrecisionOutcome) {
+) -> TiledBayesStats {
     assert!(samples > 0, "at least one Monte-Carlo sample is required");
     assert!(
         config.margin >= net.receptive_radius(),
@@ -253,23 +185,6 @@ pub fn bayesian_segment_tiled_precise_with_clock(
     // on the first group and serve every subsequent tile.
     let mut ws = Workspace::new();
     let pool = WsPool::new();
-    // Approximate contracts resolve their kernels once, up front; a
-    // policy that cannot resolve panics here (configuration validation
-    // rejects it long before a frame reaches this point).
-    let approx_kernels = if precision.contract.is_exact() {
-        None
-    } else {
-        Some(resolve_validated(precision))
-    };
-    let mut outcome = PrecisionOutcome {
-        contract: precision.contract,
-        sigma_margin: if precision.contract.is_exact() {
-            0.0
-        } else {
-            precision.sigma_margin
-        },
-        ..PrecisionOutcome::exact()
-    };
     // Tiles are admitted in cache-budgeted groups whose invariant
     // prefixes share one batched engine invocation
     // ([`MsdNet::mc_prefix_batch`] — a single column-stacked im2col GEMM
@@ -338,45 +253,7 @@ pub fn bayesian_segment_tiled_precise_with_clock(
             let tile = tiles[i];
             let origin = (tile.rect.y as usize, tile.rect.x as usize);
             let tile_sw = el_metrics::Stopwatch::start();
-            // The cross-check selection hashes the *plan* index `i`, not
-            // the verification position, so the checked tile set is
-            // independent of priority ordering and budget truncation.
-            let stats = match &approx_kernels {
-                Some(kernels) if !outcome.fell_back => {
-                    let approx =
-                        mc_stats_prefixed_with(net, f, samples, seed, origin, true, &pool, kernels);
-                    if crosscheck_tile(seed, i, precision.crosscheck_fraction) {
-                        outcome.tiles_crosschecked += 1;
-                        el_metrics::registry().audit_crosschecks.add(1);
-                        let exact = mc_stats_prefixed(net, f, samples, seed, origin, true, &pool);
-                        let div = stats_divergence(&approx, &exact);
-                        outcome.max_divergence = outcome.max_divergence.max(div);
-                        if div > precision.divergence_tolerance {
-                            // Hard failure: this tile keeps the exact
-                            // statistics, the rest of the sweep runs
-                            // exact.
-                            outcome.fell_back = true;
-                            outcome.tiles_fallback += 1;
-                            el_metrics::registry().audit_fallbacks.add(1);
-                            exact
-                        } else {
-                            outcome.tiles_approx += 1;
-                            el_metrics::registry().audit_approx_tiles.add(1);
-                            approx
-                        }
-                    } else {
-                        outcome.tiles_approx += 1;
-                        el_metrics::registry().audit_approx_tiles.add(1);
-                        approx
-                    }
-                }
-                Some(_) => {
-                    // Post-fallback: the remainder of the sweep is exact.
-                    outcome.tiles_fallback += 1;
-                    mc_stats_prefixed(net, f, samples, seed, origin, true, &pool)
-                }
-                None => mc_stats_prefixed(net, f, samples, seed, origin, true, &pool),
-            };
+            let stats = mc_stats_prefixed(net, f, samples, seed, origin, true, &pool);
             el_metrics::registry().tile_cost.record(tile_sw);
             let (tw, th) = (tile.rect.w as usize, tile.rect.h as usize);
             debug_assert_eq!(stats.mean.shape(), (classes, th, tw));
@@ -414,17 +291,14 @@ pub fn bayesian_segment_tiled_precise_with_clock(
     let metrics = el_metrics::registry();
     metrics.tiles_planned.add(tiles.len() as u64);
     metrics.tiles_verified.add(tiles_verified as u64);
-    (
-        TiledBayesStats {
-            stats: BayesStats { mean, std, samples },
-            covered,
-            tiles_total: tiles.len(),
-            tiles_verified,
-            tiles,
-            verified,
-        },
-        outcome,
-    )
+    TiledBayesStats {
+        stats: BayesStats { mean, std, samples },
+        covered,
+        tiles_total: tiles.len(),
+        tiles_verified,
+        tiles,
+        verified,
+    }
 }
 
 #[cfg(test)]
@@ -520,91 +394,6 @@ mod tests {
             "prediction must refuse the tile the raw elapsed check would admit"
         );
         assert!(out.tiles_total >= 4, "plan must have tiles left to refuse");
-    }
-
-    /// `true` when the active tier (which honours `EL_FORCE_KERNEL`,
-    /// so CI's forced-sse2 leg skips rather than fails) offers `rung`.
-    fn rung_available(rung: el_kernels::ApproxRung) -> bool {
-        el_kernels::KernelPolicy::approximate(rung)
-            .resolve()
-            .is_ok()
-    }
-
-    #[test]
-    fn approximate_sweep_covers_and_reports_its_outcome() {
-        if !rung_available(el_kernels::ApproxRung::F16) {
-            eprintln!("skipping: f16 rung unavailable on the active tier");
-            return;
-        }
-        let net = net();
-        let img = image(52, 41);
-        let mut precision = AuditPrecision::approximate(el_kernels::ApproxRung::F16);
-        precision.crosscheck_fraction = 1.0; // check every tile
-        precision.divergence_tolerance = 1.0; // never hard-fail
-        let (tiled, outcome) = bayesian_segment_tiled_precise_with_clock(
-            &net,
-            &img,
-            cfg(),
-            5,
-            11,
-            f64::INFINITY,
-            &[],
-            &precision,
-            || 0.0,
-        );
-        assert!(tiled.is_complete());
-        assert!(!outcome.fell_back);
-        assert_eq!(outcome.tiles_approx, tiled.tiles_total);
-        assert_eq!(outcome.tiles_crosschecked, tiled.tiles_total);
-        assert_eq!(outcome.tiles_fallback, 0);
-        assert!(outcome.max_divergence.is_finite());
-        assert!(tiled.stats.mean.as_slice().iter().all(|v| v.is_finite()));
-        // Same seeds, same sample set: the approximate sweep tracks the
-        // exact one to within the (generous) f16 fuzz.
-        let whole = bayesian_segment(&net, &img, 5, 11);
-        for (a, e) in tiled
-            .stats
-            .mean
-            .as_slice()
-            .iter()
-            .zip(whole.mean.as_slice())
-        {
-            assert!((a - e).abs() < 0.05, "approx {a} vs exact {e}");
-        }
-    }
-
-    #[test]
-    fn forced_divergence_hard_fails_back_to_the_exact_path() {
-        if !rung_available(el_kernels::ApproxRung::Int8) {
-            eprintln!("skipping: int8 rung unavailable on the active tier");
-            return;
-        }
-        let net = net();
-        let img = image(52, 41);
-        let mut precision = AuditPrecision::approximate(el_kernels::ApproxRung::Int8);
-        precision.crosscheck_fraction = 1.0;
-        // Impossible tolerance: the first cross-check must hard-fail.
-        precision.divergence_tolerance = -1.0;
-        let (tiled, outcome) = bayesian_segment_tiled_precise_with_clock(
-            &net,
-            &img,
-            cfg(),
-            5,
-            11,
-            f64::INFINITY,
-            &[],
-            &precision,
-            || 0.0,
-        );
-        assert!(outcome.fell_back);
-        assert_eq!(outcome.tiles_approx, 0);
-        assert_eq!(outcome.tiles_fallback, tiled.tiles_total);
-        assert_eq!(outcome.tiles_crosschecked, 1, "fallback after first check");
-        // Every kept tile carried exact statistics, so the fallback
-        // sweep equals the untiled exact pass bit for bit.
-        let whole = bayesian_segment(&net, &img, 5, 11);
-        assert_eq!(tiled.stats.mean.as_slice(), whole.mean.as_slice());
-        assert_eq!(tiled.stats.std.as_slice(), whole.std.as_slice());
     }
 
     #[test]

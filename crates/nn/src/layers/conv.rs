@@ -392,44 +392,6 @@ impl Conv2d {
         out
     }
 
-    /// [`Conv2d::forward_columns`] under an explicit kernel policy
-    /// resolution: the GEMM routes through `kernels` instead of the
-    /// process-wide exact table. With an exact resolution this is
-    /// bit-identical to [`Conv2d::forward_columns`]; with an
-    /// approximate resolution it is the audit sweep's quantised conv
-    /// path — never reachable from the certified decision path, which
-    /// has no policy parameter to pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel is not 1x1 or `cols` is not
-    /// `in_channels x n`.
-    pub fn forward_columns_with(
-        &self,
-        cols: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        kernels: &el_kernels::ResolvedKernels,
-    ) -> Vec<f32> {
-        assert_eq!(self.kernel, 1, "forward_columns requires a 1x1 kernel");
-        assert_eq!(
-            cols.len(),
-            self.in_channels * n,
-            "stacked matrix must be in_channels x n"
-        );
-        let mut out = ws.take(self.out_channels * n);
-        kernels.gemm_bias(
-            &self.weight,
-            cols,
-            &self.bias,
-            &mut out,
-            self.out_channels,
-            self.in_channels,
-            n,
-        );
-        out
-    }
-
     /// Lowers `input` into the (zero-initialised) im2col matrix `col`:
     /// one row of `h*w` values per kernel tap, rows ordered `(in, ky, kx)`
     /// — the same order the reference loop accumulates in. Out-of-image
@@ -799,22 +761,6 @@ mod tests {
             assert_eq!(&out[o * n..o * n + na], ya.channel(o));
             assert_eq!(&out[o * n + na..(o + 1) * n], yb.channel(o));
         }
-    }
-
-    #[test]
-    fn forward_columns_with_exact_policy_is_bit_identical() {
-        let mut r = rng();
-        let conv = Conv2d::new(4, 6, 1, 1, &mut r);
-        let n = 23usize;
-        let cols: Vec<f32> = (0..4 * n).map(|i| ((i as f32) * 0.19).sin()).collect();
-        let mut ws = Workspace::new();
-        let expect = conv.forward_columns(&cols, n, &mut ws);
-        let exact = el_kernels::KernelPolicy::exact().resolve().unwrap();
-        let out = conv.forward_columns_with(&cols, n, &mut ws, &exact);
-        assert!(out
-            .iter()
-            .zip(&expect)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -360,64 +360,6 @@ impl MsdNet {
         out
     }
 
-    /// [`MsdNet::mc_sample_at`] under an explicit kernel policy
-    /// resolution: the two 1x1 head GEMMs — the dominant cost of the
-    /// stochastic suffix — route through `kernels`, everything else
-    /// (keyed masks, ReLU) stays on the exact path. With an exact
-    /// resolution this is bit-identical to [`MsdNet::mc_sample_at`]
-    /// (property-tested); with an approximate resolution it is the
-    /// audit sweep's reduced-precision suffix.
-    pub fn mc_sample_at_with(
-        &self,
-        fused: &Tensor,
-        sample_seed: u64,
-        origin: (usize, usize),
-        ws: &mut Workspace,
-        kernels: &el_kernels::ResolvedKernels,
-    ) -> Tensor {
-        let (c, h, w) = fused.shape();
-        let hw = h * w;
-        let bc = self.config.branch_channels;
-        let mut x = ws.take_tensor(c, h, w);
-        for (bi, b) in self.branches.iter().enumerate() {
-            b.drop.apply_mc_keyed(
-                &fused.as_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                h,
-                w,
-                &mut x.as_mut_slice()[bi * bc * hw..],
-                hw,
-                0,
-                sample_seed,
-                MC_LAYER_BRANCH,
-                bi * bc,
-                origin,
-            );
-        }
-        // The 1x1 heads are pointwise, so the crop's pixels are just hw
-        // stacked columns — the same GEMM `forward_with` runs, but
-        // contract-routed.
-        let mut y = self
-            .head1
-            .forward_columns_with(x.as_slice(), hw, ws, kernels);
-        ws.recycle(x);
-        Relu::apply_slice(&mut y);
-        self.head_drop.apply_mc_keyed_in_place(
-            &mut y,
-            self.config.head_hidden,
-            h,
-            w,
-            hw,
-            0,
-            sample_seed,
-            MC_LAYER_HEAD,
-            0,
-            origin,
-        );
-        let out = self.head2.forward_columns_with(&y, hw, ws, kernels);
-        ws.give(y);
-        Tensor::from_vec(self.config.classes, h, w, out).expect("suffix buffer sized to the logits")
-    }
-
     /// Whole-batch variant of [`MsdNet::mc_sample_at`]: runs one
     /// Monte-Carlo sample's stochastic suffix for **every** crop at once
     /// by column-stacking the masked prefixes and pushing the stack
@@ -852,31 +794,6 @@ mod tests {
         let mut r2 = ChaCha8Rng::seed_from_u64(77);
         let stoch_engine = net.mc_sample(&fused, &mut r2, &mut ws);
         assert_eq!(stoch_fwd, stoch_engine, "mc_sample diverges from forward");
-    }
-
-    #[test]
-    fn mc_sample_at_with_exact_policy_is_bit_identical() {
-        let mut r = rng();
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let x = Tensor::from_fn(3, 9, 7, |c, y, x| {
-            ((c * 11 + y * 3 + x) as f32 * 0.21).sin()
-        });
-        let mut ws = Workspace::new();
-        let fused = net.mc_prefix(&x, &mut ws);
-        let exact = el_kernels::KernelPolicy::exact().resolve().unwrap();
-        for (seed, origin) in [(7u64, (0usize, 0usize)), (99, (31, 14))] {
-            let plain = net.mc_sample_at(&fused, seed, origin, &mut ws);
-            let policied = net.mc_sample_at_with(&fused, seed, origin, &mut ws, &exact);
-            assert_eq!(plain.shape(), policied.shape());
-            assert!(
-                plain
-                    .as_slice()
-                    .iter()
-                    .zip(policied.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "exact-policy suffix diverges at seed {seed} origin {origin:?}"
-            );
-        }
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl TrainConfig {
             tile: 48,
             lr: 3e-3,
             class_weighted: true,
-            // Off so the recorded EXPERIMENTS.md numbers stay
-            // reproducible; enable for stronger OOD robustness studies.
+            // Off so the benchmark model stays reproducible; enable for
+            // stronger OOD robustness studies.
             augment: false,
             seed: 7,
         }

@@ -20,32 +20,6 @@
 /// constant the tiled audit uses for per-tile costs.
 pub const FRAME_COST_EWMA_ALPHA: f64 = 0.5;
 
-/// The kernel-contract cost class of one frame, as seen by admission
-/// control. A frame whose audit sweep runs an approximate rung costs
-/// measurably less than one auditing on the exact ladder; folding both
-/// into a single EWMA would bias every prediction whenever sessions with
-/// different precision policies share a service, so the measured model
-/// tracks one average per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostClass {
-    /// The frame's audit (if any) runs the exact bit-identical ladder.
-    Exact,
-    /// The frame's audit runs an approximate contract rung.
-    Approximate,
-}
-
-impl CostClass {
-    fn index(self) -> usize {
-        match self {
-            CostClass::Exact => 0,
-            CostClass::Approximate => 1,
-        }
-    }
-}
-
-/// Number of tracked cost classes.
-const COST_CLASSES: usize = 2;
-
 /// How the controller predicts the cost of one frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostModel {
@@ -124,8 +98,7 @@ impl AdmissionConfig {
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     config: AdmissionConfig,
-    /// Measured per-frame cost EWMAs, one per [`CostClass`].
-    avg_frame_cost_s: [Option<f64>; COST_CLASSES],
+    avg_frame_cost_s: Option<f64>,
 }
 
 impl AdmissionControl {
@@ -141,7 +114,7 @@ impl AdmissionControl {
         }
         AdmissionControl {
             config,
-            avg_frame_cost_s: [None; COST_CLASSES],
+            avg_frame_cost_s: None,
         }
     }
 
@@ -150,21 +123,10 @@ impl AdmissionControl {
         &self.config
     }
 
-    /// The current cost estimate for [`CostClass::Exact`] frames, if the
-    /// model has one.
+    /// The current cost estimate, if the model has one.
     pub fn avg_frame_cost_s(&self) -> Option<f64> {
-        self.class_cost_s(CostClass::Exact)
-    }
-
-    /// The current per-frame cost estimate for one class. Under the
-    /// measured model a class with no observations yet borrows the other
-    /// class's estimate (a biased-but-bounded stand-in beats admitting
-    /// blind); `None` means no estimate exists at all (bootstrap).
-    pub fn class_cost_s(&self, class: CostClass) -> Option<f64> {
         match self.config.model {
-            CostModel::MeasuredEwma => {
-                self.avg_frame_cost_s[class.index()].or(self.avg_frame_cost_s[1 - class.index()])
-            }
+            CostModel::MeasuredEwma => self.avg_frame_cost_s,
             CostModel::Fixed { frame_cost_s } => Some(frame_cost_s),
             CostModel::Unlimited => None,
         }
@@ -175,89 +137,30 @@ impl AdmissionControl {
     /// Admits frame `k+1` only while `(k+1)·avg < budget` — the audit's
     /// predictive rule with `elapsed = 0` (the controller plans a whole
     /// tick up front). With no cost estimate yet (EWMA bootstrap), every
-    /// frame is admitted: one measured tick seeds the model. Frames are
-    /// costed as [`CostClass::Exact`]; mixed-precision services use
-    /// [`AdmissionControl::admit_classes`].
+    /// frame is admitted: one measured tick seeds the model.
     pub fn admit(&self, requested: usize) -> usize {
-        self.admit_classes_iter((0..requested).map(|_| CostClass::Exact))
-    }
-
-    /// Class-aware admission: `classes` lists this tick's drained frames
-    /// in admission order; the longest prefix whose predicted total cost
-    /// stays strictly inside the budget is admitted. Each frame is
-    /// predicted at its own class's EWMA, so a cheap approximate-audit
-    /// frame no longer pays for (or hides behind) an expensive exact one.
-    /// Frames of a class with no estimate predict zero (bootstrap).
-    pub fn admit_classes(&self, classes: &[CostClass]) -> usize {
-        self.admit_classes_iter(classes.iter().copied())
-    }
-
-    fn admit_classes_iter(&self, classes: impl Iterator<Item = CostClass>) -> usize {
-        if matches!(self.config.model, CostModel::Unlimited) {
-            return classes.count();
-        }
+        let Some(avg) = self.avg_frame_cost_s() else {
+            return requested;
+        };
         let budget = self.config.tick_budget_s;
-        let mut predicted = 0.0f64;
         let mut admitted = 0usize;
-        for class in classes {
-            // A class with no estimate predicts zero (bootstrap: the
-            // budget is positive, so unestimated frames always admit).
-            predicted += self.class_cost_s(class).unwrap_or(0.0);
-            if predicted >= budget {
-                break;
-            }
+        while admitted < requested && (admitted as f64 + 1.0) * avg < budget {
             admitted += 1;
         }
         admitted
     }
 
     /// Feeds one tick's measurement back into the EWMA. No-op for the
-    /// fixed and unlimited models, and for empty ticks. Frames are
-    /// attributed to [`CostClass::Exact`]; mixed-precision services use
-    /// [`AdmissionControl::observe_classes`].
+    /// fixed and unlimited models, and for empty ticks.
     pub fn observe(&mut self, frames: usize, elapsed_s: f64) {
-        self.observe_classes([frames, 0], elapsed_s);
-    }
-
-    /// Class-aware measurement feedback: `frames[i]` is the number of
-    /// admitted frames of class index `i` (`[exact, approximate]`) and
-    /// `elapsed_s` the tick's total wall time. A single-class tick
-    /// updates that class's EWMA directly; a mixed tick splits the
-    /// elapsed time in proportion to the classes' current estimates
-    /// (equal shares until both classes have one), so each EWMA keeps
-    /// tracking its own class rather than the tick mix.
-    pub fn observe_classes(&mut self, frames: [usize; COST_CLASSES], elapsed_s: f64) {
-        let total: usize = frames.iter().sum();
-        if total == 0 || !matches!(self.config.model, CostModel::MeasuredEwma) {
+        if frames == 0 || !matches!(self.config.model, CostModel::MeasuredEwma) {
             return;
         }
-        // Per-class cost weights for splitting a mixed tick.
-        let weights: Vec<f64> = [CostClass::Exact, CostClass::Approximate]
-            .iter()
-            .map(|&c| self.class_cost_s(c).unwrap_or(1.0).max(1e-12))
-            .collect();
-        let expected: f64 = frames
-            .iter()
-            .zip(&weights)
-            .map(|(&n, &w)| n as f64 * w)
-            .sum();
-        for (i, &n) in frames.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let share = if expected > 0.0 {
-                elapsed_s * (n as f64 * weights[i]) / expected
-            } else {
-                elapsed_s * n as f64 / total as f64
-            };
-            let per_frame = (share / n as f64).max(0.0);
-            self.avg_frame_cost_s[i] = Some(match self.avg_frame_cost_s[i] {
-                None => per_frame,
-                Some(avg) => {
-                    FRAME_COST_EWMA_ALPHA * per_frame + (1.0 - FRAME_COST_EWMA_ALPHA) * avg
-                }
-            });
-        }
+        let per_frame = (elapsed_s / frames as f64).max(0.0);
+        self.avg_frame_cost_s = Some(match self.avg_frame_cost_s {
+            None => per_frame,
+            Some(avg) => FRAME_COST_EWMA_ALPHA * per_frame + (1.0 - FRAME_COST_EWMA_ALPHA) * avg,
+        });
     }
 }
 
@@ -307,56 +210,6 @@ mod tests {
         // <=, matching the audit's `>= budget` refusal.
         let ac = AdmissionControl::new(AdmissionConfig::fixed(1.0, 0.25));
         assert_eq!(ac.admit(10), 3, "4 × 0.25 = budget exactly → refused");
-    }
-
-    #[test]
-    fn approximate_class_borrows_the_exact_estimate() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::measured(1.0));
-        // Only exact frames have been measured: 0.5 s each.
-        ac.observe_classes([4, 0], 2.0);
-        assert_eq!(ac.class_cost_s(CostClass::Exact), Some(0.5));
-        // The approximate class has no data of its own yet — it borrows
-        // the exact estimate rather than admitting blind.
-        assert_eq!(ac.class_cost_s(CostClass::Approximate), Some(0.5));
-        assert_eq!(ac.admit_classes(&[CostClass::Approximate; 10]), 1);
-    }
-
-    #[test]
-    fn classes_are_admitted_at_their_own_estimates() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::measured(1.0));
-        // Seed each class separately: exact 0.5 s/frame, approximate
-        // 0.125 s/frame (both exactly representable).
-        ac.observe_classes([2, 0], 1.0);
-        ac.observe_classes([0, 4], 0.5);
-        assert_eq!(ac.class_cost_s(CostClass::Exact), Some(0.5));
-        assert_eq!(ac.class_cost_s(CostClass::Approximate), Some(0.125));
-        // All-exact: 0.5 + 0.5 = budget exactly → the second refuses.
-        assert_eq!(ac.admit_classes(&[CostClass::Exact; 10]), 1);
-        // All-approximate: seven fit strictly under 1 s; the eighth
-        // lands exactly on the budget and refuses.
-        assert_eq!(ac.admit_classes(&[CostClass::Approximate; 20]), 7);
-        // Mixed, order-sensitive: one exact frame leaves room for three
-        // approximate ones (0.5 + 3×0.125 < 1.0 = 0.5 + 4×0.125).
-        let mut order = vec![CostClass::Exact];
-        order.extend([CostClass::Approximate; 10]);
-        assert_eq!(ac.admit_classes(&order), 4);
-    }
-
-    #[test]
-    fn mixed_tick_splits_elapsed_by_class_weight() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::measured(10.0));
-        ac.observe_classes([1, 0], 0.8);
-        ac.observe_classes([0, 1], 0.2);
-        // A mixed tick of one frame each taking 1.0 s total: weights
-        // 0.8/0.2 split it 0.8 and 0.2 — both EWMAs stay put.
-        ac.observe_classes([1, 1], 1.0);
-        assert!((ac.class_cost_s(CostClass::Exact).unwrap() - 0.8).abs() < 1e-12);
-        assert!((ac.class_cost_s(CostClass::Approximate).unwrap() - 0.2).abs() < 1e-12);
-        // A mixed tick that runs twice as slow moves both halfway
-        // (alpha 0.5) while preserving the 4:1 ratio.
-        ac.observe_classes([1, 1], 2.0);
-        assert!((ac.class_cost_s(CostClass::Exact).unwrap() - 1.2).abs() < 1e-12);
-        assert!((ac.class_cost_s(CostClass::Approximate).unwrap() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -33,12 +33,10 @@ pub mod loadgen;
 pub mod service;
 pub mod session;
 
-pub use admission::{
-    AdmissionConfig, AdmissionControl, CostClass, CostModel, FRAME_COST_EWMA_ALPHA,
-};
-// The audit-precision policy types live in `el_monitor`; re-exported so
-// `ServeConfig { precision, .. }` can be built from this crate alone.
-pub use el_monitor::{AuditPrecision, PrecisionOutcome};
+pub use admission::{AdmissionConfig, AdmissionControl, CostModel, FRAME_COST_EWMA_ALPHA};
+// Re-exported so `ServeConfig { precision, .. }` can be built from this
+// crate alone.
+pub use el_monitor::AuditPrecision;
 // Fingerprinting moved to `el_metrics` when the fleet risk map started
 // hashing snapshots with the same discipline; re-exported for the
 // existing `el_serve::Fingerprint` users.

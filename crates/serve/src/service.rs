@@ -41,7 +41,7 @@ use el_scene::Image;
 use el_seg::{segment_ws, MsdNet};
 use rayon::prelude::*;
 
-use crate::admission::{AdmissionConfig, AdmissionControl, CostClass};
+use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::session::{DriftConfig, FrameRequest, FrameTicket, Session, SessionId, SessionSummary};
 
 /// Clock driving the per-frame audit budget.
@@ -118,12 +118,10 @@ pub struct ServeConfig {
     /// audit regions into one shared map and screens each frame's
     /// candidates against it *before* verification.
     pub riskmap: Option<RiskSettings>,
-    /// The service-wide audit kernel-contract policy. Folded into the
-    /// pipeline's [`el_core::audit::AuditConfig`] at construction time
-    /// and validated there — a contract the host tier cannot honour is a
-    /// typed [`ServeError::InvalidConfig`], never a silent fallback.
-    /// Individual sessions may override it through
-    /// [`ElService::set_session_precision`].
+    /// The audit's numerical contract. It has one value
+    /// ([`AuditPrecision::exact`]) and is kept only so existing
+    /// `ServeConfig` literals compile; it goes when the benchmark is next
+    /// revised.
     pub precision: AuditPrecision,
 }
 
@@ -159,7 +157,6 @@ impl ServeConfig {
         if let Some(riskmap) = &self.riskmap {
             riskmap.validate()?;
         }
-        self.precision.validate()?;
         Ok(())
     }
 }
@@ -171,6 +168,9 @@ pub enum ServeError {
     InvalidConfig(String),
     /// The session id is unknown (never opened, or already closed).
     UnknownSession(SessionId),
+    /// The submitted frame cannot be processed: a zero width or height,
+    /// or a non-finite wind observation.
+    InvalidFrame(String),
 }
 
 impl fmt::Display for ServeError {
@@ -180,6 +180,7 @@ impl fmt::Display for ServeError {
                 write!(f, "invalid serve configuration: {detail}")
             }
             ServeError::UnknownSession(id) => write!(f, "unknown session {id}"),
+            ServeError::InvalidFrame(detail) => write!(f, "invalid frame: {detail}"),
         }
     }
 }
@@ -211,9 +212,6 @@ pub struct TickReport {
 /// coalesced verification batch.
 struct Proposal {
     ticket: FrameTicket,
-    /// The frame's effective audit precision (session override, else
-    /// the service policy) — the audit phase runs under this.
-    precision: AuditPrecision,
     clearance_px: f64,
     candidates: Vec<Candidate>,
     crops: Vec<Image>,
@@ -246,11 +244,6 @@ impl ElService {
     /// Returns [`ServeError::InvalidConfig`] if the configuration fails
     /// validation.
     pub fn try_new(net: Arc<MsdNet>, config: ServeConfig) -> Result<Self, ServeError> {
-        // The service-level precision policy is the single source of
-        // truth: fold it into the per-frame audit configuration *before*
-        // validation so the validated pipeline is the one that runs.
-        let mut config = config;
-        config.pipeline.audit.precision = config.precision;
         config.validate().map_err(ServeError::InvalidConfig)?;
         let monitor = Monitor::new(config.pipeline.monitor);
         let admission = AdmissionControl::new(config.admission);
@@ -343,32 +336,6 @@ impl ElService {
         self.sessions.get(&id)
     }
 
-    /// Sets (or with `None`, clears) one session's audit-precision
-    /// override. The override applies from the next tick onward; frames
-    /// of other sessions keep the service-wide policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] if the precision fails
-    /// validation (including a contract the host tier cannot honour) and
-    /// [`ServeError::UnknownSession`] for a closed or unknown id — an
-    /// unsupported rung is a typed refusal, never a silent fallback.
-    pub fn set_session_precision(
-        &mut self,
-        id: SessionId,
-        precision: Option<AuditPrecision>,
-    ) -> Result<(), ServeError> {
-        if let Some(p) = &precision {
-            p.validate().map_err(ServeError::InvalidConfig)?;
-        }
-        let session = self
-            .sessions
-            .get_mut(&id)
-            .ok_or(ServeError::UnknownSession(id))?;
-        session.set_precision(precision);
-        Ok(())
-    }
-
     /// Closes a session, returning its lifetime summary.
     pub fn close_session(&mut self, id: SessionId) -> Result<SessionSummary, ServeError> {
         self.sessions
@@ -383,13 +350,26 @@ impl ElService {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownSession`] for a closed or unknown id.
+    /// Returns [`ServeError::UnknownSession`] for a closed or unknown id,
+    /// and [`ServeError::InvalidFrame`] for an empty image or a
+    /// non-finite wind. A rejected frame is never assigned a frame index,
+    /// so it shifts no other frame's seed.
     pub fn submit(&mut self, id: SessionId, request: FrameRequest) -> Result<bool, ServeError> {
         let cap = self.config.max_inbox;
         let session = self
             .sessions
             .get_mut(&id)
             .ok_or(ServeError::UnknownSession(id))?;
+        let (w, h) = (request.image.width(), request.image.height());
+        if w == 0 || h == 0 {
+            return Err(ServeError::InvalidFrame(format!("empty {w}x{h} image")));
+        }
+        if !request.wind_mps.is_finite() {
+            return Err(ServeError::InvalidFrame(format!(
+                "non-finite wind {} m/s",
+                request.wind_mps
+            )));
+        }
         let queued = session.enqueue(request, cap);
         if !queued {
             el_metrics::registry().serve_refusals.add(1);
@@ -429,24 +409,7 @@ impl ElService {
         }
         self.ticks += 1;
 
-        // Cost-class each drained frame by its *effective* precision
-        // (session override, else the service policy): an approximate
-        // audit costs measurably less than an exact one, and admission
-        // predicts each frame at its own class's estimate.
-        let audit_enabled = self.config.pipeline.audit.enabled;
-        let default_precision = self.config.pipeline.audit.precision;
-        let classes: Vec<CostClass> = entries
-            .iter()
-            .map(|(session, _)| {
-                let p = session.precision().unwrap_or(default_precision);
-                if audit_enabled && !p.contract.is_exact() {
-                    CostClass::Approximate
-                } else {
-                    CostClass::Exact
-                }
-            })
-            .collect();
-        let admitted_n = self.admission.admit_classes(&classes);
+        let admitted_n = self.admission.admit(requested);
         let refused: Vec<(&mut Session, FrameTicket)> = entries.split_off(admitted_n);
         let mut report = TickReport {
             requested,
@@ -515,7 +478,6 @@ impl ElService {
                     Vec::new()
                 };
                 let proposal = Proposal {
-                    precision: session.precision().unwrap_or(default_precision),
                     clearance_px: zone.clearance_px,
                     candidates,
                     crops,
@@ -581,17 +543,10 @@ impl ElService {
                         }
                         TickClock::Zero => Box::new(|| 0.0),
                     };
-                    // A per-session precision override swaps only the
-                    // audit's kernel contract; budget, tiling and seeds
-                    // are the service-wide configuration.
-                    let audit_config = el_core::audit::AuditConfig {
-                        precision: prop.precision,
-                        ..pipeline.audit
-                    };
                     Some(run_audit_with_clock(
                         net,
                         &prop.ticket.request.image,
-                        &audit_config,
+                        &pipeline.audit,
                         &pipeline.monitor.rule,
                         prop.ticket.seed,
                         &prop.priority,
@@ -671,16 +626,8 @@ impl ElService {
                 .add(report.deprioritized as u64);
         }
 
-        // Attribute the tick's wall time to the admitted frames by cost
-        // class so each class's EWMA tracks its own population.
-        let approx_admitted = classes[..report.admitted]
-            .iter()
-            .filter(|c| **c == CostClass::Approximate)
-            .count();
-        self.admission.observe_classes(
-            [report.admitted - approx_admitted, approx_admitted],
-            t0.elapsed().as_secs_f64(),
-        );
+        self.admission
+            .observe(report.admitted, t0.elapsed().as_secs_f64());
         metrics.serve_frames.add(report.admitted as u64);
         metrics.serve_refusals.add(report.refused as u64);
         metrics.serve_tick.record(sw);

@@ -15,7 +15,6 @@ use el_core::requirements::IntegrityLevel;
 use el_core::{AuditReport, DriftModel};
 use el_geom::Point;
 use el_metrics::{Counter, Fingerprint, Histogram, HistogramSnapshot};
-use el_monitor::AuditPrecision;
 use el_nn::Workspace;
 use el_scene::{Camera, Image};
 use serde::Serialize;
@@ -228,10 +227,6 @@ pub struct Session {
     pub(crate) ws: Workspace,
     drift: Option<DriftTracker>,
     inbox: VecDeque<FrameTicket>,
-    /// Per-session audit-precision override; `None` follows the service
-    /// configuration. Set through [`crate::ElService::set_session_precision`],
-    /// which validates before storing.
-    precision: Option<AuditPrecision>,
     log: Vec<FrameRecord>,
     decision_fp: Fingerprint,
     audit_fp: Fingerprint,
@@ -258,7 +253,6 @@ impl Session {
             ws: Workspace::new(),
             drift: drift.map(DriftTracker::new),
             inbox: VecDeque::new(),
-            precision: None,
             log: Vec::new(),
             decision_fp: Fingerprint::new(),
             audit_fp: Fingerprint::new(),
@@ -310,16 +304,6 @@ impl Session {
     /// The drift tracker, if the session has one.
     pub fn drift(&self) -> Option<&DriftTracker> {
         self.drift.as_ref()
-    }
-
-    /// The session's audit-precision override, if one is set (`None`
-    /// means the service-wide policy applies).
-    pub fn precision(&self) -> Option<AuditPrecision> {
-        self.precision
-    }
-
-    pub(crate) fn set_precision(&mut self, precision: Option<AuditPrecision>) {
-        self.precision = precision;
     }
 
     /// Assigns the next frame identity and queues the request; with the

@@ -205,19 +205,6 @@ impl AuditAdvisory {
             AuditAdvisory::Clear
         }
     }
-
-    /// [`AuditAdvisory::classify`] with the audit's σ-inflation margin
-    /// padded onto the warning fraction (clamped to 1) — the frame-level
-    /// belt-and-braces for approximate-contract audits. Padding can only
-    /// raise the fraction, so for any non-negative margin the advisory is
-    /// at least as severe as the unpadded classification: an approximate
-    /// audit may escalate earlier than the exact path, never later.
-    pub fn classify_with_margin(coverage: f64, warning_fraction: f64, sigma_margin: f64) -> Self {
-        Self::classify(
-            coverage,
-            (warning_fraction + sigma_margin.max(0.0)).min(1.0),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -386,35 +373,6 @@ mod tests {
         // Severity is ordered for max-style merging.
         assert!(AuditAdvisory::Clear < AuditAdvisory::Caution);
         assert!(AuditAdvisory::Caution < AuditAdvisory::Alarm);
-    }
-
-    #[test]
-    fn margin_padding_only_ever_escalates() {
-        // Sweep a grid of inputs: the padded classification is never
-        // less severe than the unpadded one, and a zero margin is the
-        // identity — an approximate audit can only escalate earlier.
-        for cov in [0.0, 0.1, 0.2, 0.5, 1.0] {
-            for wf in [0.0, 0.1, 0.14, 0.15, 0.3, 0.49, 0.5, 0.9, 1.0] {
-                let base = AuditAdvisory::classify(cov, wf);
-                assert_eq!(AuditAdvisory::classify_with_margin(cov, wf, 0.0), base);
-                for margin in [0.01, 0.05, 0.2, 1.0] {
-                    assert!(
-                        AuditAdvisory::classify_with_margin(cov, wf, margin) >= base,
-                        "margin {margin} downgraded ({cov}, {wf})"
-                    );
-                }
-            }
-        }
-        // Padding pushes a borderline frame over the caution line...
-        assert_eq!(
-            AuditAdvisory::classify_with_margin(0.8, 0.12, 0.05),
-            AuditAdvisory::Caution
-        );
-        // ...but never manufactures evidence below the coverage floor.
-        assert_eq!(
-            AuditAdvisory::classify_with_margin(0.1, 0.9, 1.0),
-            AuditAdvisory::Clear
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Audit contract-class bench: what the approximate kernel rungs buy
-//! the whole-frame audit sweep, measured end to end and recorded as a
-//! JSON bench snapshot (`BENCH_audit.json` format) for the CI
-//! bench-trend gate.
+//! Audit sweep bench: the whole-frame audit's complete-sweep time and
+//! its coverage under half that time, recorded as a JSON bench snapshot
+//! (`BENCH_audit.json` format) for the CI bench-trend gate.
 //!
 //! ```text
 //! cargo run --release --example audit_bench -- --out BENCH_audit.json
@@ -9,15 +8,10 @@
 //!
 //! The run:
 //!
-//! 1. trains the small deterministic serve model (fixed seeds),
-//! 2. calibrates an [`AuditPrecision`] per approximate rung on crops of
-//!    the bench frame (the σ-inflation margin and divergence tolerance
-//!    come from measured quantisation error, not guesses),
-//! 3. times the *complete* audit sweep under the exact contract and
-//!    under each calibrated approximate rung (best of `--reps`),
-//! 4. reruns both under a wall-clock budget of half the exact sweep to
-//!    measure coverage-per-budget, the number the contract class
-//!    exists for.
+//! 1. trains the paper-default net with fixed seeds,
+//! 2. times the *complete* audit sweep (best of `--reps`),
+//! 3. reruns it under a wall-clock budget of half the complete sweep to
+//!    measure coverage-per-budget.
 //!
 //! Flags:
 //!
@@ -26,25 +20,23 @@
 //! - `--reps <n>` — timing repetitions, best-of (default 5).
 //! - `--out <path>` — write the bench record as JSON.
 //! - `--check <path>` — compare against a committed bench record and
-//!   exit nonzero when an approximate rung's speedup over exact drops
-//!   below 75% of the baseline's, or when its coverage under the half
-//!   budget falls more than 5 points below the exact sweep's (the
-//!   coverage-per-budget promise).
-//!
-//! On a host (or forced `EL_FORCE_KERNEL` tier) without approximate
-//! kernels the run records the exact numbers, skips the rung gates and
-//! exits zero — absence of the rungs is a property of the tier, not a
-//! regression.
+//!   exit nonzero when the complete sweep is more than 25% slower than
+//!   the baseline's, or when coverage under the half budget drops more
+//!   than 5 points below the baseline's.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use certel::el_core::run_audit_with_clock;
-use certel::el_seg::data::image_to_tensor;
 use certel::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+/// Largest tolerated complete-sweep slowdown against the baseline.
+const MAX_SWEEP_SLOWDOWN: f64 = 1.25;
+/// Largest tolerated half-budget coverage drop against the baseline.
+const MAX_COVERAGE_DROP: f64 = 0.05;
 
 struct Args {
     seed: u64,
@@ -80,57 +72,34 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One rung's measurements, `None` when the active tier lacks the rung.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct RungBench {
-    /// Complete-sweep wall time, milliseconds (best of reps).
-    sweep_ms: f64,
-    /// Speedup of the complete sweep over the exact contract.
-    speedup: f64,
-    /// Coverage reached under the half-exact wall-clock budget.
-    coverage_at_half_budget: f64,
-    /// Calibrated σ-inflation margin (recorded for trend visibility).
-    sigma_margin: f32,
-}
-
 /// The committed `BENCH_audit.json` schema.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AuditBench {
     side: usize,
     samples: usize,
     tiles: usize,
-    /// Exact complete-sweep wall time, milliseconds (best of reps).
+    /// Complete-sweep wall time, milliseconds (best of reps).
     exact_ms: f64,
-    /// Exact coverage under the half-budget rerun (by construction
-    /// roughly 0.5, recorded so the approximate coverage has a
-    /// same-run denominator).
+    /// Coverage reached under a wall-clock budget of half the complete
+    /// sweep.
     exact_coverage_at_half_budget: f64,
-    f16: Option<RungBench>,
-    int8: Option<RungBench>,
 }
 
 impl AuditBench {
     fn check_against(&self, baseline: &AuditBench) -> Result<(), String> {
-        for (name, now, base) in [
-            ("f16", self.f16, baseline.f16),
-            ("int8", self.int8, baseline.int8),
-        ] {
-            let (Some(now), Some(base)) = (now, base) else {
-                println!("rung {name}: not present on both runs, gate skipped");
-                continue;
-            };
-            if now.speedup < base.speedup * 0.75 {
-                return Err(format!(
-                    "{name} sweep speedup regressed: {:.2}x vs baseline {:.2}x",
-                    now.speedup, base.speedup
-                ));
-            }
-            if now.coverage_at_half_budget + 0.05 < self.exact_coverage_at_half_budget {
-                return Err(format!(
-                    "{name} coverage-per-budget lost: {:.2} vs exact {:.2} at the same budget",
-                    now.coverage_at_half_budget, self.exact_coverage_at_half_budget
-                ));
-            }
+        if self.exact_ms > baseline.exact_ms * MAX_SWEEP_SLOWDOWN {
+            return Err(format!(
+                "complete sweep regressed: {:.1} ms vs baseline {:.1} ms",
+                self.exact_ms, baseline.exact_ms
+            ));
+        }
+        if self.exact_coverage_at_half_budget + MAX_COVERAGE_DROP
+            < baseline.exact_coverage_at_half_budget
+        {
+            return Err(format!(
+                "half-budget coverage dropped: {:.2} vs baseline {:.2}",
+                self.exact_coverage_at_half_budget, baseline.exact_coverage_at_half_budget
+            ));
         }
         Ok(())
     }
@@ -144,9 +113,7 @@ fn train_net() -> MsdNet {
     let dataset = Dataset::generate(&config);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     // The paper-default geometry (three branches, 16 channels, 32
-    // hidden units): the audit's reduced-precision suffix then runs the
-    // same GEMM shapes as the real monitor, which is what the contract
-    // class is priced on.
+    // hidden units), so the sweep runs the real monitor's GEMM shapes.
     let net_cfg = MsdNetConfig::default_uavid();
     let mut net = MsdNet::new(&net_cfg, &mut rng);
     let train = TrainConfig {
@@ -169,19 +136,17 @@ fn audit_config() -> AuditConfig {
         margin: 8,
         samples: 5,
         min_region_px: 16,
-        precision: AuditPrecision::exact(),
     }
 }
 
-/// Best-of-reps wall time of a complete sweep under `precision`.
+/// Best-of-reps wall time of a complete sweep.
 fn time_complete_sweep(
     net: &MsdNet,
     image: &certel::el_scene::Image,
-    precision: AuditPrecision,
     seed: u64,
     reps: usize,
-) -> (f64, certel::el_core::AuditReport) {
-    let config = audit_config().with_precision(precision);
+) -> (f64, AuditReport) {
+    let config = audit_config();
     let rule = MonitorRule::paper();
     let mut best = f64::INFINITY;
     let mut last = None;
@@ -203,15 +168,13 @@ fn time_complete_sweep(
 fn coverage_at_budget(
     net: &MsdNet,
     image: &certel::el_scene::Image,
-    precision: AuditPrecision,
     seed: u64,
     budget_s: f64,
 ) -> f64 {
     let config = AuditConfig {
         budget_s,
         ..audit_config()
-    }
-    .with_precision(precision);
+    };
     let mut best = 0.0f64;
     for _ in 0..3 {
         let start = Instant::now();
@@ -227,16 +190,6 @@ fn coverage_at_budget(
         best = best.max(report.coverage());
     }
     best
-}
-
-fn calibration_crops(image: &certel::el_scene::Image) -> Vec<certel::el_nn::Tensor> {
-    let b = image.bounds();
-    [(0, 0), (b.w / 2 - 24, b.h / 2 - 24), (b.w - 48, b.h - 48)]
-        .into_iter()
-        .map(|(x, y)| {
-            image_to_tensor(&image.crop(Rect::new(x, y, 48, 48)).expect("crop in bounds"))
-        })
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -258,77 +211,21 @@ fn main() -> ExitCode {
     params.height = args.side;
     let image = Scene::generate(&params, args.seed).render(&Conditions::nominal(), args.seed);
 
-    let (exact_s, exact_report) =
-        time_complete_sweep(&net, &image, AuditPrecision::exact(), args.seed, args.reps);
-    let half_budget = exact_s * 0.5;
-    let exact_cov = coverage_at_budget(
-        &net,
-        &image,
-        AuditPrecision::exact(),
-        args.seed,
-        half_budget,
-    );
+    let (sweep_s, report) = time_complete_sweep(&net, &image, args.seed, args.reps);
+    let coverage = coverage_at_budget(&net, &image, args.seed, sweep_s * 0.5);
     println!(
-        "exact:   complete sweep {:.1} ms over {} tiles; coverage {:.0}% at half budget",
-        exact_s * 1e3,
-        exact_report.tiles_total(),
-        exact_cov * 100.0
+        "complete sweep {:.1} ms over {} tiles; coverage {:.0}% at half budget",
+        sweep_s * 1e3,
+        report.tiles_total(),
+        coverage * 100.0
     );
-
-    let mut bench = AuditBench {
+    let bench = AuditBench {
         side: args.side,
         samples: audit_config().samples,
-        tiles: exact_report.tiles_total(),
-        exact_ms: exact_s * 1e3,
-        exact_coverage_at_half_budget: exact_cov,
-        f16: None,
-        int8: None,
+        tiles: report.tiles_total(),
+        exact_ms: sweep_s * 1e3,
+        exact_coverage_at_half_budget: coverage,
     };
-
-    let crops = calibration_crops(&image);
-    for rung in [ApproxRung::F16, ApproxRung::Int8] {
-        if KernelPolicy::approximate(rung).resolve().is_err() {
-            println!(
-                "{}: not available on the active kernel tier, skipped",
-                rung.name()
-            );
-            continue;
-        }
-        let precision = AuditPrecision::calibrated(
-            &net,
-            &crops,
-            audit_config().samples,
-            args.seed,
-            rung,
-            MonitorRule::paper().sigma_factor,
-        )
-        .expect("rung resolves");
-        let (sweep_s, report) = time_complete_sweep(&net, &image, precision, args.seed, args.reps);
-        assert!(
-            !report.precision.fell_back,
-            "{}: calibrated tolerance must hold on the bench frame",
-            rung.name()
-        );
-        let coverage = coverage_at_budget(&net, &image, precision, args.seed, half_budget);
-        let entry = RungBench {
-            sweep_ms: sweep_s * 1e3,
-            speedup: exact_s / sweep_s,
-            coverage_at_half_budget: coverage,
-            sigma_margin: precision.sigma_margin,
-        };
-        println!(
-            "{}: complete sweep {:.1} ms ({:.2}x exact); coverage {:.0}% at half budget; σ-margin {:.2e}",
-            rung.name(),
-            entry.sweep_ms,
-            entry.speedup,
-            coverage * 100.0,
-            entry.sigma_margin
-        );
-        match rung {
-            ApproxRung::F16 => bench.f16 = Some(entry),
-            ApproxRung::Int8 => bench.int8 = Some(entry),
-        }
-    }
 
     if let Some(path) = &args.out {
         let json = serde_json::to_string(&bench).expect("bench record serializes");

@@ -90,14 +90,7 @@ impl ElSystem for PipelineElSystem {
     fn audit_advisory(&self) -> AuditAdvisory {
         match &self.last_audit {
             None => AuditAdvisory::Clear,
-            // The report's σ-inflation margin (zero for exact audits)
-            // pads the warning fraction, so an approximate-contract
-            // audit escalates at least as eagerly as the exact path.
-            Some(a) => AuditAdvisory::classify_with_margin(
-                a.coverage(),
-                a.warning_fraction,
-                a.precision.sigma_margin as f64,
-            ),
+            Some(a) => AuditAdvisory::classify(a.coverage(), a.warning_fraction),
         }
     }
 
@@ -169,9 +162,6 @@ mod tests {
         // the advisory is classifiable (an untrained tiny net warns
         // widely — any grade is legal, it just must be derived).
         assert!(audit.is_complete());
-        // An exact audit carries a zero margin, so the margin-aware
-        // classification reduces to the plain one.
-        assert_eq!(audit.precision.sigma_margin, 0.0);
         assert_eq!(
             el.audit_advisory(),
             AuditAdvisory::classify(audit.coverage(), audit.warning_fraction)

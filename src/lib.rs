@@ -76,16 +76,10 @@ pub mod prelude {
         ZoneParams,
     };
     pub use el_geom::{Grid, LabelMap, Point, Rect, SemanticClass, Vec2};
-    // The kernel selection surface: one typed policy (tier × contract)
-    // instead of an env-string. Quantised GEMM internals stay private to
-    // `el_kernels`.
-    pub use el_kernels::{
-        ApproxRung, Contract, KernelError, KernelPolicy, KernelTier, TierSelection,
-    };
+    pub use el_kernels::{KernelError, KernelTier};
     pub use el_metrics::{MetricsRegistry, MetricsSnapshot};
     pub use el_monitor::{
-        bayesian_segment, AuditPrecision, BayesStats, Monitor, MonitorConfig, MonitorQuality,
-        MonitorRule, PrecisionOutcome, Verdict,
+        bayesian_segment, BayesStats, Monitor, MonitorConfig, MonitorQuality, MonitorRule, Verdict,
     };
     pub use el_riskmap::{HotRegion, RiskMap, RiskMapConfig, RiskMapSnapshot, RiskObservation};
     pub use el_scene::{Camera, Conditions, Dataset, DatasetConfig, Scene, SceneParams, Split};

@@ -10,7 +10,9 @@
 //! - the deterministic admission model refuses the *same* frames at
 //!   every thread count, and refusals never shift surviving frames'
 //!   seeds;
-//! - fingerprints survive a process boundary (same binary re-executed).
+//! - fingerprints survive a process boundary (same binary re-executed);
+//! - a malformed frame is a typed submission error that leaves every
+//!   stream's log and fingerprints as if it had never been sent.
 
 use std::sync::Arc as StdArc;
 use std::sync::Mutex;
@@ -90,10 +92,12 @@ fn audit_key(coverage: f64, warning_fraction: f64, regions: usize, complete: boo
 /// Runs the standard load through a service and returns each stream's
 /// state as `(log_json, decision_fp, audit_fp)` — captured *before* the
 /// sessions close, so the comparison covers the full per-frame log, not
-/// just the digest.
+/// just the digest. With `malformed` set, each round also submits a 0×0
+/// frame and a NaN-wind frame between the valid ones.
 fn run_service(
     net: StdArc<MsdNet>,
     admission: el_serve::AdmissionConfig,
+    malformed: bool,
 ) -> Vec<(String, String, String)> {
     let config = el_serve::ServeConfig {
         pipeline: serve_pipeline_config(),
@@ -115,6 +119,22 @@ fn run_service(
             service
                 .submit(*id, stream.frames[round].clone())
                 .expect("open session");
+            if malformed {
+                let empty = FrameRequest {
+                    image: certel::el_scene::Image::new(0, 0, [0.0; 3]),
+                    wind_mps: 1.0,
+                };
+                let nan_wind = FrameRequest {
+                    wind_mps: f64::NAN,
+                    ..stream.frames[round].clone()
+                };
+                for bad in [empty, nan_wind] {
+                    assert!(matches!(
+                        service.submit(*id, bad),
+                        Err(el_serve::ServeError::InvalidFrame(_))
+                    ));
+                }
+            }
         }
         service.tick();
     }
@@ -234,7 +254,7 @@ fn coalesced_batching_matches_solo_pipelines() {
 fn service_is_bit_identical_across_thread_counts() {
     let net = serve_net();
     let one = with_thread_count(1, || {
-        run_service(net.clone(), el_serve::AdmissionConfig::unlimited())
+        run_service(net.clone(), el_serve::AdmissionConfig::unlimited(), false)
     });
     assert!(
         one.iter().any(|(log, _, _)| log.contains("Decided")),
@@ -242,7 +262,7 @@ fn service_is_bit_identical_across_thread_counts() {
     );
     for threads in [2, 8] {
         let many = with_thread_count(threads, || {
-            run_service(net.clone(), el_serve::AdmissionConfig::unlimited())
+            run_service(net.clone(), el_serve::AdmissionConfig::unlimited(), false)
         });
         assert_eq!(
             one, many,
@@ -258,7 +278,7 @@ fn deterministic_admission_refuses_identically_across_thread_counts() {
     // spreads the refusals across streams deterministically.
     let net = serve_net();
     let admission = el_serve::AdmissionConfig::fixed(1.0, 0.4);
-    let one = with_thread_count(1, || run_service(net.clone(), admission));
+    let one = with_thread_count(1, || run_service(net.clone(), admission, false));
     let refusals = one
         .iter()
         .map(|(log, _, _)| log.matches("\"Refused\"").count())
@@ -269,9 +289,20 @@ fn deterministic_admission_refuses_identically_across_thread_counts() {
         "the fixed model must still admit frames"
     );
     for threads in [2, 8] {
-        let many = with_thread_count(threads, || run_service(net.clone(), admission));
+        let many = with_thread_count(threads, || run_service(net.clone(), admission, false));
         assert_eq!(one, many, "admission pattern diverges at {threads} threads");
     }
+}
+
+#[test]
+fn malformed_frames_are_rejected_without_shifting_any_stream() {
+    let net = serve_net();
+    let clean = run_service(net.clone(), el_serve::AdmissionConfig::unlimited(), false);
+    let with_malformed = run_service(net, el_serve::AdmissionConfig::unlimited(), true);
+    assert_eq!(
+        clean, with_malformed,
+        "rejected frames changed a stream's log or fingerprints"
+    );
 }
 
 /// Environment flag that switches this test binary into "print the
@@ -279,7 +310,7 @@ fn deterministic_admission_refuses_identically_across_thread_counts() {
 const SERVE_CHILD_ENV: &str = "EL_SERVE_REPLAY_CHILD";
 
 fn combined_fingerprint() -> String {
-    let rows = run_service(serve_net(), el_serve::AdmissionConfig::unlimited());
+    let rows = run_service(serve_net(), el_serve::AdmissionConfig::unlimited(), false);
     let mut fp = el_serve::Fingerprint::new();
     for (log, decision_fp, audit_fp) in rows {
         fp.bytes(log.as_bytes());

@@ -7,9 +7,9 @@
 //!    crops versus N sequential `Monitor::verify` calls (the per-crop
 //!    results are bit-identical — `tests/batch_bayes.rs` — so this is a
 //!    pure latency comparison). The batch path amortises the prefix
-//!    convolutions into single column-stacked GEMMs, runs every sample's
-//!    head GEMMs once for the whole batch, shares one scratch arena, and
-//!    drains all crops' Monte-Carlo chunks through one rayon work queue.
+//!    convolutions into single column-stacked GEMMs, pools its scratch
+//!    arenas, and drains all crops' Monte-Carlo chunks through one rayon
+//!    work queue.
 //! 2. **Tile-count scaling**: `bayesian_segment_tiled` over a full frame,
 //!    with per-tile cost and the coverage a given latency budget buys —
 //!    the paper's §V-B argument made incremental.
@@ -21,7 +21,7 @@ use el_monitor::{bayesian_segment_tiled, Monitor, MonitorConfig, BATCH_SEED_STRI
 use el_scene::{Conditions, Scene, SceneParams};
 use el_seg::TileConfig;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A candidate-zone-sized crop (the paper config's zone plus monitor
 /// margin lands in this range).
@@ -94,20 +94,14 @@ fn print_tile_scaling() {
     for side in [256usize, 384] {
         let img = frame(side);
         let t0 = Instant::now();
-        let full =
-            bayesian_segment_tiled(&net, &img, config, 10, 42, Duration::from_secs(86_400), &[]);
+        let full = bayesian_segment_tiled(&net, &img, config, 10, 42, f64::INFINITY, &[], || 0.0);
         let full_s = t0.elapsed().as_secs_f64();
         assert!(full.is_complete());
         // What does half the budget buy? (Real wall clock.)
-        let half = bayesian_segment_tiled(
-            &net,
-            &img,
-            config,
-            10,
-            42,
-            Duration::from_secs_f64(full_s / 2.0),
-            &[],
-        );
+        let start = Instant::now();
+        let half = bayesian_segment_tiled(&net, &img, config, 10, 42, full_s / 2.0, &[], || {
+            start.elapsed().as_secs_f64()
+        });
         eprintln!(
             "{:>6} {:>6} {:>13.3} {:>13.3} {:>9.0}%",
             side,
@@ -145,8 +139,9 @@ fn bench(c: &mut Criterion) {
                 TileConfig::default_128(),
                 10,
                 42,
-                Duration::from_secs(86_400),
+                f64::INFINITY,
                 &[Rect::new(64, 64, 33, 33)],
+                || 0.0,
             ))
         })
     });

@@ -29,7 +29,7 @@
 use el_geom::components::Connectivity;
 use el_geom::{label_components, Grid, Rect};
 use el_monitor::rule::MonitorRule;
-use el_monitor::tiledbayes::{bayesian_segment_tiled_with_clock, TiledBayesStats};
+use el_monitor::tiledbayes::{bayesian_segment_tiled, TiledBayesStats};
 use el_scene::Image;
 use el_seg::{MsdNet, TileConfig};
 use serde::{Deserialize, Serialize};
@@ -235,7 +235,7 @@ pub fn run_audit_with_clock(
     priority: &[Rect],
     elapsed_s: impl FnMut() -> f64,
 ) -> AuditReport {
-    let tiled = bayesian_segment_tiled_with_clock(
+    let tiled = bayesian_segment_tiled(
         net,
         image,
         config.tile_config(),

@@ -16,6 +16,8 @@
 //!   Bayesian inference is prohibitively slow.
 //! - [`decision`]: the decision module — confirm landing, request another
 //!   candidate, or abort to flight termination.
+//! - [`stages`]: the Figure 2 frame stages (plan, verify, conclude),
+//!   shared by the one-frame pipeline and the multi-stream service.
 //! - [`pipeline`]: the complete Figure 2 loop, plus an unmonitored
 //!   baseline and a classical edge-density baseline.
 //! - [`audit`]: the whole-frame audit mode — a strictly advisory,
@@ -55,6 +57,7 @@ pub mod drift;
 pub mod monitorlink;
 pub mod pipeline;
 pub mod requirements;
+pub mod stages;
 pub mod zone;
 
 pub use assess::{assess_zone, ZoneAssessment};
@@ -68,4 +71,5 @@ pub use pipeline::{
     Trial,
 };
 pub use requirements::{AssuranceEvidence, AssuranceLevel, IntegrityLevel};
+pub use stages::{audit_frame, plan_frame, verify_frames, FramePlan, Screen};
 pub use zone::{propose_zones, screen_candidates, Candidate, RiskConfig, RiskScreen, ZoneParams};

@@ -3,17 +3,17 @@
 use std::fmt;
 use std::time::Instant;
 
-use el_geom::{Grid, LabelMap, Rect};
+use el_geom::{Grid, LabelMap};
 use el_monitor::{Monitor, MonitorConfig, MonitorReport, Verdict};
 use el_nn::Workspace;
 use el_scene::Image;
-use el_seg::{segment_ws, MsdNet};
+use el_seg::MsdNet;
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{run_audit_with_clock, AuditConfig, AuditReport};
+use crate::audit::{AuditConfig, AuditReport};
 use crate::decision::{AbortReason, Decision, DecisionConfig, DecisionModule};
-use crate::monitorlink::crop_for_monitor;
-use crate::zone::{propose_zones, Candidate, ZoneParams};
+use crate::stages::{audit_frame, plan_frame, verify_frames};
+use crate::zone::{Candidate, ZoneParams};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -275,10 +275,17 @@ impl ElPipeline {
         &mut self.net
     }
 
-    /// Runs the full architecture on one on-board image.
+    /// Runs the full architecture on one on-board image: the shared
+    /// frame stages ([`crate::stages`]) composed for one frame.
     ///
     /// `seed` drives the monitor's Monte-Carlo dropout; the run is
     /// deterministic given `(net, image, seed)`.
+    ///
+    /// A degenerate frame — empty, narrower than a zone, or too corrupt
+    /// (e.g. all-NaN) to yield a landable region — never panics: it
+    /// proposes no candidates and aborts with
+    /// [`AbortReason::NoCandidates`]. With the audit enabled such a frame
+    /// still carries its report; an empty frame's report plans zero tiles.
     ///
     /// # Verification strategy
     ///
@@ -325,69 +332,42 @@ impl ElPipeline {
         elapsed_s: impl FnMut() -> f64,
     ) -> ElOutcome {
         let metrics = el_metrics::registry();
+        let config = &self.config;
 
         // Core function: one deterministic pass + zone proposal.
         let sw = el_metrics::Stopwatch::start();
-        let core = segment_ws(&self.net, image, &mut self.ws);
-        let candidates = propose_zones(&core.labels, &self.config.zone);
+        let plan = plan_frame(&self.net, image, config, &config.zone, None, &mut self.ws);
         metrics.stage_propose.record(sw);
 
         // Verify-batch every candidate the decision module could reach.
         let sw = el_metrics::Stopwatch::start();
-        let reports = if self.config.monitored {
-            let crops: Vec<Image> = candidates
-                .iter()
-                .take(self.config.decision.max_trials)
-                .map(|c| crop_for_monitor(c, self.config.monitor_margin_px, image))
-                .collect();
-            self.monitor.verify_batch(&self.net, &crops, seed)
+        let reports = if config.monitored {
+            verify_frames(&self.net, &self.monitor, &[(&plan.crops, seed)])
+                .pop()
+                .expect("one report list per frame")
         } else {
             Vec::new()
         };
         metrics.stage_verify.record(sw);
 
-        // Candidate rectangles steer the audit's tile priority; collected
-        // before the decision module consumes the candidate list.
-        let priority: Vec<Rect> = if self.config.audit.enabled {
-            candidates.iter().map(|c| c.rect).collect()
-        } else {
-            Vec::new()
-        };
-
         // Sequential decision replay over the precomputed verdicts.
         let sw = el_metrics::Stopwatch::start();
-        let (final_decision, trials) = replay_decisions(
-            self.config.decision,
-            self.config.monitored,
-            candidates,
-            &reports,
-        );
+        let (final_decision, trials) =
+            replay_decisions(config.decision, config.monitored, plan.candidates, &reports);
         metrics.stage_decide.record(sw);
         metrics.verify_trials.add(trials.len() as u64);
 
         // The decision is fixed; the leftover latency budget funds the
         // strictly advisory whole-frame audit (see `crate::audit`).
         let sw = el_metrics::Stopwatch::start();
-        let audit = if self.config.audit.enabled {
-            Some(run_audit_with_clock(
-                &self.net,
-                image,
-                &self.config.audit,
-                &self.config.monitor.rule,
-                seed,
-                &priority,
-                elapsed_s,
-            ))
-        } else {
-            None
-        };
+        let audit = audit_frame(&self.net, image, config, seed, &plan.priority, elapsed_s);
         metrics.stage_audit.record(sw);
         metrics.pipeline_runs.add(1);
 
         ElOutcome {
             decision: final_decision,
             trials,
-            predicted: core.labels,
+            predicted: plan.labels,
             audit,
         }
     }
@@ -467,6 +447,8 @@ pub fn edge_density_zones(image: &Image, params: &ZoneParams) -> Vec<Candidate> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitorlink::crop_for_monitor;
+    use crate::zone::propose_zones;
     use el_geom::SemanticClass;
     use el_scene::{Conditions, Scene, SceneParams};
     use el_seg::MsdNetConfig;

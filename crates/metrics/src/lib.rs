@@ -353,7 +353,8 @@ pub struct MetricsRegistry {
     // -- monitor engine --------------------------------------------------
     /// `Monitor::verify` wall time, one sample per crop.
     pub verify_latency: Histogram,
-    /// `Monitor::verify_batch_seeded` wall time, one sample per batch.
+    /// Verification-batch wall time (`Monitor::verify_batch` or the
+    /// `el-core` verify stage), one sample per batch.
     pub verify_batch_latency: Histogram,
     /// One Monte-Carlo fold step (stochastic forward pass + softmax +
     /// Welford push), recorded inside the chunk engine. The engine folds

@@ -1,60 +1,56 @@
-//! Monte-Carlo-dropout Bayesian inference — the monitor's fast engine.
+//! Monte-Carlo-dropout Bayesian inference — the monitor's one engine.
 //!
 //! # Engine design
 //!
-//! A verified crop costs `samples` stochastic passes in the naive
-//! formulation. The engine cuts that down four ways, none of which
-//! changes the statistics' semantics:
+//! Every Monte-Carlo entry point — [`bayesian_segment`] (one image),
+//! [`bayesian_segment_batch`] (any number of crops) and the budgeted
+//! full-frame sweep [`bayesian_segment_tiled`](crate::tiledbayes) — runs
+//! the same machine. A verified crop costs `samples` stochastic passes in
+//! the naive formulation; the engine cuts that down four ways, none of
+//! which changes the statistics' semantics:
 //!
 //! 1. **Invariant-prefix caching.** No dropout layer precedes the MSDnet's
 //!    dilated branch convolutions, so `relu(conv_d(x))` is identical in
-//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix`] computes it
-//!    once per crop ([`el_seg::MsdNet::mc_prefix_batch`] with **one**
-//!    column-stacked GEMM per branch for a batch of crops); each sample
-//!    replays only the stochastic suffix (branch dropout → fusion head →
-//!    head dropout → classifier).
+//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix_batch`]
+//!    computes it once per crop, with **one** column-stacked GEMM per
+//!    branch for the whole batch; each sample replays only the stochastic
+//!    suffix (branch dropout → fusion head → head dropout → classifier,
+//!    [`el_seg::MsdNet::mc_sample_at`]).
 //! 2. **Coordinate-keyed masks.** Sample `k`'s per-sample seed is
 //!    `splitmix64(seed + (k+1)·φ)` (`φ` the 64-bit golden-ratio
 //!    constant), and each activation's mask bit is a pure hash of that
 //!    seed and the activation's **global frame coordinates**
 //!    ([`el_nn::layers::keyed_mask_word`]). Masks therefore depend
 //!    neither on execution order nor on the shape or position of the
-//!    block they are computed through: the parallel and sequential paths
-//!    agree bit for bit, a batch of crops agrees with per-crop
-//!    verification, and a tile computed at its frame origin agrees with
-//!    the whole frame ([`bayesian_segment_tiled`](crate::tiledbayes)).
-//!    The per-row mask evaluation — like the GEMMs under every
-//!    convolution here — dispatches through the `el_kernels` tier
-//!    ladder (portable/SSE2/AVX2/AVX-512F/NEON, `EL_FORCE_KERNEL` to
-//!    pin), and every tier is bit-identical, so verdicts are also
-//!    independent of the ISA the monitor ships on (`docs/kernels.md`).
+//!    block they are computed through: a crop's statistics do not depend
+//!    on what else shares its batch, and a tile computed at its frame
+//!    origin agrees with the whole frame. The per-row mask evaluation —
+//!    like the GEMMs under every convolution here — dispatches through
+//!    the `el_kernels` tier ladder (portable/SSE2/AVX2/AVX-512F/NEON,
+//!    `EL_FORCE_KERNEL` to pin), and every tier is bit-identical, so
+//!    verdicts are also independent of the ISA the monitor ships on
+//!    (`docs/kernels.md`).
 //! 3. **Fixed-chunk streaming Welford.** Samples are partitioned into at
 //!    most [`MC_CHUNKS`] contiguous chunks — a partition that depends only
 //!    on the sample count, never on thread count. Each chunk folds its
 //!    samples into a running Welford mean/M2 (O(1) memory in the sample
 //!    count); the per-chunk partials are then merged **in chunk order**
 //!    with Chan's parallel-combine formula. Because both the partition and
-//!    the merge order are fixed, [`bayesian_segment_tensor`] (chunks on
-//!    rayon workers) and [`bayesian_segment_tensor_sequential`] (same
-//!    chunks, one thread) produce bit-identical [`BayesStats`]. The fold
-//!    itself is **lane-parallel across pixels, sequential across
-//!    samples** — pixel statistics never interact — so both the per-pixel
-//!    update and the chunk merge dispatch through the `el_kernels` tier
-//!    ladder ([`el_kernels::Kernels::welford_push`] /
+//!    the merge order are fixed, the statistics are bit-identical for any
+//!    number of rayon workers. The fold itself is **lane-parallel across
+//!    pixels, sequential across samples** — pixel statistics never
+//!    interact — so both the per-pixel update and the chunk merge
+//!    dispatch through the `el_kernels` tier ladder
+//!    ([`el_kernels::Kernels::welford_push`] /
 //!    [`el_kernels::Kernels::welford_merge`]), 4/8/16 pixels per lane
 //!    step, every tier bit-identical to portable.
-//! 4. **One shared batch work queue.** [`bayesian_segment_batch`] turns
-//!    a batch of crops into `crops x chunks` independent tasks drained by
-//!    a single rayon `par_iter` — no per-crop join barriers, so workers
-//!    stay busy while any crop still has samples left. Each task stays on
-//!    one crop (its prefix, activations and Welford partials remain
-//!    cache-resident), and scratch arenas are pooled across the whole
-//!    invocation instead of re-warmed per crop. Batches whose
-//!    per-sample activations fit the cache budget entirely
-//!    (`STACKED_SUFFIX_BUDGET`) instead collapse each sample's suffix
-//!    across **all** crops into two column-stacked head GEMMs
-//!    ([`el_seg::MsdNet::mc_sample_stacked`]) — both strategies are
-//!    bit-identical and pinned by the same property tests.
+//! 4. **One crop × chunk work queue.** A batch of crops becomes
+//!    `crops x chunks` independent tasks drained by a single rayon
+//!    `par_iter` — no per-crop join barriers, so workers stay busy while
+//!    any crop still has samples left. Each task stays on one crop (its
+//!    prefix, activations and Welford partials remain cache-resident),
+//!    and scratch arenas are pooled across the whole invocation instead
+//!    of re-warmed per crop.
 //!
 //! The pre-optimization path — naive scalar convolution, one RNG stream,
 //! strictly sequential — survives as [`bayesian_segment_tensor_reference`]
@@ -199,43 +195,6 @@ impl Welford {
         );
     }
 
-    /// Folds one sample stored as a column block of a stacked
-    /// `(classes x stride)` matrix (columns `[off, off + hw)` of each
-    /// class row). Element `c·hw + j` sees exactly the arithmetic
-    /// [`Welford::push`] applies to a contiguous `(classes, h, w)`
-    /// tensor, so the stacked batch path is bit-identical to the
-    /// per-crop path.
-    fn push_stacked(&mut self, xs: &[f32], stride: usize, off: usize, hw: usize) {
-        debug_assert_eq!(self.mean.len() % hw, 0);
-        self.count += 1;
-        let n = self.count as f32;
-        let classes = self.mean.len() / hw;
-        let kernels = el_kernels::active();
-        for c in 0..classes {
-            let row = &xs[c * stride + off..c * stride + off + hw];
-            let mean = &mut self.mean.as_mut_slice()[c * hw..(c + 1) * hw];
-            let m2 = &mut self.m2.as_mut_slice()[c * hw..(c + 1) * hw];
-            kernels.welford_push(mean, m2, row, n);
-        }
-    }
-
-    /// The fused-pair form of [`Welford::push_stacked`] — bit-identical
-    /// to two single stacked pushes.
-    fn push2_stacked(&mut self, xs0: &[f32], xs1: &[f32], stride: usize, off: usize, hw: usize) {
-        debug_assert_eq!(self.mean.len() % hw, 0);
-        let n0 = (self.count + 1) as f32;
-        self.count += 2;
-        let classes = self.mean.len() / hw;
-        let kernels = el_kernels::active();
-        for c in 0..classes {
-            let row0 = &xs0[c * stride + off..c * stride + off + hw];
-            let row1 = &xs1[c * stride + off..c * stride + off + hw];
-            let mean = &mut self.mean.as_mut_slice()[c * hw..(c + 1) * hw];
-            let m2 = &mut self.m2.as_mut_slice()[c * hw..(c + 1) * hw];
-            kernels.welford_push2(mean, m2, row0, row1, n0);
-        }
-    }
-
     /// Merges two partials with Chan's parallel-combine formula
     /// (lane-parallel; the scalar weights are computed once, which is
     /// bit-identical to recomputing them per element).
@@ -303,82 +262,6 @@ fn run_chunk(
     acc
 }
 
-/// Runs one chunk of Monte-Carlo samples for an **entire** batch of
-/// crops: each sample's stochastic suffix covers the whole batch via
-/// column-stacked head GEMMs ([`MsdNet::mc_sample_stacked`]). Returns
-/// one Welford partial per crop, each bit-identical to what
-/// [`run_chunk`] would produce for that crop alone. Selected by
-/// [`bayesian_segment_batch`] only while the stacked activations fit
-/// the cache budget ([`STACKED_SUFFIX_BUDGET`]).
-fn run_chunk_stacked(
-    net: &MsdNet,
-    fused: &[&Tensor],
-    seeds: &[u64],
-    origins: &[(usize, usize)],
-    start: usize,
-    len: usize,
-    ws: &mut Workspace,
-) -> Vec<Welford> {
-    let classes = net.classes();
-    let n_total: usize = fused.iter().map(|f| f.height() * f.width()).sum();
-    let mut accs: Vec<Welford> = fused
-        .iter()
-        .map(|f| Welford::new(classes * f.height() * f.width()))
-        .collect();
-    let mut ks = vec![0u64; seeds.len()];
-    // Fused sample pairs, exactly as in `run_chunk` — bit-identical to
-    // the single-sample fold, half the accumulator traffic.
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k);
-        }
-        let mut p0 = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut p0);
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k + 1);
-        }
-        let mut p1 = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut p1);
-        let mut off = 0usize;
-        for (acc, f) in accs.iter_mut().zip(fused) {
-            let hw = f.height() * f.width();
-            acc.push2_stacked(p0.as_slice(), p1.as_slice(), n_total, off, hw);
-            off += hw;
-        }
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
-        let sw = el_metrics::Stopwatch::start();
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k);
-        }
-        let mut probs = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut probs);
-        let mut off = 0usize;
-        for (acc, f) in accs.iter_mut().zip(fused) {
-            let hw = f.height() * f.width();
-            acc.push_stacked(probs.as_slice(), n_total, off, hw);
-            off += hw;
-        }
-        ws.recycle(probs);
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    accs
-}
-
-/// Element budget for the stacked-suffix batch path: the whole batch's
-/// per-sample activations (`(fused + hidden + classes) channels x Σ h·w`
-/// f32 columns) must stay cache-resident or the stacked GEMMs lose to
-/// per-crop, cache-local chunks (measured on the 2 MB-L2 benchmark
-/// box). 64 Ki f32 = 256 KB, matching the prefix's im2col grouping
-/// budget. A pure performance knob — both paths are bit-identical.
-const STACKED_SUFFIX_BUDGET: usize = 64 * 1024;
-
 /// A lock-protected stack of scratch arenas shared by every task of one
 /// batch invocation: a worker pops an arena (or starts a fresh one),
 /// runs its chunk, and pushes the arena back. The number of arenas ever
@@ -426,167 +309,80 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
     }
 }
 
-fn mc_stats(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-) -> BayesStats {
-    let mut ws = Workspace::new();
-    let pool = WsPool::new();
-    mc_stats_pooled(net, input, samples, seed, origin, parallel, &pool, &mut ws)
-}
-
-/// [`mc_stats`] with caller-owned scratch: `ws` serves the prefix, the
-/// `pool` serves the chunk tasks. Repeated invocations (the tiled
-/// driver's per-tile passes) reuse warm arenas instead of re-allocating
-/// the prefix/im2col/sample buffers every call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mc_stats_pooled(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-    pool: &WsPool,
-    ws: &mut Workspace,
-) -> BayesStats {
-    let fused = net.mc_prefix(input, ws);
-    let stats = mc_stats_prefixed(net, &fused, samples, seed, origin, parallel, pool);
-    ws.recycle(fused);
-    stats
-}
-
-/// The Monte-Carlo chunk machinery over a **precomputed** invariant
-/// prefix: the shared tail of [`mc_stats_pooled`], split out so the tiled
-/// audit driver can batch a group of tiles' prefixes through one
-/// column-stacked GEMM ([`MsdNet::mc_prefix_batch`]) and then run each
-/// tile's sample chunks here. Bit-identical to `mc_stats_pooled` on the
-/// same prefix — the chunk partition and merge order depend only on
-/// `samples`.
-#[allow(clippy::too_many_arguments)]
+/// The Monte-Carlo chunk machinery over **precomputed** invariant
+/// prefixes — the engine behind [`bayesian_segment_batch`], split out so
+/// the tiled sweep can keep its prefix workspace and chunk `pool` warm
+/// across prefix groups. Crop `i` uses seed `seeds[i]` and frame origin
+/// `origins[i]`; all crops' `(crop, chunk)` tasks drain one rayon queue.
 pub(crate) fn mc_stats_prefixed(
     net: &MsdNet,
-    fused: &Tensor,
+    fused: &[Tensor],
     samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
+    seeds: &[u64],
+    origins: &[(usize, usize)],
     pool: &WsPool,
-) -> BayesStats {
+) -> Vec<BayesStats> {
     assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    el_metrics::registry().samples_run.add(samples as u64);
-    let (h, w) = (fused.height(), fused.width());
-    let stat_len = net.classes() * h * w;
-    let shape = (net.classes(), h, w);
+    el_metrics::registry()
+        .samples_run
+        .add((samples * fused.len()) as u64);
     let chunks = chunk_layout(samples);
-    let partials: Vec<Welford> = if parallel {
-        chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk(net, fused, seed, origin, start, len, stat_len, ws))
-            })
-            .collect()
-    } else {
-        chunks
-            .into_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk(net, fused, seed, origin, start, len, stat_len, ws))
-            })
-            .collect()
-    };
-    stats_from(partials, samples, shape)
+    // One shared work queue over all (crop, chunk) tasks, ordered
+    // crop-major so the flat result groups back per crop trivially.
+    let tasks: Vec<(usize, usize, usize)> = (0..fused.len())
+        .flat_map(|crop| chunks.iter().map(move |&(start, len)| (crop, start, len)))
+        .collect();
+    let partials: Vec<Welford> = tasks
+        .into_par_iter()
+        .map(|(crop, start, len)| {
+            let f = &fused[crop];
+            let stat_len = net.classes() * f.height() * f.width();
+            pool.with(|ws| run_chunk(net, f, seeds[crop], origins[crop], start, len, stat_len, ws))
+        })
+        .collect();
+    let mut partials = partials.into_iter();
+    fused
+        .iter()
+        .map(|f| {
+            let crop_partials = partials.by_ref().take(chunks.len()).collect();
+            stats_from(
+                crop_partials,
+                samples,
+                (net.classes(), f.height(), f.width()),
+            )
+        })
+        .collect()
 }
 
-/// Runs Monte-Carlo-dropout inference on an input tensor.
+/// Monte-Carlo-dropout inference over a batch of crops — the engine's
+/// one request-shaped entry point.
 ///
-/// The network's stochastic suffix runs `samples` times — dropout live,
-/// different neurons dropped each pass, exactly the paper's Bayesian
-/// MSDnet — with the sample chunks spread over rayon workers, and the
-/// per-pixel softmax scores aggregated into mean and standard deviation
-/// by streaming Welford accumulation (see the module docs for why this is
-/// deterministic and O(1) memory in the sample count).
-///
-/// Deterministic given `(net, input, samples, seed)` — independent of
-/// thread count, and bit-identical to
-/// [`bayesian_segment_tensor_sequential`].
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn bayesian_segment_tensor(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-) -> BayesStats {
-    mc_stats(net, input, samples, seed, (0, 0), true)
-}
-
-/// [`bayesian_segment_tensor`] for a crop located at `origin = (row, col)`
-/// of a larger frame: the coordinate-keyed dropout masks are drawn at the
-/// crop's **global** coordinates, so a tile computed here is bit-identical
-/// to the same pixels of a whole-frame pass (the invariant behind
-/// [`bayesian_segment_tiled`](crate::tiledbayes::bayesian_segment_tiled)).
-///
-/// `bayesian_segment_tensor` is exactly this function at origin `(0, 0)`.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn bayesian_segment_tensor_at(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-) -> BayesStats {
-    mc_stats(net, input, samples, seed, origin, true)
-}
-
-/// Single-threaded variant of [`bayesian_segment_tensor`]: the identical
-/// chunk layout and merge order on one thread, hence bit-identical
-/// results (asserted by tests).
-pub fn bayesian_segment_tensor_sequential(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-) -> BayesStats {
-    mc_stats(net, input, samples, seed, (0, 0), false)
-}
-
-/// Batched Monte-Carlo-dropout inference: verifies every crop of a batch
-/// in one engine invocation.
-///
-/// Crop `i` uses its own seed `seeds[i]` and frame origin `origins[i]`
-/// (pass `(0, 0)` for standalone crops). The batch shares one machine:
+/// The network's stochastic suffix runs `samples` times per crop —
+/// dropout live, different neurons dropped each pass, exactly the paper's
+/// Bayesian MSDnet — and the per-pixel softmax scores aggregate into mean
+/// and standard deviation by streaming Welford accumulation (see the
+/// module docs for why this is deterministic and O(1) memory in the
+/// sample count). Crop `i` uses its own seed `seeds[i]` and frame origin
+/// `origins[i]` (pass `(0, 0)` for standalone crops). The batch shares
+/// one machine:
 ///
 /// - every branch convolution of the Monte-Carlo-invariant prefixes runs
 ///   as a **single** column-stacked im2col GEMM across all crops
 ///   ([`MsdNet::mc_prefix_batch`]);
 /// - the Monte-Carlo sample chunks of **all** crops flow through one
 ///   rayon work queue — `crops x chunks` independent tasks in a single
-///   `par_iter` instead of `N` sequential per-crop pools, so workers
-///   never idle at a per-crop join barrier while another crop still has
-///   work;
+///   `par_iter`, so workers never idle at a per-crop join barrier while
+///   another crop still has work;
 /// - each task stays on one crop, keeping its working set (prefix,
 ///   masked activations, Welford partials) cache-resident, and scratch
-///   arenas are pooled across the whole invocation rather than re-warmed
-///   per crop — unless the whole batch's per-sample activations fit the
-///   cache budget, in which case each sample's suffix runs as two
-///   column-stacked GEMMs covering every crop at once
-///   ([`MsdNet::mc_sample_stacked`]); the strategies are bit-identical.
+///   arenas are pooled across the whole invocation.
 ///
-/// Element `i` of the result is **bit-identical** to
-/// `bayesian_segment_tensor_at(net, inputs[i], samples, seeds[i],
-/// origins[i])` (property-tested): the stacked GEMM computes each column
+/// Element `i` of the result depends only on `(net, inputs[i], samples,
+/// seeds[i], origins[i])` — never on the rest of the batch or on the
+/// thread count (property-tested): the stacked GEMM computes each column
 /// independently in the same reduction order, the coordinate-keyed masks
 /// depend only on `(seed, global coordinates)`, and the Welford chunk
-/// partition and merge order are the same fixed functions of `samples`.
+/// partition and merge order are fixed functions of `samples`.
 ///
 /// # Panics
 ///
@@ -606,68 +402,9 @@ pub fn bayesian_segment_batch(
     if inputs.is_empty() {
         return Vec::new();
     }
-    el_metrics::registry()
-        .samples_run
-        .add((samples * inputs.len()) as u64);
     let mut ws = Workspace::new();
     let fused = net.mc_prefix_batch(inputs, &mut ws);
-    let chunks = chunk_layout(samples);
-    let pool = WsPool::new();
-    let fused_ref = &fused;
-    // Two bit-identical suffix strategies, picked by working-set size: a
-    // batch small enough to keep every crop's per-sample activations
-    // cache-resident runs each sample's suffix as whole-batch stacked
-    // GEMMs; larger batches run per-crop, cache-local chunk tasks.
-    let cfg = net.config();
-    let fc = cfg.branch_channels * cfg.dilations.len();
-    let n_total: usize = inputs.iter().map(|t| t.height() * t.width()).sum();
-    let stacked = (fc + cfg.head_hidden + cfg.classes) * n_total <= STACKED_SUFFIX_BUDGET;
-    let per_crop_partials: Vec<Vec<Welford>> = if stacked {
-        let fused_refs: Vec<&Tensor> = fused.iter().collect();
-        let per_chunk: Vec<Vec<Welford>> = chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk_stacked(net, &fused_refs, seeds, origins, start, len, ws))
-            })
-            .collect();
-        // Transpose chunk-major to crop-major, preserving chunk order.
-        let mut per_crop: Vec<Vec<Welford>> = (0..inputs.len()).map(|_| Vec::new()).collect();
-        for chunk in per_chunk {
-            for (crop, partial) in chunk.into_iter().enumerate() {
-                per_crop[crop].push(partial);
-            }
-        }
-        per_crop
-    } else {
-        // One shared work queue over all (crop, chunk) tasks, ordered
-        // crop-major so the flat result groups back per crop trivially.
-        let tasks: Vec<(usize, usize, usize)> = (0..inputs.len())
-            .flat_map(|crop| chunks.iter().map(move |&(start, len)| (crop, start, len)))
-            .collect();
-        let n_chunks = chunks.len();
-        let partials: Vec<Welford> = tasks
-            .into_par_iter()
-            .map(|(crop, start, len)| {
-                let f = &fused_ref[crop];
-                let stat_len = net.classes() * f.height() * f.width();
-                pool.with(|ws| {
-                    run_chunk(net, f, seeds[crop], origins[crop], start, len, stat_len, ws)
-                })
-            })
-            .collect();
-        let mut partials = partials.into_iter();
-        (0..inputs.len())
-            .map(|_| partials.by_ref().take(n_chunks).collect())
-            .collect()
-    };
-    per_crop_partials
-        .into_iter()
-        .zip(inputs)
-        .map(|(crop_partials, input)| {
-            let shape = (net.classes(), input.height(), input.width());
-            stats_from(crop_partials, samples, shape)
-        })
-        .collect()
+    mc_stats_prefixed(net, &fused, samples, seeds, origins, &WsPool::new())
 }
 
 /// The pre-optimization baseline: naive scalar convolution
@@ -702,11 +439,20 @@ pub fn bayesian_segment_tensor_reference(
     stats_from(vec![acc.expect("samples > 0")], samples, shape)
 }
 
-/// Runs Monte-Carlo-dropout inference on a rendered image.
+/// Runs Monte-Carlo-dropout inference on a rendered image: a one-crop
+/// [`bayesian_segment_batch`] at frame origin `(0, 0)`.
 ///
-/// See [`bayesian_segment_tensor`].
+/// Deterministic given `(net, image, samples, seed)` and independent of
+/// the thread count.
+///
+/// # Panics
+///
+/// Panics if `samples == 0`.
 pub fn bayesian_segment(net: &MsdNet, image: &Image, samples: usize, seed: u64) -> BayesStats {
-    bayesian_segment_tensor(net, &image_to_tensor(image), samples, seed)
+    let input = image_to_tensor(image);
+    bayesian_segment_batch(net, &[&input], samples, &[seed], &[(0, 0)])
+        .pop()
+        .expect("one result per input")
 }
 
 #[cfg(test)]
@@ -722,37 +468,35 @@ mod tests {
         (net, input)
     }
 
-    #[test]
-    fn shapes_and_determinism() {
-        let (net, input) = setup();
-        let a = bayesian_segment_tensor(&net, &input, 5, 1);
-        assert_eq!(a.mean.shape(), (8, 10, 10));
-        assert_eq!(a.std.shape(), (8, 10, 10));
-        assert_eq!(a.samples, 5);
-        let b = bayesian_segment_tensor(&net, &input, 5, 1);
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.std, b.std);
-        let c = bayesian_segment_tensor(&net, &input, 5, 2);
-        assert_ne!(a.mean, c.mean, "different seeds draw different masks");
+    /// One crop through the engine at `origin`.
+    fn stats_at(
+        net: &MsdNet,
+        input: &Tensor,
+        samples: usize,
+        seed: u64,
+        origin: (usize, usize),
+    ) -> BayesStats {
+        bayesian_segment_batch(net, &[input], samples, &[seed], &[origin])
+            .pop()
+            .expect("one result per input")
+    }
+
+    fn stats(net: &MsdNet, input: &Tensor, samples: usize, seed: u64) -> BayesStats {
+        stats_at(net, input, samples, seed, (0, 0))
     }
 
     #[test]
-    fn parallel_and_sequential_are_bit_identical() {
+    fn shapes_and_determinism() {
         let (net, input) = setup();
-        for samples in [1, 3, 8, 13] {
-            let par = bayesian_segment_tensor(&net, &input, samples, 21);
-            let seq = bayesian_segment_tensor_sequential(&net, &input, samples, 21);
-            assert_eq!(
-                par.mean.as_slice(),
-                seq.mean.as_slice(),
-                "{samples}-sample means diverge"
-            );
-            assert_eq!(
-                par.std.as_slice(),
-                seq.std.as_slice(),
-                "{samples}-sample stds diverge"
-            );
-        }
+        let a = stats(&net, &input, 5, 1);
+        assert_eq!(a.mean.shape(), (8, 10, 10));
+        assert_eq!(a.std.shape(), (8, 10, 10));
+        assert_eq!(a.samples, 5);
+        let b = stats(&net, &input, 5, 1);
+        assert_eq!(a.mean, b.mean);
+        assert_eq!(a.std, b.std);
+        let c = stats(&net, &input, 5, 2);
+        assert_ne!(a.mean, c.mean, "different seeds draw different masks");
     }
 
     #[test]
@@ -762,7 +506,7 @@ mod tests {
         // With dropout 0 both are deterministic and must agree exactly.
         let (mut net, input) = setup();
         net.set_dropout(0.0);
-        let a = bayesian_segment_tensor(&net, &input, 4, 7);
+        let a = stats(&net, &input, 4, 7);
         let b = bayesian_segment_tensor_reference(&mut net, &input, 4, 7);
         assert_eq!(a.mean, b.mean, "dropout-0 means must agree exactly");
         assert!(a.std.max_abs() < 1e-6 && b.std.max_abs() < 1e-6);
@@ -786,7 +530,7 @@ mod tests {
     #[test]
     fn mean_is_probability_distribution() {
         let (net, input) = setup();
-        let stats = bayesian_segment_tensor(&net, &input, 6, 3);
+        let stats = stats(&net, &input, 6, 3);
         let hw = 100;
         for i in 0..hw {
             let s: f32 = (0..8).map(|k| stats.mean.as_slice()[k * hw + i]).sum();
@@ -798,7 +542,7 @@ mod tests {
     #[test]
     fn single_sample_has_zero_std() {
         let (net, input) = setup();
-        let stats = bayesian_segment_tensor(&net, &input, 1, 4);
+        let stats = stats(&net, &input, 1, 4);
         assert!(stats.std.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -806,7 +550,7 @@ mod tests {
     fn dropout_zero_has_zero_std() {
         let (mut net, input) = setup();
         net.set_dropout(0.0);
-        let stats = bayesian_segment_tensor(&net, &input, 8, 5);
+        let stats = stats(&net, &input, 8, 5);
         assert!(stats.std.max_abs() < 1e-6, "no dropout, no variance");
     }
 
@@ -814,7 +558,7 @@ mod tests {
     fn welford_matches_two_pass() {
         let (net, input) = setup();
         let samples = 7;
-        let stats = bayesian_segment_tensor(&net, &input, samples, 9);
+        let stats = stats(&net, &input, samples, 9);
         // Reference: recompute by storing all passes, drawing each
         // sample's keyed masks from its split seed.
         let mut ws = Workspace::new();
@@ -837,7 +581,7 @@ mod tests {
     #[test]
     fn upper_bound_exceeds_mean() {
         let (net, input) = setup();
-        let stats = bayesian_segment_tensor(&net, &input, 5, 6);
+        let stats = stats(&net, &input, 5, 6);
         let ub = stats.upper_bound(1, 3.0);
         for (u, &m) in ub.iter().zip(stats.mean.channel(1)) {
             assert!(*u >= m);
@@ -849,70 +593,53 @@ mod tests {
     #[should_panic(expected = "at least one Monte-Carlo sample")]
     fn zero_samples_rejected() {
         let (net, input) = setup();
-        let _ = bayesian_segment_tensor(&net, &input, 0, 0);
+        let _ = stats(&net, &input, 0, 0);
     }
 
     #[test]
     fn batch_matches_single_crop_bitwise() {
-        // Small crops: the stacked-suffix branch.
-        assert_batch_strategy_matches_single(&[(10, 10), (7, 9), (12, 5)], true);
+        // Tiny crops and candidate-zone-sized crops alike: a crop's
+        // statistics do not depend on what else shares its batch.
         let (net, _) = setup();
-        assert!(bayesian_segment_batch(&net, &[], 4, &[], &[]).is_empty());
-    }
-
-    #[test]
-    fn batch_per_crop_branch_matches_single_crop_bitwise() {
-        // Candidate-zone-sized crops: exceeds STACKED_SUFFIX_BUDGET and
-        // takes the shared (crop x chunk) work-queue branch — the branch
-        // the paper config's candidate crops always take in production.
-        assert_batch_strategy_matches_single(&[(45, 45), (40, 40), (33, 41)], false);
-    }
-
-    /// Drives one batch against per-crop verification, asserting first
-    /// that the size set selects the intended suffix strategy (so each
-    /// caller provably covers its branch).
-    fn assert_batch_strategy_matches_single(sizes: &[(usize, usize)], expect_stacked: bool) {
-        let (net, _) = setup();
-        let cfg = net.config();
-        let factor = cfg.branch_channels * cfg.dilations.len() + cfg.head_hidden + cfg.classes;
-        let n_total: usize = sizes.iter().map(|&(h, w)| h * w).sum();
-        assert_eq!(
-            factor * n_total <= STACKED_SUFFIX_BUDGET,
-            expect_stacked,
-            "size set selects the wrong suffix strategy for this test"
-        );
-        let inputs: Vec<Tensor> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &(h, w))| {
-                Tensor::from_fn(3, h, w, move |c, y, x| {
-                    ((i * 37 + c * 11 + y * 3 + x) as f32 * 0.21).sin()
+        for sizes in [
+            &[(10usize, 10usize), (7, 9), (12, 5)][..],
+            &[(45, 45), (40, 40), (33, 41)][..],
+        ] {
+            let inputs: Vec<Tensor> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &(h, w))| {
+                    Tensor::from_fn(3, h, w, move |c, y, x| {
+                        ((i * 37 + c * 11 + y * 3 + x) as f32 * 0.21).sin()
+                    })
                 })
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let seeds: Vec<u64> = (0..sizes.len() as u64).map(|i| 5 + 29 * i).collect();
-        let origins: Vec<(usize, usize)> = (0..sizes.len()).map(|i| (3 * i, 40 + 7 * i)).collect();
-        for samples in [1usize, 4, 10] {
-            let batch = bayesian_segment_batch(&net, &refs, samples, &seeds, &origins);
-            assert_eq!(batch.len(), inputs.len());
-            for (((input, &seed), &origin), stats) in
-                inputs.iter().zip(&seeds).zip(&origins).zip(&batch)
-            {
-                let single = bayesian_segment_tensor_at(&net, input, samples, seed, origin);
-                assert_eq!(
-                    single.mean.as_slice(),
-                    stats.mean.as_slice(),
-                    "{samples}-sample batch mean diverges at origin {origin:?}"
-                );
-                assert_eq!(
-                    single.std.as_slice(),
-                    stats.std.as_slice(),
-                    "{samples}-sample batch std diverges at origin {origin:?}"
-                );
-                assert_eq!(stats.samples, samples);
+                .collect();
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            let seeds: Vec<u64> = (0..sizes.len() as u64).map(|i| 5 + 29 * i).collect();
+            let origins: Vec<(usize, usize)> =
+                (0..sizes.len()).map(|i| (3 * i, 40 + 7 * i)).collect();
+            for samples in [1usize, 4, 10] {
+                let batch = bayesian_segment_batch(&net, &refs, samples, &seeds, &origins);
+                assert_eq!(batch.len(), inputs.len());
+                for (((input, &seed), &origin), stats) in
+                    inputs.iter().zip(&seeds).zip(&origins).zip(&batch)
+                {
+                    let single = stats_at(&net, input, samples, seed, origin);
+                    assert_eq!(
+                        single.mean.as_slice(),
+                        stats.mean.as_slice(),
+                        "{samples}-sample batch mean diverges at origin {origin:?}"
+                    );
+                    assert_eq!(
+                        single.std.as_slice(),
+                        stats.std.as_slice(),
+                        "{samples}-sample batch std diverges at origin {origin:?}"
+                    );
+                    assert_eq!(stats.samples, samples);
+                }
             }
         }
+        assert!(bayesian_segment_batch(&net, &[], 4, &[], &[]).is_empty());
     }
 
     #[test]
@@ -920,12 +647,8 @@ mod tests {
         // Different frame origins draw different masks — the engine keys
         // them by global coordinates.
         let (net, input) = setup();
-        let a = bayesian_segment_tensor_at(&net, &input, 6, 3, (0, 0));
-        let b = bayesian_segment_tensor_at(&net, &input, 6, 3, (5, 9));
+        let a = stats_at(&net, &input, 6, 3, (0, 0));
+        let b = stats_at(&net, &input, 6, 3, (5, 9));
         assert_ne!(a.mean, b.mean);
-        // And origin (0, 0) is the plain entry point.
-        let c = bayesian_segment_tensor(&net, &input, 6, 3);
-        assert_eq!(a.mean, c.mean);
-        assert_eq!(a.std, c.std);
     }
 }

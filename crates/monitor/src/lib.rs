@@ -25,20 +25,28 @@
 //! # The fast monitor engine
 //!
 //! Monitor latency is `samples ×` core-function latency in the naive
-//! formulation, which makes it the safety pipeline's dominant cost. The
-//! [`bayes`] engine attacks all of it (see that module's docs for the
-//! full scheme):
+//! formulation, which makes it the safety pipeline's dominant cost. One
+//! engine serves every Monte-Carlo entry point — [`bayesian_segment`]
+//! (one image), [`bayesian_segment_batch`] (any number of crops, each
+//! with its own seed and frame origin) and [`bayesian_segment_tiled`]
+//! (the budgeted full-frame sweep) — and attacks all of it (see the
+//! [`bayes`] module docs for the full scheme):
 //!
 //! - the Monte-Carlo-**invariant** prefix of the network (the dilated
 //!   branch convolutions, which no dropout precedes) is computed once per
-//!   crop and shared by every sample;
-//! - each sample's dropout masks come from a private `ChaCha8Rng` seeded
-//!   by SplitMix64-splitting the caller's seed with the sample index, so
-//!   samples are order-independent and the chunk loop parallelises over
-//!   rayon without changing a single bit of the result;
+//!   crop, one column-stacked GEMM per branch for a whole batch, and
+//!   shared by every sample;
+//! - each sample's dropout masks are **coordinate-keyed**: every mask bit
+//!   is a pure hash of the sample's seed (SplitMix64-split from the
+//!   caller's seed by sample index) and the activation's global frame
+//!   coordinates, so samples are order-independent and a crop's
+//!   statistics do not depend on its batch, its tile or the thread count;
+//! - samples fall into a fixed partition of at most [`bayes::MC_CHUNKS`]
+//!   chunks that depends only on the sample count, and every crop's
+//!   chunks drain one shared crop × chunk rayon queue;
 //! - statistics stream through per-chunk Welford accumulators merged in
 //!   fixed chunk order (Chan's formula) — O(1) memory in the sample
-//!   count, and bit-identical between the parallel and sequential paths.
+//!   count, and bit-identical for any number of worker threads.
 //!
 //! # Example
 //!
@@ -68,14 +76,13 @@ pub mod rule;
 pub mod tiledbayes;
 
 pub use bayes::{
-    bayesian_segment, bayesian_segment_batch, bayesian_segment_tensor, bayesian_segment_tensor_at,
-    bayesian_segment_tensor_reference, bayesian_segment_tensor_sequential, BayesStats,
+    bayesian_segment, bayesian_segment_batch, bayesian_segment_tensor_reference, BayesStats,
 };
 pub use calibration::{evaluate_rule, select_tau, sweep_tau, CalibrationCase, OperatingPoint};
 pub use metrics::MonitorQuality;
 pub use monitor::{batch_seed, Monitor, MonitorConfig, MonitorReport, Verdict, BATCH_SEED_STRIDE};
 pub use rule::MonitorRule;
-pub use tiledbayes::{bayesian_segment_tiled, bayesian_segment_tiled_with_clock, TiledBayesStats};
+pub use tiledbayes::{bayesian_segment_tiled, TiledBayesStats};
 
 /// The audit sweep's numerical contract. The audit always runs the exact
 /// f32 engine, so this type has exactly one value. It is kept only so

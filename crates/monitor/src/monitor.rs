@@ -20,9 +20,10 @@ pub const BATCH_SEED_STRIDE: u64 = 0x9E37_79B9;
 ///
 /// This is the single definition of the per-trial seed chain. Any caller
 /// that reproduces batch verification crop-by-crop — or coalesces crops
-/// from several logical batches into one [`Monitor::verify_batch_seeded`]
-/// call, as the multi-stream service does — must derive seeds with this
-/// function to stay bit-identical to [`Monitor::verify_batch`].
+/// from several frames into one
+/// [`bayesian_segment_batch`] call, as the shared frame
+/// stages in `el-core` do — must derive seeds with this function to stay
+/// bit-identical to [`Monitor::verify_batch`].
 pub fn batch_seed(base: u64, index: usize) -> u64 {
     base.wrapping_add((index as u64 + 1).wrapping_mul(BATCH_SEED_STRIDE))
 }
@@ -154,28 +155,12 @@ impl Monitor {
     /// scratch arenas are pooled across the whole batch (see
     /// [`bayesian_segment_batch`]).
     pub fn verify_batch(&self, net: &MsdNet, crops: &[Image], seed: u64) -> Vec<MonitorReport> {
-        let seeds: Vec<u64> = (0..crops.len()).map(|i| batch_seed(seed, i)).collect();
-        self.verify_batch_seeded(net, crops, &seeds)
-    }
-
-    /// [`Monitor::verify_batch`] with explicit per-crop seeds: report `i`
-    /// is bit-identical to `verify(net, &crops[i], seeds[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crops` and `seeds` disagree in length.
-    pub fn verify_batch_seeded(
-        &self,
-        net: &MsdNet,
-        crops: &[Image],
-        seeds: &[u64],
-    ) -> Vec<MonitorReport> {
-        assert_eq!(crops.len(), seeds.len(), "one seed per crop");
         let sw = el_metrics::Stopwatch::start();
         let tensors: Vec<Tensor> = crops.iter().map(image_to_tensor).collect();
         let refs: Vec<&Tensor> = tensors.iter().collect();
+        let seeds: Vec<u64> = (0..crops.len()).map(|i| batch_seed(seed, i)).collect();
         let origins = vec![(0usize, 0usize); crops.len()];
-        let reports = bayesian_segment_batch(net, &refs, self.config.samples, seeds, &origins)
+        let reports = bayesian_segment_batch(net, &refs, self.config.samples, &seeds, &origins)
             .into_iter()
             .map(|stats| self.report_from_stats(stats))
             .collect();

@@ -12,8 +12,7 @@
 //!
 //! - the tile margin is at least the network's receptive radius, so every
 //!   kept pixel's Monte-Carlo-invariant prefix equals the whole-frame
-//!   prefix bit for bit (the same argument as deterministic
-//!   [`el_seg::segment_tiled`]);
+//!   prefix bit for bit;
 //! - dropout masks are **coordinate-keyed**
 //!   ([`el_nn::layers::keyed_mask_word`]): a tile processed at its frame
 //!   origin draws exactly the masks the whole frame would draw at those
@@ -27,15 +26,11 @@
 //! (property-tested), so partial coverage is a strict prefix of the exact
 //! full-frame answer — not an approximation of it.
 
-use std::time::{Duration, Instant};
-
 use el_geom::{Grid, Rect};
-use el_nn::Tensor;
+use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 use el_seg::data::image_to_tensor;
 use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
-
-use el_nn::Workspace;
 
 use crate::bayes::{mc_stats_prefixed, BayesStats, WsPool};
 
@@ -73,54 +68,6 @@ impl TiledBayesStats {
     }
 }
 
-/// Bayesian-verifies a full frame tile by tile under a latency budget.
-///
-/// Tiles come from the shared planner ([`el_seg::plan_tiles`]); tiles
-/// whose kept interior intersects a `priority` rectangle (candidate
-/// landing zones) are verified first, remaining tiles in row-major order.
-/// Admission is **predictive**: before each tile the elapsed wall-clock
-/// time is polled once, an EWMA of the measured per-tile cost is
-/// maintained from successive polls, and the tile is admitted only while
-/// `elapsed + (pending + 1) · avg < budget` (`pending` the tiles already
-/// admitted into the current prefix group) — so a batched prefix group
-/// can no longer overrun the budget by a trailing tile once a cost
-/// measurement exists. Until the first group has been measured the raw
-/// `elapsed < budget` check applies. On expiry the partial result is
-/// returned immediately — covered tiles carry exact whole-frame
-/// statistics (see the module docs), uncovered pixels are zero with
-/// `covered` false.
-///
-/// With an unexpired budget the result is **bit-identical** to untiled
-/// [`bayesian_segment`](crate::bayes::bayesian_segment) on the whole
-/// frame.
-///
-/// # Panics
-///
-/// Panics if the tile configuration is invalid, `samples == 0`, or the
-/// margin is smaller than the network's receptive radius (the exactness
-/// precondition).
-pub fn bayesian_segment_tiled(
-    net: &MsdNet,
-    image: &Image,
-    config: TileConfig,
-    samples: usize,
-    seed: u64,
-    budget: Duration,
-    priority: &[Rect],
-) -> TiledBayesStats {
-    let start = Instant::now();
-    bayesian_segment_tiled_with_clock(
-        net,
-        image,
-        config,
-        samples,
-        seed,
-        budget.as_secs_f64(),
-        priority,
-        move || start.elapsed().as_secs_f64(),
-    )
-}
-
 /// Pixel-column budget of one batched prefix group: consecutive admitted
 /// tiles whose combined pixel count stays within it share one
 /// column-stacked prefix GEMM per branch ([`MsdNet::mc_prefix_batch`]).
@@ -145,17 +92,43 @@ const PREFIX_GROUP_TILES: usize = 2;
 /// `elapsed + (pending + 1) · avg >= budget`.
 const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 
-/// [`bayesian_segment_tiled`] with an injectable clock: `elapsed_s`
-/// returns seconds since the pass began and is polled once **before each
-/// tile** (at its admission into the current prefix group); per-tile
-/// cost for the predictive admission check is derived from the deltas of
-/// those same polls, so the clock remains the single source of time.
-/// Production passes wall-clock time; tests pass a deterministic fake
-/// clock to pin the budget semantics (coverage monotone in budget,
-/// partial results well-formed, one clock poll per admission attempt,
-/// predictive stop before a foreseeable overrun).
+/// Bayesian-verifies a full frame tile by tile under a latency budget.
+///
+/// Tiles come from the shared planner ([`el_seg::plan_tiles`]); tiles
+/// whose kept interior intersects a `priority` rectangle (candidate
+/// landing zones) are verified first, remaining tiles in row-major order.
+/// Each tile's Monte-Carlo chunks run on the engine behind
+/// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch), with
+/// one prefix workspace and one chunk-task pool kept warm across the
+/// whole sweep.
+///
+/// `elapsed_s` returns seconds since the pass began and is polled once
+/// **before each tile** (at its admission into the current prefix
+/// group); production passes wall-clock time, tests a deterministic fake
+/// clock. Admission is **predictive**: an EWMA of the per-tile cost is
+/// derived from the deltas of those same polls (the clock is the single
+/// source of time), and a tile is admitted only while
+/// `elapsed + (pending + 1) · avg < budget_s` (`pending` the tiles
+/// already admitted into the current prefix group) — so a batched prefix
+/// group cannot overrun the budget by a trailing tile once a cost
+/// measurement exists. Until the first group has been measured the raw
+/// `elapsed < budget_s` check applies. On expiry the partial result is
+/// returned immediately — covered tiles carry exact whole-frame
+/// statistics (see the module docs), uncovered pixels are zero with
+/// `covered` false. An empty frame plans no tiles and returns an empty,
+/// complete result.
+///
+/// With an unexpired budget the result is **bit-identical** to untiled
+/// [`bayesian_segment`](crate::bayes::bayesian_segment) on the whole
+/// frame.
+///
+/// # Panics
+///
+/// Panics if the tile configuration is invalid, `samples == 0`, or the
+/// margin is smaller than the network's receptive radius (the exactness
+/// precondition).
 #[allow(clippy::too_many_arguments)]
-pub fn bayesian_segment_tiled_with_clock(
+pub fn bayesian_segment_tiled(
     net: &MsdNet,
     image: &Image,
     config: TileConfig,
@@ -253,7 +226,16 @@ pub fn bayesian_segment_tiled_with_clock(
             let tile = tiles[i];
             let origin = (tile.rect.y as usize, tile.rect.x as usize);
             let tile_sw = el_metrics::Stopwatch::start();
-            let stats = mc_stats_prefixed(net, f, samples, seed, origin, true, &pool);
+            let stats = mc_stats_prefixed(
+                net,
+                std::slice::from_ref(f),
+                samples,
+                &[seed],
+                &[origin],
+                &pool,
+            )
+            .pop()
+            .expect("one result per tile");
             el_metrics::registry().tile_cost.record(tile_sw);
             let (tw, th) = (tile.rect.w as usize, tile.rect.h as usize);
             debug_assert_eq!(stats.mean.shape(), (classes, th, tw));
@@ -333,8 +315,7 @@ mod tests {
     fn unbudgeted_tiled_equals_untiled_bitwise() {
         let net = net();
         let img = image(52, 41);
-        let tiled =
-            bayesian_segment_tiled(&net, &img, cfg(), 5, 11, Duration::from_secs(3600), &[]);
+        let tiled = bayesian_segment_tiled(&net, &img, cfg(), 5, 11, f64::INFINITY, &[], || 0.0);
         assert!(tiled.is_complete());
         assert!(tiled.covered.iter().all(|&c| c));
         let whole = bayesian_segment(&net, &img, 5, 11);
@@ -346,7 +327,7 @@ mod tests {
     fn zero_budget_returns_empty_coverage() {
         let net = net();
         let img = image(40, 40);
-        let out = bayesian_segment_tiled_with_clock(&net, &img, cfg(), 3, 1, 0.0, &[], || 1.0);
+        let out = bayesian_segment_tiled(&net, &img, cfg(), 3, 1, 0.0, &[], || 1.0);
         assert_eq!(out.tiles_verified, 0);
         assert!(out.covered.iter().all(|&c| !c));
         assert!(out.stats.mean.as_slice().iter().all(|&v| v == 0.0));
@@ -359,11 +340,10 @@ mod tests {
         let target = Rect::new(30, 30, 8, 8);
         // Fake clock: one tick per tile, budget admits exactly one tile.
         let mut t = -1.0f64;
-        let out =
-            bayesian_segment_tiled_with_clock(&net, &img, cfg(), 3, 1, 0.5, &[target], move || {
-                t += 1.0;
-                t
-            });
+        let out = bayesian_segment_tiled(&net, &img, cfg(), 3, 1, 0.5, &[target], move || {
+            t += 1.0;
+            t
+        });
         assert_eq!(out.tiles_verified, 1);
         // The verified tile covers (part of) the priority rect.
         assert!(target
@@ -384,11 +364,10 @@ mod tests {
         let net = net();
         let img = image(72, 72); // 3x3 plan at 24 px tiles
         let mut t = -10.0f64;
-        let out =
-            bayesian_segment_tiled_with_clock(&net, &img, cfg(), 3, 1, 35.0, &[], move || {
-                t += 10.0;
-                t
-            });
+        let out = bayesian_segment_tiled(&net, &img, cfg(), 3, 1, 35.0, &[], move || {
+            t += 10.0;
+            t
+        });
         assert_eq!(
             out.tiles_verified, 3,
             "prediction must refuse the tile the raw elapsed check would admit"
@@ -410,8 +389,9 @@ mod tests {
             },
             3,
             1,
-            Duration::from_secs(1),
+            1.0,
             &[],
+            || 0.0,
         );
     }
 }

@@ -357,41 +357,6 @@ impl Conv2d {
         outs
     }
 
-    /// Applies a **1x1** convolution to an arbitrary column-stacked
-    /// activation matrix (`in_channels` rows x `n` columns, row-major),
-    /// returning the stacked output rows (`out_channels x n`) as a raw
-    /// workspace buffer (hand it back with [`Workspace::give`]).
-    ///
-    /// This is the engine's whole-batch suffix primitive: the fusion head
-    /// and classifier are 1x1 convolutions, so one call covers every crop
-    /// in a batch at once. Column `j` gets exactly the value
-    /// `forward_with` would produce for the same column — the GEMM's
-    /// per-element reduction order does not depend on `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel is not 1x1 or `cols` is not
-    /// `in_channels x n`.
-    pub fn forward_columns(&self, cols: &[f32], n: usize, ws: &mut Workspace) -> Vec<f32> {
-        assert_eq!(self.kernel, 1, "forward_columns requires a 1x1 kernel");
-        assert_eq!(
-            cols.len(),
-            self.in_channels * n,
-            "stacked matrix must be in_channels x n"
-        );
-        let mut out = ws.take(self.out_channels * n);
-        gemm_bias(
-            &self.weight,
-            cols,
-            &self.bias,
-            &mut out,
-            self.out_channels,
-            self.in_channels,
-            n,
-        );
-        out
-    }
-
     /// Lowers `input` into the (zero-initialised) im2col matrix `col`:
     /// one row of `h*w` values per kernel tap, rows ordered `(in, ky, kx)`
     /// — the same order the reference loop accumulates in. Out-of-image
@@ -737,38 +702,6 @@ mod tests {
         assert!(conv
             .forward_batch_with(&[], &mut Workspace::new())
             .is_empty());
-    }
-
-    #[test]
-    fn forward_columns_matches_stacked_1x1() {
-        let mut r = rng();
-        let conv = Conv2d::new(4, 6, 1, 1, &mut r);
-        let a = Tensor::from_fn(4, 3, 5, |c, y, x| ((c + y * 2 + x) as f32 * 0.2).cos());
-        let b = Tensor::from_fn(4, 2, 4, |c, y, x| ((c * 3 + y + x * 5) as f32 * 0.11).sin());
-        let (na, nb) = (15usize, 8usize);
-        let n = na + nb;
-        // Column-stack the two inputs.
-        let mut stacked = vec![0.0f32; 4 * n];
-        for c in 0..4 {
-            stacked[c * n..c * n + na].copy_from_slice(a.channel(c));
-            stacked[c * n + na..(c + 1) * n].copy_from_slice(b.channel(c));
-        }
-        let mut ws = Workspace::new();
-        let out = conv.forward_columns(&stacked, n, &mut ws);
-        let ya = conv.forward_with(&a, &mut ws);
-        let yb = conv.forward_with(&b, &mut ws);
-        for o in 0..6 {
-            assert_eq!(&out[o * n..o * n + na], ya.channel(o));
-            assert_eq!(&out[o * n + na..(o + 1) * n], yb.channel(o));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a 1x1 kernel")]
-    fn forward_columns_rejects_spatial_kernels() {
-        let mut r = rng();
-        let conv = Conv2d::new(1, 1, 3, 1, &mut r);
-        let _ = conv.forward_columns(&[0.0; 4], 4, &mut Workspace::new());
     }
 
     #[test]

@@ -110,10 +110,8 @@ impl Dropout {
     }
 
     /// Writes `src` (a contiguous `channels x h x w` activation block)
-    /// with a **coordinate-keyed** Monte-Carlo mask into a region of the
-    /// row-major matrix `dst` (row stride `dst_stride`, starting column
-    /// `dst_col` — pass `dst_stride = h * w, dst_col = 0` for a plain
-    /// contiguous tensor).
+    /// with a **coordinate-keyed** Monte-Carlo mask into the same layout
+    /// at the front of `dst`.
     ///
     /// Unlike [`Dropout::apply_mc`], which consumes a sequential RNG
     /// stream, each element's mask bit is a pure hash of
@@ -127,8 +125,8 @@ impl Dropout {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is not a whole number of `h x w` planes or a
-    /// destination row overruns `dst`.
+    /// Panics if `src` is not a whole number of `h x w` planes or `dst`
+    /// is shorter than `src`.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_mc_keyed(
         &self,
@@ -136,8 +134,6 @@ impl Dropout {
         h: usize,
         w: usize,
         dst: &mut [f32],
-        dst_stride: usize,
-        dst_col: usize,
         sample_seed: u64,
         layer: u32,
         chan0: usize,
@@ -158,7 +154,7 @@ impl Dropout {
         for c in 0..channels {
             let plane = &src[c * hw..(c + 1) * hw];
             for y in 0..h {
-                let row = &mut dst[c * dst_stride + dst_col + y * w..][..w];
+                let row = &mut dst[c * hw + y * w..][..w];
                 let s_row = &plane[y * w..(y + 1) * w];
                 if self.rate == 0.0 {
                     row.copy_from_slice(s_row);
@@ -170,18 +166,14 @@ impl Dropout {
         }
     }
 
-    /// In-place variant of [`Dropout::apply_mc_keyed`] over a
-    /// `channels x h x w` region embedded in a row-major matrix (row
-    /// stride `stride`, starting column `col`).
+    /// In-place variant of [`Dropout::apply_mc_keyed`] over a contiguous
+    /// `channels x h x w` block.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_mc_keyed_in_place(
         &self,
         xs: &mut [f32],
-        channels: usize,
         h: usize,
         w: usize,
-        stride: usize,
-        col: usize,
         sample_seed: u64,
         layer: u32,
         chan0: usize,
@@ -192,28 +184,11 @@ impl Dropout {
         }
         let scale = 1.0 / (1.0 - self.rate);
         let kernels = el_kernels::active();
-        for c in 0..channels {
+        for (c, plane) in xs.chunks_exact_mut(h * w).enumerate() {
             for y in 0..h {
-                let row = &mut xs[c * stride + col + y * w..][..w];
+                let row = &mut plane[y * w..][..w];
                 let row_seed = keyed_row_seed(sample_seed, layer, chan0 + c, origin.0 + y);
                 kernels.mask_scale_row_in_place(row_seed, origin.1, self.rate, scale, row);
-            }
-        }
-    }
-
-    /// In-place variant of [`Dropout::apply_mc`].
-    pub fn apply_mc_in_place<R: RngCore + ?Sized>(&self, xs: &mut [f32], rng: &mut R) {
-        if self.rate == 0.0 {
-            return;
-        }
-        let scale = 1.0 / (1.0 - self.rate);
-        let mut raw = [0u32; MC_DRAW_BATCH];
-        for chunk in xs.chunks_mut(MC_DRAW_BATCH) {
-            let raw = &mut raw[..chunk.len()];
-            rng.fill_u32(raw);
-            for (v, &r) in chunk.iter_mut().zip(raw.iter()) {
-                let keep = (unit_f32(r) >= self.rate) as u32 as f32;
-                *v *= scale * keep;
             }
         }
     }
@@ -368,7 +343,7 @@ mod tests {
         let (h, w) = (8, 10);
         let full: Vec<f32> = (0..2 * h * w).map(|i| i as f32 * 0.1 + 1.0).collect();
         let mut full_out = vec![0.0; full.len()];
-        d.apply_mc_keyed(&full, h, w, &mut full_out, h * w, 0, 77, 3, 5, (0, 0));
+        d.apply_mc_keyed(&full, h, w, &mut full_out, 77, 3, 5, (0, 0));
         // Crop rows 2..6, cols 1..8 of both channels.
         let (ch, cw, oy, ox) = (4usize, 7usize, 2usize, 1usize);
         let mut crop = vec![0.0; 2 * ch * cw];
@@ -380,7 +355,7 @@ mod tests {
             }
         }
         let mut crop_out = vec![0.0; crop.len()];
-        d.apply_mc_keyed(&crop, ch, cw, &mut crop_out, ch * cw, 0, 77, 3, 5, (oy, ox));
+        d.apply_mc_keyed(&crop, ch, cw, &mut crop_out, 77, 3, 5, (oy, ox));
         for c in 0..2 {
             for y in 0..ch {
                 for x in 0..cw {
@@ -395,37 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn keyed_strided_region_matches_contiguous() {
-        // Writing into a column-stacked matrix region must produce the
-        // same values as the contiguous path.
+    fn keyed_in_place_matches_copying_path() {
         let d = Dropout::new(0.5);
         let (h, w) = (3, 5);
         let src: Vec<f32> = (0..4 * h * w).map(|i| (i as f32 * 0.3).cos()).collect();
-        let mut contiguous = vec![0.0; src.len()];
-        d.apply_mc_keyed(&src, h, w, &mut contiguous, h * w, 0, 9, 0, 0, (4, 2));
-        let stride = h * w + 11;
-        let col = 6;
-        let mut stacked = vec![f32::NAN; 4 * stride];
-        d.apply_mc_keyed(&src, h, w, &mut stacked, stride, col, 9, 0, 0, (4, 2));
-        for c in 0..4 {
-            assert_eq!(
-                &stacked[c * stride + col..c * stride + col + h * w],
-                &contiguous[c * h * w..(c + 1) * h * w]
-            );
-        }
-        // In-place strided agrees with the copying path.
-        let mut in_place = vec![0.0; 4 * stride];
-        for c in 0..4 {
-            in_place[c * stride + col..c * stride + col + h * w]
-                .copy_from_slice(&src[c * h * w..(c + 1) * h * w]);
-        }
-        d.apply_mc_keyed_in_place(&mut in_place, 4, h, w, stride, col, 9, 0, 0, (4, 2));
-        for c in 0..4 {
-            assert_eq!(
-                &in_place[c * stride + col..c * stride + col + h * w],
-                &contiguous[c * h * w..(c + 1) * h * w]
-            );
-        }
+        let mut copied = vec![0.0; src.len()];
+        d.apply_mc_keyed(&src, h, w, &mut copied, 9, 0, 0, (4, 2));
+        let mut in_place = src.clone();
+        d.apply_mc_keyed_in_place(&mut in_place, h, w, 9, 0, 0, (4, 2));
+        assert_eq!(in_place, copied);
     }
 
     #[test]
@@ -434,13 +387,13 @@ mod tests {
         let (h, w) = (64, 64);
         let src = vec![1.0f32; h * w];
         let mut out = vec![0.0; h * w];
-        d.apply_mc_keyed(&src, h, w, &mut out, h * w, 0, 123, 1, 0, (0, 0));
+        d.apply_mc_keyed(&src, h, w, &mut out, 123, 1, 0, (0, 0));
         let mean = out.iter().sum::<f32>() / out.len() as f32;
         assert!((mean - 1.0).abs() < 0.06, "inverted-dropout mean {mean}");
         assert!(out.iter().all(|&v| v == 0.0 || v == 2.0));
         let id = Dropout::new(0.0);
         let mut out2 = vec![7.0; h * w];
-        id.apply_mc_keyed(&src, h, w, &mut out2, h * w, 0, 123, 1, 0, (0, 0));
+        id.apply_mc_keyed(&src, h, w, &mut out2, 123, 1, 0, (0, 0));
         assert_eq!(out2, src);
     }
 }

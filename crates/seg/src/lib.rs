@@ -39,7 +39,5 @@ pub mod train;
 pub use infer::{segment, segment_ws, SegResult};
 pub use metrics::ConfusionMatrix;
 pub use msdnet::{MsdNet, MsdNetConfig};
-pub use tiled::{
-    plan_tiles, prioritize_tiles, segment_tiled, segment_tiled_reference, Tile, TileConfig,
-};
+pub use tiled::{plan_tiles, prioritize_tiles, Tile, TileConfig};
 pub use train::{TrainConfig, TrainReport, Trainer};

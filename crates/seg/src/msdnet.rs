@@ -205,7 +205,7 @@ impl MsdNet {
     /// No dropout layer precedes this computation, so the result is
     /// identical across all Monte-Carlo-dropout samples — the monitor
     /// computes it **once** per verified crop and replays only the
-    /// stochastic suffix ([`MsdNet::mc_sample`]) per sample. Immutable on
+    /// stochastic suffix ([`MsdNet::mc_sample_at`]) per sample. Immutable on
     /// `self` and allocation-free with a warm workspace.
     pub fn mc_prefix(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
@@ -220,44 +220,6 @@ impl MsdNet {
         }
         Tensor::from_vec(bc * self.branches.len(), h, w, fused)
             .expect("fused buffer sized to the branch outputs")
-    }
-
-    /// One Monte-Carlo-dropout sample given a cached
-    /// [`MsdNet::mc_prefix`]: branch dropout, fusion head, head dropout,
-    /// classifier — returning the sample's logits.
-    ///
-    /// Consumes the RNG exactly as a full [`Phase::Stochastic`]
-    /// [`Layer::forward`] does after the branch convolutions, so
-    /// `mc_prefix` + `mc_sample` with a given generator state reproduces
-    /// `forward(.., Phase::Stochastic, ..)` with that same state
-    /// (asserted by tests). Immutable on `self`, so samples can run
-    /// concurrently against one shared network. Generic over the RNG so
-    /// the per-element mask draws monomorphise (no virtual dispatch on
-    /// the hot path).
-    pub fn mc_sample<R: RngCore + ?Sized>(
-        &self,
-        fused: &Tensor,
-        rng: &mut R,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let (c, h, w) = fused.shape();
-        let hw = h * w;
-        let bc = self.config.branch_channels;
-        let mut x = ws.take_tensor(c, h, w);
-        for (bi, b) in self.branches.iter().enumerate() {
-            b.drop.apply_mc(
-                &fused.as_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                &mut x.as_mut_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                rng,
-            );
-        }
-        let mut y = self.head1.forward_with(&x, ws);
-        ws.recycle(x);
-        Relu::apply(&mut y);
-        self.head_drop.apply_mc_in_place(y.as_mut_slice(), rng);
-        let out = self.head2.forward_with(&y, ws);
-        ws.recycle(y);
-        out
     }
 
     /// The network's receptive radius: how far (in pixels) an output can
@@ -332,8 +294,6 @@ impl MsdNet {
                 h,
                 w,
                 &mut x.as_mut_slice()[bi * bc * hw..],
-                hw,
-                0,
                 sample_seed,
                 MC_LAYER_BRANCH,
                 bi * bc,
@@ -345,11 +305,8 @@ impl MsdNet {
         Relu::apply(&mut y);
         self.head_drop.apply_mc_keyed_in_place(
             y.as_mut_slice(),
-            self.config.head_hidden,
             h,
             w,
-            hw,
-            0,
             sample_seed,
             MC_LAYER_HEAD,
             0,
@@ -358,82 +315,6 @@ impl MsdNet {
         let out = self.head2.forward_with(&y, ws);
         ws.recycle(y);
         out
-    }
-
-    /// Whole-batch variant of [`MsdNet::mc_sample_at`]: runs one
-    /// Monte-Carlo sample's stochastic suffix for **every** crop at once
-    /// by column-stacking the masked prefixes and pushing the stack
-    /// through each 1x1 head convolution as a single GEMM
-    /// ([`Conv2d::forward_columns`]).
-    ///
-    /// `fused`, `seeds` and `origins` run parallel: crop `i` uses its own
-    /// per-sample seed and frame origin, so column block `i` of the
-    /// returned `(classes, 1, Σ h·w)` stacked logits is bit-identical to
-    /// `mc_sample_at(fused[i], seeds[i], origins[i])` (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length or the batch is empty.
-    pub fn mc_sample_stacked(
-        &self,
-        fused: &[&Tensor],
-        seeds: &[u64],
-        origins: &[(usize, usize)],
-        ws: &mut Workspace,
-    ) -> Tensor {
-        assert!(
-            !fused.is_empty() && fused.len() == seeds.len() && fused.len() == origins.len(),
-            "batch inputs must be non-empty and parallel"
-        );
-        let bc = self.config.branch_channels;
-        let fc = bc * self.branches.len();
-        let n_total: usize = fused.iter().map(|t| t.height() * t.width()).sum();
-        let mut x = ws.take(fc * n_total);
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(seeds).zip(origins) {
-            let (c, h, w) = f.shape();
-            assert_eq!(c, fc, "prefix tensor must have the fused channel count");
-            let hw = h * w;
-            for (bi, b) in self.branches.iter().enumerate() {
-                b.drop.apply_mc_keyed(
-                    &f.as_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                    h,
-                    w,
-                    &mut x[bi * bc * n_total..],
-                    n_total,
-                    off,
-                    seed,
-                    MC_LAYER_BRANCH,
-                    bi * bc,
-                    origin,
-                );
-            }
-            off += hw;
-        }
-        let mut y = self.head1.forward_columns(&x, n_total, ws);
-        ws.give(x);
-        Relu::apply_slice(&mut y);
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(seeds).zip(origins) {
-            let (_, h, w) = f.shape();
-            self.head_drop.apply_mc_keyed_in_place(
-                &mut y,
-                self.config.head_hidden,
-                h,
-                w,
-                n_total,
-                off,
-                seed,
-                MC_LAYER_HEAD,
-                0,
-                origin,
-            );
-            off += h * w;
-        }
-        let out = self.head2.forward_columns(&y, n_total, ws);
-        ws.give(y);
-        Tensor::from_vec(self.config.classes, 1, n_total, out)
-            .expect("stacked buffer sized to the logits")
     }
 
     /// Deterministic (Eval-phase) inference through the engine: the
@@ -449,85 +330,6 @@ impl MsdNet {
         let out = self.head2.forward_with(&y, ws);
         ws.recycle(y);
         out
-    }
-
-    /// Applies the deterministic fusion head (`head1 → relu → head2`) to
-    /// an arbitrary column-stacked prefix activation matrix (`fused
-    /// channels` rows x `n` columns, row-major), returning the stacked
-    /// logits rows (`classes x n`) as a raw workspace buffer (hand it
-    /// back with [`Workspace::give`]).
-    ///
-    /// The heads are 1x1 convolutions — **pointwise** on the prefix — so
-    /// column `j` gets exactly the logits [`MsdNet::forward_eval`]
-    /// produces for the same pixel, regardless of which columns surround
-    /// it. This is what lets the batched tiler
-    /// ([`crate::segment_tiled`]) push only each tile's *kept interior*
-    /// through the heads: margin pixels feed the branch convolutions but
-    /// never buy any head compute.
-    pub fn eval_head_columns(&self, cols: &[f32], n: usize, ws: &mut Workspace) -> Vec<f32> {
-        let mut y = self.head1.forward_columns(cols, n, ws);
-        Relu::apply_slice(&mut y);
-        let out = self.head2.forward_columns(&y, n, ws);
-        ws.give(y);
-        out
-    }
-
-    /// Batched [`MsdNet::forward_eval`]: the whole batch runs through the
-    /// stacked-GEMM engine end to end. Each branch convolution of every
-    /// input lowers into **one** cache-budgeted column-stacked im2col GEMM
-    /// ([`Conv2d::forward_batch_with`] via [`MsdNet::mc_prefix_batch`]),
-    /// and the 1x1 fusion head and classifier each run as a single GEMM
-    /// over the column-stacked prefixes of the entire batch
-    /// ([`MsdNet::eval_head_columns`]) — instead of one im2col and four
-    /// head GEMMs per input.
-    ///
-    /// Every returned logits tensor is **bit-identical** to
-    /// `forward_eval` on the corresponding input (property-tested): the
-    /// stacked GEMMs compute each column in the same strict reduction
-    /// order as the per-input GEMMs.
-    pub fn forward_eval_batch(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Vec<Tensor> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let fused = self.mc_prefix_batch(inputs, ws);
-        let fc = self.config.branch_channels * self.branches.len();
-        let n_total: usize = inputs.iter().map(|t| t.height() * t.width()).sum();
-        // Column-stack the fused prefixes: block i of every channel row
-        // holds input i's pixels, exactly the layout `forward_columns`
-        // consumes.
-        let mut x = ws.take(fc * n_total);
-        let mut off = 0usize;
-        for f in &fused {
-            let hw = f.height() * f.width();
-            for c in 0..fc {
-                x[c * n_total + off..c * n_total + off + hw].copy_from_slice(f.channel(c));
-            }
-            off += hw;
-        }
-        for f in fused {
-            ws.recycle(f);
-        }
-        let out = self.eval_head_columns(&x, n_total, ws);
-        ws.give(x);
-        // Unstack the class rows into per-input logits tensors.
-        let classes = self.config.classes;
-        let mut outs = Vec::with_capacity(inputs.len());
-        let mut off = 0usize;
-        for t in inputs {
-            let (h, w) = (t.height(), t.width());
-            let hw = h * w;
-            let mut buf = ws.take(classes * hw);
-            for c in 0..classes {
-                buf[c * hw..(c + 1) * hw]
-                    .copy_from_slice(&out[c * n_total + off..c * n_total + off + hw]);
-            }
-            outs.push(
-                Tensor::from_vec(classes, h, w, buf).expect("workspace buffer sized to the logits"),
-            );
-            off += hw;
-        }
-        ws.give(out);
-        outs
     }
 
     /// Reference forward pass using the naive scalar convolution — the
@@ -786,14 +588,6 @@ mod tests {
         assert_eq!(eval_fwd, eval_engine, "forward_eval diverges from forward");
         let eval_ws = net.forward_ws(&x, Phase::Eval, &mut r.clone(), &mut ws);
         assert_eq!(eval_fwd, eval_ws, "forward_ws diverges from forward");
-
-        // Stochastic: prefix + sample must replay forward's RNG stream.
-        let mut r1 = ChaCha8Rng::seed_from_u64(77);
-        let stoch_fwd = net.forward(&x, Phase::Stochastic, &mut r1);
-        let fused = net.mc_prefix(&x, &mut ws);
-        let mut r2 = ChaCha8Rng::seed_from_u64(77);
-        let stoch_engine = net.mc_sample(&fused, &mut r2, &mut ws);
-        assert_eq!(stoch_fwd, stoch_engine, "mc_sample diverges from forward");
     }
 
     #[test]
@@ -839,75 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_eval_matches_single_input_bitwise() {
-        let mut r = rng();
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let inputs: Vec<Tensor> = [(10usize, 8usize), (5, 5), (13, 4), (3, 9)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(h, w))| {
-                Tensor::from_fn(3, h, w, move |c, y, x| {
-                    ((i * 47 + c * 17 + y * 5 + x) as f32 * 0.27).sin()
-                })
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut ws = Workspace::new();
-        let batched = net.forward_eval_batch(&refs, &mut ws);
-        assert_eq!(batched.len(), inputs.len());
-        for (input, logits) in inputs.iter().zip(&batched) {
-            let single = net.forward_eval(input, &mut ws);
-            assert_eq!(
-                &single,
-                logits,
-                "batched eval diverges on {:?}",
-                input.shape()
-            );
-        }
-        assert!(net.forward_eval_batch(&[], &mut ws).is_empty());
-    }
-
-    #[test]
-    fn stacked_sample_matches_per_crop_columns() {
-        let mut r = rng();
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let inputs: Vec<Tensor> = [(6usize, 8usize), (4, 4), (7, 3)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(h, w))| {
-                Tensor::from_fn(3, h, w, move |c, y, x| {
-                    ((i * 29 + c * 7 + y * 3 + x) as f32 * 0.23).cos()
-                })
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut ws = Workspace::new();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
-        let fused_refs: Vec<&Tensor> = fused.iter().collect();
-        let seeds = [101u64, 202, 303];
-        let origins = [(0usize, 0usize), (16, 5), (2, 40)];
-        let stacked = net.mc_sample_stacked(&fused_refs, &seeds, &origins, &mut ws);
-        let n_total: usize = inputs.iter().map(|t| t.height() * t.width()).sum();
-        assert_eq!(stacked.shape(), (8, 1, n_total));
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(&seeds).zip(&origins) {
-            let single = net.mc_sample_at(f, seed, origin, &mut ws);
-            let hw = f.height() * f.width();
-            for o in 0..8 {
-                assert_eq!(
-                    &stacked.as_slice()[o * n_total + off..o * n_total + off + hw],
-                    single.channel(o),
-                    "stacked sample diverges on crop at {origin:?} class {o}"
-                );
-            }
-            off += hw;
-        }
-    }
-
-    #[test]
-    fn keyed_sample_with_zero_dropout_matches_rng_sample() {
-        // With dropout 0 both sampling schemes are the deterministic head
-        // pass, so they must agree exactly.
+    fn keyed_sample_with_zero_dropout_matches_eval() {
+        // With dropout 0 a Monte-Carlo sample is the deterministic head
+        // pass, so it must agree exactly with Eval inference.
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
         net.set_dropout(0.0);
@@ -915,9 +643,7 @@ mod tests {
         let mut ws = Workspace::new();
         let fused = net.mc_prefix(&x, &mut ws);
         let keyed = net.mc_sample_at(&fused, 9, (0, 0), &mut ws);
-        let mut rng2 = ChaCha8Rng::seed_from_u64(9);
-        let stream = net.mc_sample(&fused, &mut rng2, &mut ws);
-        assert_eq!(keyed, stream);
+        assert_eq!(keyed, net.forward_eval(&x, &mut ws));
     }
 
     #[test]

@@ -1,26 +1,14 @@
-//! Tiled (sliding-window) inference for frames larger than memory or
-//! latency budgets allow in one pass.
+//! Tile planning for sliding-window inference over frames larger than
+//! memory or latency budgets allow in one pass.
 //!
-//! The paper's frames are 3840x2160; even deterministic inference on such
-//! frames is best done in tiles. Predictions are computed on overlapping
-//! tiles and stitched by keeping each tile's *interior* (the overlap
-//! margin absorbs convolution edge effects, so stitched output matches
-//! whole-image inference away from the frame border).
-//!
-//! Since the audit PR the tiler is **batched**: consecutive tiles are
-//! grouped under a cache budget and pushed through the stacked-GEMM
-//! engine ([`MsdNet::forward_eval_batch`]) — one column-stacked im2col
-//! GEMM per branch convolution and one GEMM per 1x1 head for the whole
-//! group, bit-identical to the per-tile loop (which survives as
-//! [`segment_tiled_reference`]).
+//! The paper's frames are 3840x2160; Bayesian inference on such frames
+//! is only affordable tile by tile. Statistics are computed on
+//! overlapping tiles and stitched by keeping each tile's *interior* (the
+//! overlap margin absorbs convolution edge effects, so stitched output
+//! matches whole-image inference). The budgeted Bayesian sweep in
+//! `el-monitor` runs over these plans.
 
-use el_geom::{Grid, LabelMap, Rect, SemanticClass};
-use el_nn::{Tensor, Workspace};
-use el_scene::Image;
-
-use crate::data::{argmax_labels, image_to_tensor};
-use crate::infer::segment_ws;
-use crate::msdnet::MsdNet;
+use el_geom::Rect;
 
 /// Tiling configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,19 +127,20 @@ fn axis_keeps(
 /// `margin` pixels from its tile's cut edges (frame borders excepted),
 /// and tiles are emitted in row-major order.
 ///
-/// This planner is shared by deterministic tiling ([`segment_tiled`]) and
-/// the Bayesian tiled driver in `el-monitor`, whose partial-coverage
-/// accounting relies on disjoint keeps.
+/// The Bayesian tiled driver in `el-monitor` runs over this plan; its
+/// partial-coverage accounting relies on disjoint keeps. An empty frame
+/// (zero width or height) has nothing to keep and plans no tiles.
 ///
 /// # Panics
 ///
-/// Panics if the configuration fails [`TileConfig::validate`] or the
-/// frame is empty.
+/// Panics if the configuration fails [`TileConfig::validate`].
 pub fn plan_tiles(width: usize, height: usize, config: TileConfig) -> Vec<Tile> {
     if let Err(e) = config.validate() {
         panic!("invalid tile configuration: {e}");
     }
-    assert!(width > 0 && height > 0, "frame must be non-empty");
+    if width == 0 || height == 0 {
+        return Vec::new();
+    }
     let (cw, ch) = (config.tile.min(width), config.tile.min(height));
     let xs = axis_cuts(width, config);
     let ys = axis_cuts(height, config);
@@ -186,239 +175,12 @@ pub fn prioritize_tiles(tiles: &[Tile], priority: &[Rect]) -> Vec<usize> {
     order
 }
 
-/// Pixel-column budget of one batched tile group in [`segment_tiled`]:
-/// consecutive tiles whose combined pixel count stays within it share one
-/// batched engine invocation. The group's working set (im2col rows,
-/// stacked prefix, head activations — roughly 120 f32 per pixel at the
-/// paper config) must stay L2-resident: wider groups stream every pass
-/// through outer cache levels and lose to the cache-local per-tile loop
-/// (measured in `perf_audit`). Grouping is a pure performance knob: any
-/// partition produces bit-identical labels, so large tiles simply degrade
-/// to one engine call each.
-const EVAL_GROUP_COLUMNS: usize = 4 * 1024;
-
-/// Segments an image tile by tile, stitching interior predictions.
-///
-/// Produces the same labels as [`segment`] except possibly within
-/// `margin` pixels of internal tile seams where convolution padding
-/// differs; with `margin >= receptive-field radius` the outputs are
-/// identical (verified by tests).
-///
-/// Tiles are processed in cache-budgeted groups through the stacked-GEMM
-/// engine, which pays off twice over the per-tile loop
-/// ([`segment_tiled_reference`]):
-///
-/// - each branch convolution of a group lowers into one column-stacked
-///   im2col GEMM across all its tiles ([`MsdNet::mc_prefix_batch`])
-///   instead of one im2col per tile;
-/// - only the **kept interiors** are column-stacked into the 1x1 head
-///   GEMMs and the softmax/argmax ([`MsdNet::eval_head_columns`]): the
-///   heads are pointwise, so margin pixels — which the stitcher discards
-///   anyway — feed the branch convolutions (where the receptive field
-///   needs them) but buy no head compute. The per-tile loop spends full
-///   head passes on them.
-///
-/// Labels are **bit-identical** to the per-tile loop (property-tested):
-/// stacked GEMM columns reduce in the same strict order as per-tile
-/// GEMMs, and softmax/argmax are per-pixel operations.
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`TileConfig::validate`].
-pub fn segment_tiled(net: &MsdNet, image: &Image, config: TileConfig) -> LabelMap {
-    // One workspace across all groups: tiles share buffer shapes, so only
-    // the first group's pass allocates.
-    let mut ws = Workspace::new();
-    let (w, h) = (image.width(), image.height());
-    if w <= config.tile && h <= config.tile {
-        if let Err(e) = config.validate() {
-            panic!("invalid tile configuration: {e}");
-        }
-        return segment_ws(net, image, &mut ws).labels;
-    }
-    let mut out: LabelMap = Grid::new(w, h, SemanticClass::Clutter);
-    let tiles = plan_tiles(w, h, config);
-    let cfg = net.config();
-    let fc = cfg.branch_channels * cfg.dilations.len();
-    let classes = cfg.classes;
-    let mut start = 0usize;
-    while start < tiles.len() {
-        // Grow the group while it fits the column budget (always at
-        // least one tile).
-        let mut end = start + 1;
-        let mut cols = (tiles[start].rect.w * tiles[start].rect.h) as usize;
-        while end < tiles.len() {
-            let hw = (tiles[end].rect.w * tiles[end].rect.h) as usize;
-            if cols + hw > EVAL_GROUP_COLUMNS {
-                break;
-            }
-            cols += hw;
-            end += 1;
-        }
-        let group = &tiles[start..end];
-        let inputs: Vec<Tensor> = group
-            .iter()
-            .map(|t| image_to_tensor(&image.crop(t.rect).expect("tile within image")))
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
-        // Column-stack only the kept interiors for the pointwise heads.
-        let n_keep: usize = group
-            .iter()
-            .map(|t| (t.keep_x1 - t.keep_x0) * (t.keep_y1 - t.keep_y0))
-            .sum();
-        let mut x = ws.take(fc * n_keep);
-        let mut off = 0usize;
-        for (t, f) in group.iter().zip(&fused) {
-            let tw = t.rect.w as usize;
-            let kw = t.keep_x1 - t.keep_x0;
-            for c in 0..fc {
-                let plane = f.channel(c);
-                let mut dst = c * n_keep + off;
-                for yy in t.keep_y0..t.keep_y1 {
-                    let src = yy * tw + t.keep_x0;
-                    x[dst..dst + kw].copy_from_slice(&plane[src..src + kw]);
-                    dst += kw;
-                }
-            }
-            off += kw * (t.keep_y1 - t.keep_y0);
-        }
-        for f in fused {
-            ws.recycle(f);
-        }
-        let logits = net.eval_head_columns(&x, n_keep, &mut ws);
-        ws.give(x);
-        // Same per-pixel softmax-then-argmax as `segment_ws`, over the
-        // stacked kept columns (both are per-pixel operations, so the
-        // stacked layout changes nothing — including tie-breaks).
-        let mut stacked = Tensor::from_vec(classes, 1, n_keep, logits)
-            .expect("stacked buffer sized to the logits");
-        el_nn::loss::softmax_in_place(&mut stacked);
-        let pred = argmax_labels(&stacked);
-        ws.recycle(stacked);
-        let mut off = 0usize;
-        for t in group {
-            let (tx, ty) = (t.rect.x as usize, t.rect.y as usize);
-            for yy in t.keep_y0..t.keep_y1 {
-                for xx in t.keep_x0..t.keep_x1 {
-                    out[(tx + xx, ty + yy)] = pred[(off, 0)];
-                    off += 1;
-                }
-            }
-        }
-        start = end;
-    }
-    out
-}
-
-/// The sequential per-tile reference tiler — one full engine pass per
-/// tile, retained as the ground truth [`segment_tiled`] must reproduce
-/// bit for bit (property-tested) and as the `perf_audit` benchmark
-/// baseline.
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`TileConfig::validate`].
-pub fn segment_tiled_reference(net: &MsdNet, image: &Image, config: TileConfig) -> LabelMap {
-    let mut ws = Workspace::new();
-    let (w, h) = (image.width(), image.height());
-    if w <= config.tile && h <= config.tile {
-        if let Err(e) = config.validate() {
-            panic!("invalid tile configuration: {e}");
-        }
-        return segment_ws(net, image, &mut ws).labels;
-    }
-    let mut out: LabelMap = Grid::new(w, h, SemanticClass::Clutter);
-    for tile in plan_tiles(w, h, config) {
-        let crop = image.crop(tile.rect).expect("tile within image");
-        let pred = segment_ws(net, &crop, &mut ws).labels;
-        let (tx, ty) = (tile.rect.x as usize, tile.rect.y as usize);
-        for yy in tile.keep_y0..tile.keep_y1 {
-            for xx in tile.keep_x0..tile.keep_x1 {
-                out[(tx + xx, ty + yy)] = pred[(xx, yy)];
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::segment;
-    use crate::msdnet::MsdNetConfig;
-    use el_scene::{Conditions, Scene, SceneParams};
+    use el_geom::Grid;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    fn net() -> MsdNet {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        MsdNet::new(&MsdNetConfig::tiny(), &mut rng)
-    }
-
-    fn image(w: usize, h: usize) -> Image {
-        let mut p = SceneParams::small();
-        p.width = w;
-        p.height = h;
-        Scene::generate(&p, 3).render(&Conditions::nominal(), 3)
-    }
-
-    #[test]
-    fn small_image_single_tile() {
-        let mut n = net();
-        let img = image(48, 48);
-        let tiled = segment_tiled(
-            &n,
-            &img,
-            TileConfig {
-                tile: 64,
-                margin: 4,
-            },
-        );
-        let whole = segment(&mut n, &img).labels;
-        assert_eq!(tiled, whole);
-    }
-
-    #[test]
-    fn tiled_matches_whole_image_with_sufficient_margin() {
-        let mut n = net();
-        // tiny config: max dilation 2 on 3x3 -> receptive radius 2 per
-        // branch, plus the 1x1 head: total radius 2. margin 4 suffices.
-        let img = image(96, 80);
-        let tiled = segment_tiled(
-            &n,
-            &img,
-            TileConfig {
-                tile: 48,
-                margin: 4,
-            },
-        );
-        let whole = segment(&mut n, &img).labels;
-        let mismatches = tiled
-            .iter()
-            .zip(whole.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(mismatches, 0, "{mismatches} mismatching pixels");
-    }
-
-    #[test]
-    fn non_divisible_sizes_covered() {
-        let mut n = net();
-        let img = image(70, 53);
-        let tiled = segment_tiled(
-            &n,
-            &img,
-            TileConfig {
-                tile: 32,
-                margin: 4,
-            },
-        );
-        assert_eq!(tiled.width(), 70);
-        assert_eq!(tiled.height(), 53);
-        let whole = segment(&mut n, &img).labels;
-        assert_eq!(tiled, whole);
-    }
 
     #[test]
     fn plan_partitions_frame_with_margins() {
@@ -458,27 +220,6 @@ mod tests {
             assert!(
                 owners.iter().all(|&n| n == 1),
                 "{w}x{h} tile {tile} margin {margin}: coverage not a partition"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_tiler_matches_reference_bitwise() {
-        // Small tiles force multi-tile groups through the stacked-GEMM
-        // path; odd sizes exercise clamped boundary tiles.
-        let n = net();
-        for (w, h, tile, margin) in [
-            (96usize, 80usize, 24usize, 4usize),
-            (70, 53, 16, 4),
-            (81, 81, 32, 8),
-        ] {
-            let img = image(w, h);
-            let cfg = TileConfig { tile, margin };
-            let batched = segment_tiled(&n, &img, cfg);
-            let reference = segment_tiled_reference(&n, &img, cfg);
-            assert_eq!(
-                batched, reference,
-                "{w}x{h} tile {tile} margin {margin}: batched tiler diverges"
             );
         }
     }
@@ -548,13 +289,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_frame_plans_no_tiles() {
+        let cfg = TileConfig {
+            tile: 16,
+            margin: 4,
+        };
+        assert!(plan_tiles(0, 0, cfg).is_empty());
+        assert!(plan_tiles(40, 0, cfg).is_empty());
+        assert!(plan_tiles(0, 40, cfg).is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "invalid tile configuration")]
     fn oversized_margin_rejected() {
-        let n = net();
-        let img = image(32, 32);
-        let _ = segment_tiled(
-            &n,
-            &img,
+        let _ = plan_tiles(
+            32,
+            32,
             TileConfig {
                 tile: 16,
                 margin: 8,

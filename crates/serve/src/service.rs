@@ -4,41 +4,38 @@
 //! read-only) and a table of per-stream [`Session`]s. Frames are
 //! submitted per session and processed in *ticks*: each tick drains at
 //! most one frame per session, admission-controls the drained set
-//! against the tick budget, proposes zones for every admitted frame in
-//! parallel (order-preserving), then coalesces **all** streams' candidate
-//! crops into one [`Monitor::verify_batch_seeded`] invocation and
-//! demultiplexes the verdicts back through each frame's sequential
-//! decision replay.
+//! against the tick budget, then runs the admitted frames through the
+//! shared `el-core` frame stages ([`el_core::stages`]) — the same
+//! functions a solo [`el_core::ElPipeline`] composes for one frame: the
+//! plan stage for every frame in parallel (order-preserving), **one**
+//! coalesced verify stage over all streams' borrowed crops, the audits
+//! in parallel, and each frame's sequential decision replay.
 //!
 //! # Why cross-stream batching is legal
 //!
 //! MC-dropout masks are coordinate-keyed — a pure function of (sample
 //! seed, layer, channel, global pixel) — so a crop's Monte-Carlo
-//! statistics are independent of what else shares its batch. The service
-//! derives crop seeds exactly as a solo [`el_core::ElPipeline::run`]
-//! does (`el_monitor::batch_seed(frame_seed, i)` for crop `i` of a
-//! frame) and replays decisions with the same
-//! [`el_core::replay_decisions`]; the coalesced path is therefore
-//! bit-identical to running each stream through its own pipeline,
-//! frame by frame (property-tested in `tests/serve_determinism.rs`).
+//! statistics are independent of what else shares its batch. The verify
+//! stage seeds crop `i` of a frame with
+//! `el_monitor::batch_seed(frame_seed, i)` wherever it lands in the
+//! batch, and every other stage is the very function a solo pipeline
+//! calls; the coalesced path is therefore bit-identical to running each
+//! stream through its own pipeline, frame by frame, by construction (and
+//! property-tested in `tests/serve_determinism.rs`).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use el_core::monitorlink::crop_for_monitor;
 use el_core::pipeline::PipelineConfig;
-use el_core::zone::propose_zones;
-use el_core::{
-    replay_decisions, run_audit_with_clock, screen_candidates, AuditReport, Candidate, RiskConfig,
-    RiskScreen,
-};
+use el_core::stages::{audit_frame, plan_frame, verify_frames, FramePlan};
+use el_core::{replay_decisions, RiskConfig};
 use el_geom::{Point, Rect};
-use el_monitor::{batch_seed, AuditPrecision, Monitor, MonitorReport};
+use el_monitor::{AuditPrecision, Monitor};
 use el_riskmap::{RiskMap, RiskMapConfig, RiskMapSnapshot, RiskObservation};
 use el_scene::Image;
-use el_seg::{segment_ws, MsdNet};
+use el_seg::MsdNet;
 use rayon::prelude::*;
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
@@ -206,18 +203,6 @@ pub struct TickReport {
     pub vetoes: usize,
     /// Candidates demoted (not removed) by the risk-map screen.
     pub deprioritized: usize,
-}
-
-/// One admitted frame after the parallel propose phase, ready for the
-/// coalesced verification batch.
-struct Proposal {
-    ticket: FrameTicket,
-    clearance_px: f64,
-    candidates: Vec<Candidate>,
-    crops: Vec<Image>,
-    priority: Vec<Rect>,
-    vetoed: usize,
-    deprioritized: usize,
 }
 
 /// The resident multi-stream pipeline service.
@@ -421,17 +406,18 @@ impl ElService {
             session.record_refusal(ticket);
         }
 
-        // Parallel propose: per-frame drift update, segmentation, zone
-        // proposal and risk-map screening. Order-preserving par-map over
-        // disjoint sessions; the shared network and the risk map are
-        // both read-only here — every frame this tick screens against
-        // the map state *as of the end of the previous tick*, so the
-        // outcome is independent of intra-tick processing order.
+        // Plan stage, in parallel: per-frame drift update, segmentation,
+        // zone proposal, risk-map screening and crop cutting.
+        // Order-preserving par-map over disjoint sessions; the shared
+        // network and the risk map are both read-only here — every frame
+        // this tick screens against the map state *as of the end of the
+        // previous tick*, so the outcome is independent of intra-tick
+        // processing order.
         let net = &self.net;
         let pipeline = &self.config.pipeline;
         let riskmap = self.riskmap.as_ref();
         let risk_policy = self.config.riskmap.as_ref().map(|r| &r.policy);
-        let proposals: Vec<(&mut Session, Proposal)> = entries
+        let planned: Vec<(&mut Session, FrameTicket, f64, FramePlan)> = entries
             .into_par_iter()
             .map(|(session, ticket)| {
                 let clearance = session.clearance_for(ticket.request.wind_mps);
@@ -441,121 +427,59 @@ impl ElService {
                     // only raise.
                     zone.clearance_px = zone.clearance_px.max(px);
                 }
-                let core = segment_ws(net, &ticket.request.image, &mut session.ws);
-                let proposed = propose_zones(&core.labels, &zone);
-                // Veto-before-verify: the screen reorders or removes
-                // candidates *before* any crop or seed is assigned, so
-                // the surviving list flows through verification exactly
-                // as a screen-free proposal of the same content would.
-                let screen = match (riskmap, risk_policy) {
-                    (Some(map), Some(policy)) => {
-                        let origin = session.geo_origin_px();
-                        screen_candidates(proposed, policy, |rect| {
-                            map.max_heat_px(rect.translate(origin))
-                        })
-                    }
-                    _ => RiskScreen {
-                        kept: proposed,
-                        vetoed: 0,
-                        deprioritized: 0,
-                    },
-                };
-                let candidates = screen.kept;
-                let crops: Vec<Image> = if pipeline.monitored {
-                    candidates
-                        .iter()
-                        .take(pipeline.decision.max_trials)
-                        .map(|c| {
-                            crop_for_monitor(c, pipeline.monitor_margin_px, &ticket.request.image)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let priority: Vec<Rect> = if pipeline.audit.enabled {
-                    candidates.iter().map(|c| c.rect).collect()
-                } else {
-                    Vec::new()
-                };
-                let proposal = Proposal {
-                    clearance_px: zone.clearance_px,
-                    candidates,
-                    crops,
-                    priority,
-                    vetoed: screen.vetoed,
-                    deprioritized: screen.deprioritized,
-                    ticket,
-                };
-                (session, proposal)
+                let origin = session.geo_origin_px();
+                let heat =
+                    riskmap.map(|map| move |rect: Rect| map.max_heat_px(rect.translate(origin)));
+                let screen = risk_policy
+                    .zip(heat.as_ref())
+                    .map(|(policy, heat)| (policy, heat as &dyn Fn(Rect) -> f64));
+                let plan = plan_frame(
+                    net,
+                    &ticket.request.image,
+                    pipeline,
+                    &zone,
+                    screen,
+                    &mut session.ws,
+                );
+                (session, ticket, zone.clearance_px, plan)
             })
             .collect();
 
-        // Coalesce every stream's crops into ONE batched verification.
-        // Crop seeds replicate the solo pipeline exactly: crop `i` of a
-        // frame uses `batch_seed(frame_seed, i)`, regardless of where
-        // the crop lands in the coalesced batch.
-        let mut all_crops: Vec<Image> = Vec::new();
-        let mut all_seeds: Vec<u64> = Vec::new();
-        for (_, prop) in &proposals {
-            for (i, crop) in prop.crops.iter().enumerate() {
-                all_crops.push(crop.clone());
-                all_seeds.push(batch_seed(prop.ticket.seed, i));
-            }
-        }
-        report.crops = all_crops.len();
-        metrics.serve_batch_crops.record_ns(all_crops.len() as u64);
-        let reports: Vec<MonitorReport> = if all_crops.is_empty() {
-            Vec::new()
+        // Verify stage: every stream's borrowed crops in ONE coalesced
+        // engine call. Crop seeds replicate the solo pipeline exactly:
+        // crop `i` of a frame uses `batch_seed(frame_seed, i)`,
+        // regardless of where the crop lands in the coalesced batch.
+        let frames: Vec<(&[Image], u64)> = planned
+            .iter()
+            .map(|(_, ticket, _, plan)| (&plan.crops[..], ticket.seed))
+            .collect();
+        report.crops = frames.iter().map(|(crops, _)| crops.len()).sum();
+        metrics.serve_batch_crops.record_ns(report.crops as u64);
+        let reports = if report.crops == 0 {
+            planned.iter().map(|_| Vec::new()).collect()
         } else {
-            self.monitor
-                .verify_batch_seeded(&self.net, &all_crops, &all_seeds)
+            verify_frames(&self.net, &self.monitor, &frames)
         };
 
-        // Demultiplex each frame's verdict slice out of the coalesced
-        // batch (sequential, cheap), then run the independent per-frame
-        // audits in a second parallel phase — each audit reads only the
-        // shared network and its own frame, and with `TickClock::Zero`
-        // the result is a pure function of (net, image, seed, priority),
-        // so parallelising audits changes nothing bit-wise.
-        let mut offset = 0usize;
-        let demuxed: Vec<(&mut Session, Proposal, Vec<MonitorReport>)> = proposals
-            .into_iter()
-            .map(|(session, prop)| {
-                let frame_reports = reports[offset..offset + prop.crops.len()].to_vec();
-                offset += prop.crops.len();
-                (session, prop, frame_reports)
-            })
-            .collect();
+        // Audit stage, in parallel: each audit reads only the shared
+        // network and its own frame, and with `TickClock::Zero` the
+        // result is a pure function of (net, image, seed, priority), so
+        // parallelising audits changes nothing bit-wise.
         let audit_clock = self.config.audit_clock;
-        let audited: Vec<(
-            &mut Session,
-            Proposal,
-            Vec<MonitorReport>,
-            Option<AuditReport>,
-        )> = demuxed
+        let verified: Vec<_> = planned.into_iter().zip(reports).collect();
+        let audited: Vec<_> = verified
             .into_par_iter()
-            .map(|(session, prop, frame_reports)| {
-                let audit = if pipeline.audit.enabled {
-                    let clock: Box<dyn FnMut() -> f64> = match audit_clock {
-                        TickClock::Wall => {
-                            let start = Instant::now();
-                            Box::new(move || start.elapsed().as_secs_f64())
-                        }
-                        TickClock::Zero => Box::new(|| 0.0),
-                    };
-                    Some(run_audit_with_clock(
-                        net,
-                        &prop.ticket.request.image,
-                        &pipeline.audit,
-                        &pipeline.monitor.rule,
-                        prop.ticket.seed,
-                        &prop.priority,
-                        clock,
-                    ))
-                } else {
-                    None
+            .map(|((session, ticket, clearance_px, plan), frame_reports)| {
+                let clock: Box<dyn FnMut() -> f64> = match audit_clock {
+                    TickClock::Wall => {
+                        let start = Instant::now();
+                        Box::new(move || start.elapsed().as_secs_f64())
+                    }
+                    TickClock::Zero => Box::new(|| 0.0),
                 };
-                (session, prop, frame_reports, audit)
+                let image = &ticket.request.image;
+                let audit = audit_frame(net, image, pipeline, ticket.seed, &plan.priority, clock);
+                (session, ticket, clearance_px, plan, frame_reports, audit)
             })
             .collect();
 
@@ -565,36 +489,31 @@ impl ElService {
         let collect_risk = riskmap.is_some();
         let mut observations: Vec<RiskObservation> = Vec::new();
         let tick_ns_hint = t0.elapsed().as_nanos() as u64;
-        for (session, prop, frame_reports, audit) in audited {
+        for (session, ticket, clearance_px, plan, frame_reports, audit) in audited {
             let (decision, trials) = replay_decisions(
                 pipeline.decision,
                 pipeline.monitored,
-                prop.candidates,
+                plan.candidates,
                 &frame_reports,
             );
             match decision {
                 el_core::FinalDecision::Land(_) => report.landings += 1,
                 el_core::FinalDecision::Abort(_) => report.aborts += 1,
             }
-            report.vetoes += prop.vetoed;
-            report.deprioritized += prop.deprioritized;
+            report.vetoes += plan.vetoed;
+            report.deprioritized += plan.deprioritized;
             if collect_risk {
                 if let Some(audit_report) = &audit {
                     let origin = session.geo_origin_px();
                     observations.extend(audit_report.regions.iter().map(|region| {
-                        RiskObservation::from_region(
-                            session.id(),
-                            prop.ticket.frame,
-                            origin,
-                            region,
-                        )
+                        RiskObservation::from_region(session.id(), ticket.frame, origin, region)
                     }));
                 }
             }
             session.record_decision(
-                prop.ticket.frame,
-                prop.ticket.seed,
-                prop.clearance_px,
+                ticket.frame,
+                ticket.seed,
+                clearance_px,
                 decision,
                 trials,
                 audit.as_ref(),

@@ -268,3 +268,77 @@ fn candidate_tiles_audited_first_under_tight_budget() {
         "at least one case must propose candidates"
     );
 }
+
+/// Degenerate frames — empty, a single pixel, one row, all-NaN — never
+/// panic, through the solo pipeline (audit on and off) or the service.
+/// None can hold a verified landing zone, so each aborts. The audit
+/// report stays attached iff the audit is enabled; an empty frame's
+/// report plans zero tiles. The service rejects the empty frame at
+/// `submit` and processes the rest.
+#[test]
+fn degenerate_frames_abort_without_panic() {
+    use certel::el_core::decision::AbortReason;
+    use certel::el_geom::Grid;
+    use certel::el_serve::{ElService, FrameRequest, ServeConfig, ServeError};
+    let frames: Vec<(&str, certel::el_scene::Image)> = vec![
+        ("0x0", Grid::new(0, 0, [0.5; 3])),
+        ("1x1", Grid::new(1, 1, [0.5; 3])),
+        ("40x1", Grid::new(40, 1, [0.5; 3])),
+        ("nan", Grid::new(32, 32, [f32::NAN; 3])),
+    ];
+    let mut r = ChaCha8Rng::seed_from_u64(0xDE6E);
+    for audit in [false, true] {
+        let config = if audit {
+            audited_config()
+        } else {
+            PipelineConfig::fast_test()
+        };
+        let mut pipeline = ElPipeline::try_new(tiny_net(3), config.clone()).expect("valid config");
+        for (name, image) in &frames {
+            let out = pipeline.run(image, r.gen());
+            assert!(
+                !out.decision.is_land(),
+                "{name}: landed on a degenerate frame"
+            );
+            if *name != "nan" {
+                assert_eq!(
+                    out.decision,
+                    FinalDecision::Abort(AbortReason::NoCandidates),
+                    "{name}"
+                );
+            }
+            assert_eq!(out.audit.is_some(), audit, "{name}: audit presence");
+            if image.width() == 0 {
+                let report = out.audit.as_ref().map_or(0, |a| a.tiles_total());
+                assert_eq!(report, 0, "{name}: an empty frame plans no tiles");
+            }
+        }
+
+        let serve = ServeConfig {
+            pipeline: config,
+            ..ServeConfig::fast_test()
+        };
+        let mut service =
+            ElService::try_new(std::sync::Arc::new(tiny_net(3)), serve).expect("valid config");
+        let id = service.open_session(r.gen());
+        for (name, image) in &frames {
+            let submitted = service.submit(
+                id,
+                FrameRequest {
+                    image: image.clone(),
+                    wind_mps: 0.0,
+                },
+            );
+            if image.width() == 0 {
+                assert!(
+                    matches!(submitted, Err(ServeError::InvalidFrame(_))),
+                    "{name}: {submitted:?}"
+                );
+            } else {
+                assert_eq!(submitted, Ok(true), "{name}");
+                let tick = service.tick();
+                assert_eq!((tick.admitted, tick.aborts), (1, 1), "{name}");
+            }
+        }
+    }
+}

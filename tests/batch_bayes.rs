@@ -21,15 +21,13 @@ use el_geom::Grid;
 mod common;
 use common::expected_admitted;
 use el_monitor::{
-    bayesian_segment, bayesian_segment_batch, bayesian_segment_tensor_at,
-    bayesian_segment_tiled_with_clock, BATCH_SEED_STRIDE,
+    bayesian_segment, bayesian_segment_batch, bayesian_segment_tiled, BayesStats, BATCH_SEED_STRIDE,
 };
 use el_nn::Tensor;
 use el_seg::data::image_to_tensor;
 use el_seg::TileConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::Duration;
 
 fn rng() -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(0xBA7C)
@@ -38,6 +36,19 @@ fn rng() -> ChaCha8Rng {
 fn tiny_net(seed: u64) -> MsdNet {
     let mut r = ChaCha8Rng::seed_from_u64(seed);
     MsdNet::new(&MsdNetConfig::tiny(), &mut r)
+}
+
+/// One crop through the engine, alone, at its frame origin.
+fn single_crop(
+    net: &MsdNet,
+    input: &Tensor,
+    samples: usize,
+    seed: u64,
+    origin: (usize, usize),
+) -> BayesStats {
+    bayesian_segment_batch(net, &[input], samples, &[seed], &[origin])
+        .pop()
+        .expect("one result per input")
 }
 
 fn scene_image(seed: u64, w: usize, h: usize) -> el_scene::Image {
@@ -109,7 +120,7 @@ fn verify_batch_matches_sequential_verifies() {
 }
 
 /// The bayes-level batch with explicit per-crop seeds and origins is
-/// bit-identical to per-crop invocations.
+/// bit-identical to running each crop alone.
 #[test]
 fn bayesian_batch_matches_per_crop() {
     let mut r = rng();
@@ -134,7 +145,7 @@ fn bayesian_batch_matches_per_crop() {
         for (((input, &seed), &origin), stats) in
             inputs.iter().zip(&seeds).zip(&origins).zip(&batch)
         {
-            let single = bayesian_segment_tensor_at(&net, input, samples, seed, origin);
+            let single = single_crop(&net, input, samples, seed, origin);
             assert_eq!(
                 single.mean.as_slice(),
                 stats.mean.as_slice(),
@@ -154,15 +165,7 @@ fn tiled_with_infinite_budget_equals_untiled() {
     for (w, h, tile) in [(50usize, 39usize, 24usize), (64, 64, 32), (45, 60, 24)] {
         let img = scene_image(7, w, h);
         let config = TileConfig { tile, margin: 4 };
-        let tiled = el_monitor::bayesian_segment_tiled(
-            &net,
-            &img,
-            config,
-            6,
-            21,
-            Duration::from_secs(86_400),
-            &[],
-        );
+        let tiled = bayesian_segment_tiled(&net, &img, config, 6, 21, f64::INFINITY, &[], || 0.0);
         assert!(tiled.is_complete(), "{w}x{h}: budget should never expire");
         assert!((tiled.coverage() - 1.0).abs() < 1e-12);
         let whole = bayesian_segment(&net, &img, 6, 21);
@@ -195,7 +198,7 @@ fn partial_coverage_is_well_formed_and_monotone() {
     // counts follow the predictive admission policy exactly.
     let run = |budget: f64| {
         let mut t = -1.0f64;
-        bayesian_segment_tiled_with_clock(&net, &img, config, 4, 13, budget, &[], move || {
+        bayesian_segment_tiled(&net, &img, config, 4, 13, budget, &[], move || {
             t += 1.0;
             t
         })
@@ -273,11 +276,10 @@ fn priority_rects_covered_before_background() {
         .find(|&b| expected_admitted(b, tiles.len()) >= priority_tiles)
         .expect("some budget admits every priority tile");
     let mut t = -1.0f64;
-    let out =
-        bayesian_segment_tiled_with_clock(&net, &img, config, 4, 17, budget, &[zone], move || {
-            t += 1.0;
-            t
-        });
+    let out = bayesian_segment_tiled(&net, &img, config, 4, 17, budget, &[zone], move || {
+        t += 1.0;
+        t
+    });
     assert_eq!(out.tiles_verified, priority_tiles);
     for p in zone.pixels() {
         assert!(
@@ -324,7 +326,7 @@ fn crop_at_origin_agrees_with_frame_interior() {
     // A crop whose interior is insulated by the receptive radius.
     let rect = Rect::new(8, 6, 20, 18);
     let crop = img.crop(rect).unwrap();
-    let stats = bayesian_segment_tensor_at(
+    let stats = single_crop(
         &net,
         &image_to_tensor(&crop),
         5,

@@ -1,6 +1,23 @@
 //! Helpers shared by the integration-test binaries (not itself a test
 //! binary — cargo only compiles `tests/<name>/mod.rs` when included via
-//! `mod <name>;`).
+//! `mod <name>;`). Each binary uses a subset of them.
+#![allow(dead_code)]
+
+use std::sync::Mutex;
+
+/// Serializes every test that mutates `RAYON_NUM_THREADS` (process-wide
+/// state; the test binary runs tests on multiple threads).
+static THREAD_ENV: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with `RAYON_NUM_THREADS` pinned to `threads` (the rayon
+/// shim reads it per call, so one process can compare thread counts).
+pub fn with_thread_count<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let _guard = THREAD_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    let out = f();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
+}
 
 /// Mirrors the tiled Bayesian sweep's documented predictive-admission
 /// policy for a fake clock that ticks +1.0 per admission poll: admission

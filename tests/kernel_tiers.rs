@@ -268,7 +268,7 @@ fn welford_every_tier_matches_portable_over_random_shapes() {
 /// paths), with enough samples for several Welford chunks and a chunk
 /// merge.
 fn bayes_fingerprint() -> u64 {
-    use certel::el_monitor::bayesian_segment_tensor;
+    use certel::el_monitor::bayesian_segment_batch;
     use certel::el_nn::Tensor;
     use certel::prelude::{MsdNet, MsdNetConfig};
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -283,9 +283,13 @@ fn bayes_fingerprint() -> u64 {
     let crop = Tensor::from_fn(3, 10, 13, |c, y, x| {
         ((c + y * 2 + x) as f32 * 0.29).sin() * 0.6
     });
-    fold(&bayesian_segment_tensor(&net, &crop, 7, 21));
+    for stats in bayesian_segment_batch(&net, &[&crop], 7, &[21], &[(0, 0)]) {
+        fold(&stats);
+    }
     let sliver = Tensor::from_fn(3, 9, 1, |c, y, _| ((c * 5 + y) as f32 * 0.41).cos() * 0.4);
-    fold(&bayesian_segment_tensor(&net, &sliver, 13, 4));
+    for stats in bayesian_segment_batch(&net, &[&sliver], 13, &[4], &[(0, 0)]) {
+        fold(&stats);
+    }
     h
 }
 

@@ -16,6 +16,9 @@ use el_sora::sail::sail;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+mod common;
+use common::with_thread_count;
+
 const CASES: usize = 48;
 
 fn rng() -> ChaCha8Rng {
@@ -133,35 +136,83 @@ fn conv_batched_matches_per_input() {
     }
 }
 
-/// Parallel Monte-Carlo dropout produces results bit-identical to the
-/// sequential path for the same seed, and repeated runs are
-/// deterministic.
+/// The one Monte-Carlo engine is bit-identical across worker-thread
+/// counts: a batch of crops at several sample counts (fixed chunk
+/// partition, fixed merge order), and an unbudgeted tiled sweep, give the
+/// same mean and std under 1, 2 and 8 rayon threads — and the sweep
+/// equals the untiled pass.
 #[test]
-fn mc_dropout_parallel_matches_sequential() {
-    use el_monitor::{bayesian_segment_tensor, bayesian_segment_tensor_sequential};
+fn mc_engine_is_bit_identical_across_thread_counts() {
+    use el_monitor::{bayesian_segment, bayesian_segment_batch, bayesian_segment_tiled};
+    use el_seg::TileConfig;
     let mut r = rng();
     let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-    let input = Tensor::from_fn(3, 12, 9, |c, y, x| {
-        ((c * 5 + y * 2 + x) as f32 * 0.17).sin()
-    });
+    let inputs: Vec<Tensor> = [(12usize, 9usize), (7, 15), (20, 20)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(h, w))| {
+            Tensor::from_fn(3, h, w, move |c, y, x| {
+                ((i * 13 + c * 5 + y * 2 + x) as f32 * 0.17).sin()
+            })
+        })
+        .collect();
+    let refs: Vec<&Tensor> = inputs.iter().collect();
+    let origins = [(0usize, 0usize), (9, 31), (40, 2)];
+    let bits = |stats: &[BayesStats]| -> Vec<(Vec<u32>, Vec<u32>)> {
+        stats
+            .iter()
+            .map(|s| {
+                let mean = s.mean.as_slice().iter().map(|v| v.to_bits()).collect();
+                let std = s.std.as_slice().iter().map(|v| v.to_bits()).collect();
+                (mean, std)
+            })
+            .collect()
+    };
     for samples in [1usize, 2, 7, 10, 19] {
-        let seed = r.gen::<u64>();
-        let par = bayesian_segment_tensor(&net, &input, samples, seed);
-        let seq = bayesian_segment_tensor_sequential(&net, &input, samples, seed);
-        assert_eq!(
-            par.mean.as_slice(),
-            seq.mean.as_slice(),
-            "{samples}-sample mean diverges at seed {seed}"
-        );
-        assert_eq!(
-            par.std.as_slice(),
-            seq.std.as_slice(),
-            "{samples}-sample std diverges at seed {seed}"
-        );
-        let again = bayesian_segment_tensor(&net, &input, samples, seed);
-        assert_eq!(par.mean, again.mean, "parallel path must be deterministic");
-        assert_eq!(par.std, again.std);
+        let seeds: Vec<u64> = (0..refs.len()).map(|_| r.gen()).collect();
+        let run = |threads| {
+            with_thread_count(threads, || {
+                bits(&bayesian_segment_batch(
+                    &net, &refs, samples, &seeds, &origins,
+                ))
+            })
+        };
+        let one = run(1);
+        for threads in [2, 8] {
+            assert!(
+                one == run(threads),
+                "{samples}-sample batch diverges at {threads} threads"
+            );
+        }
     }
+
+    let mut p = SceneParams::small();
+    p.width = 50;
+    p.height = 39;
+    let image = Scene::generate(&p, 3).render(&Conditions::nominal(), 3);
+    let config = TileConfig {
+        tile: 24,
+        margin: 4,
+    };
+    let sweep = |threads| {
+        with_thread_count(threads, || {
+            let tiled =
+                bayesian_segment_tiled(&net, &image, config, 6, 21, f64::INFINITY, &[], || 0.0);
+            assert!(tiled.is_complete());
+            bits(&[tiled.stats])
+        })
+    };
+    let one = sweep(1);
+    for threads in [2, 8] {
+        assert!(
+            one == sweep(threads),
+            "tiled sweep diverges at {threads} threads"
+        );
+    }
+    assert!(
+        one == bits(&[bayesian_segment(&net, &image, 6, 21)]),
+        "unbudgeted tiled sweep diverges from the untiled pass"
+    );
 }
 
 /// The monitor rule is monotone: tightening tau or raising the sigma

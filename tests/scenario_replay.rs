@@ -15,21 +15,10 @@
 //! absolute golden values are pinned only in the x86_64 CI scenario step,
 //! because qemu/aarch64 libm rounding may differ across hosts.
 
-use std::sync::Mutex;
-
 use certel::prelude::*;
 
-/// Serializes every test that mutates `RAYON_NUM_THREADS` (process-wide
-/// state; the test binary runs tests on multiple threads).
-static THREAD_ENV: Mutex<()> = Mutex::new(());
-
-fn with_thread_count<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = THREAD_ENV.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let out = f();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    out
-}
+mod common;
+use common::with_thread_count;
 
 /// A fast deterministic scenario for replay tests (SmallTest profile so
 /// debug-mode CI stays quick).

@@ -15,24 +15,14 @@
 //!   stream's log and fingerprints as if it had never been sent.
 
 use std::sync::Arc as StdArc;
-use std::sync::Mutex;
 
 use certel::prelude::*;
 use el_serve::{FrameOutcome, Session};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Serializes every test that mutates `RAYON_NUM_THREADS` (process-wide
-/// state; the test binary runs tests on multiple threads).
-static THREAD_ENV: Mutex<()> = Mutex::new(());
-
-fn with_thread_count<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = THREAD_ENV.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let out = f();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    out
-}
+mod common;
+use common::with_thread_count;
 
 /// A briefly trained small net, shared by every test in this binary (an
 /// untrained net predicts no landable pixels — no candidates, no crops —

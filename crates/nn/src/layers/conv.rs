@@ -5,6 +5,8 @@
 //! per-tap loop is retained as [`Conv2d::forward_reference`] for
 //! equivalence tests and benchmark baselines.
 
+use std::ops::Range;
+
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -214,6 +216,36 @@ impl Conv2d {
     ///
     /// Panics if `input` does not have [`Conv2d::in_channels`] channels.
     pub fn forward_with(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (h, w) = (input.height(), input.width());
+        let mut out = ws.take(self.out_channels * h * w);
+        self.forward_rows_into(input, 0..h, &mut out, ws);
+        Tensor::from_vec(self.out_channels, h, w, out)
+            .expect("workspace buffer sized to the output shape")
+    }
+
+    /// Row-range forward pass: writes output rows `rows` of
+    /// [`Conv2d::forward_with`]`(input)` into `out`, laid out
+    /// `[out_channel][row - rows.start][x]`, lowering only those rows'
+    /// im2col columns. Taps that reach outside `rows` read the input
+    /// directly, so a band needs no halo copy.
+    ///
+    /// Every output element is a GEMM column that accumulates its
+    /// reduction over `k` in the same strict order whatever the band,
+    /// so any row partition reproduces the whole-image pass bit for bit.
+    /// Allocation-free with a warm workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have [`Conv2d::in_channels`] channels,
+    /// if `rows` leaves the image, or if `out` is not
+    /// `out_channels * rows.len() * width` long.
+    pub fn forward_rows_into(
+        &self,
+        input: &Tensor,
+        rows: Range<usize>,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) {
         assert_eq!(
             input.channels(),
             self.in_channels,
@@ -222,36 +254,53 @@ impl Conv2d {
             input.channels()
         );
         let (h, w) = (input.height(), input.width());
-        let hw = h * w;
-        let k_dim = self.in_channels * self.kernel * self.kernel;
-        let mut out = ws.take(self.out_channels * hw);
-        if self.kernel == 1 {
-            // 1x1 convolution: the im2col matrix *is* the input.
+        assert!(
+            rows.start <= rows.end && rows.end <= h,
+            "row range {rows:?} outside a {h}-row image"
+        );
+        let n = rows.len() * w;
+        assert_eq!(out.len(), self.out_channels * n, "output buffer size");
+        let k_dim = self.k_dim();
+        if self.kernel == 1 && rows.len() == h {
+            // 1x1 convolution over the whole image: the im2col matrix
+            // *is* the input.
             gemm_bias(
                 &self.weight,
                 input.as_slice(),
                 &self.bias,
-                &mut out,
+                out,
                 self.out_channels,
                 k_dim,
-                hw,
+                n,
             );
         } else {
-            let mut col = ws.take_zeroed(k_dim * hw);
-            self.im2col(input, &mut col, hw, 0);
+            let mut col = ws.take(k_dim * n);
+            self.im2col(input, rows, &mut col, n, 0);
             gemm_bias(
                 &self.weight,
                 &col,
                 &self.bias,
-                &mut out,
+                out,
                 self.out_channels,
                 k_dim,
-                hw,
+                n,
             );
             ws.give(col);
         }
-        Tensor::from_vec(self.out_channels, h, w, out)
-            .expect("workspace buffer sized to the output shape")
+    }
+
+    /// Output rows per band for a `width`-pixel-wide image run through
+    /// [`Conv2d::forward_rows_into`] band by band: as many rows as keep
+    /// one band's im2col matrix inside [`BATCH_COL_BUDGET`], and at least
+    /// one.
+    pub fn band_rows(&self, width: usize) -> usize {
+        ((BATCH_COL_BUDGET / self.k_dim()).max(1) / width.max(1)).max(1)
+    }
+
+    /// Reduction depth of the lowered GEMM: one im2col row per
+    /// `(in, ky, kx)` tap.
+    fn k_dim(&self) -> usize {
+        self.in_channels * self.kernel * self.kernel
     }
 
     /// Batched forward pass: lowers a run of inputs into one
@@ -288,7 +337,7 @@ impl Conv2d {
                 input.channels()
             );
         }
-        let k_dim = self.in_channels * self.kernel * self.kernel;
+        let k_dim = self.k_dim();
         let col_budget = (BATCH_COL_BUDGET / k_dim).max(1);
         let mut outs = Vec::with_capacity(inputs.len());
         let mut group_start = 0usize;
@@ -309,10 +358,10 @@ impl Conv2d {
                 group_end += 1;
             }
             let group = &inputs[group_start..group_end];
-            let mut col = ws.take_zeroed(k_dim * n_total);
+            let mut col = ws.take(k_dim * n_total);
             let mut off = 0usize;
             for input in group {
-                self.im2col(input, &mut col, n_total, off);
+                self.im2col(input, 0..input.height(), &mut col, n_total, off);
                 off += input.height() * input.width();
             }
             let mut out = ws.take(self.out_channels * n_total);
@@ -357,18 +406,30 @@ impl Conv2d {
         outs
     }
 
-    /// Lowers `input` into the (zero-initialised) im2col matrix `col`:
-    /// one row of `h*w` values per kernel tap, rows ordered `(in, ky, kx)`
-    /// — the same order the reference loop accumulates in. Out-of-image
-    /// taps stay zero ("same" padding).
+    /// Lowers output rows `rows` of `input` into the im2col matrix `col`:
+    /// one matrix row per kernel tap, ordered `(in, ky, kx)` — the same
+    /// order the reference loop accumulates in — holding
+    /// `rows.len() * w` columns. Every column element is written;
+    /// out-of-image taps are zero ("same" padding).
     ///
     /// The matrix rows have stride `row_stride` and this input's columns
     /// start at `col_off`, so a batch of inputs can lower side by side
-    /// into one matrix (`row_stride = h*w, col_off = 0` recovers the
-    /// single-input layout).
-    fn im2col(&self, input: &Tensor, col: &mut [f32], row_stride: usize, col_off: usize) {
+    /// into one matrix (`rows = 0..h, row_stride = h*w, col_off = 0`
+    /// recovers the single-input layout).
+    fn im2col(
+        &self,
+        input: &Tensor,
+        rows: Range<usize>,
+        col: &mut [f32],
+        row_stride: usize,
+        col_off: usize,
+    ) {
         let (h, w) = (input.height(), input.width());
         let pad = (self.dilation * (self.kernel - 1)) / 2;
+        let n = rows.len() * w;
+        if n == 0 {
+            return;
+        }
         let mut k = 0usize;
         for i in 0..self.in_channels {
             let plane = input.channel(i);
@@ -376,23 +437,24 @@ impl Conv2d {
                 let dy = (ky * self.dilation) as isize - pad as isize;
                 for kx in 0..self.kernel {
                     let dx = (kx * self.dilation) as isize - pad as isize;
-                    let row = &mut col[k * row_stride + col_off..][..h * w];
+                    let row = &mut col[k * row_stride + col_off..][..n];
                     k += 1;
-                    // Valid output range for this tap (may be empty when
-                    // the receptive field exceeds the image).
-                    let y0 = (-dy).max(0) as usize;
-                    let y1 = ((h as isize - dy).min(h as isize)).max(0) as usize;
+                    // Valid output columns for this tap (may be empty
+                    // when the receptive field exceeds the image).
                     let x0 = (-dx).max(0) as usize;
                     let x1 = ((w as isize - dx).min(w as isize)).max(0) as usize;
-                    if x0 >= x1 {
-                        continue;
-                    }
-                    for y in y0..y1 {
-                        let iy = (y as isize + dy) as usize;
-                        let ix0 = (x0 as isize + dx) as usize;
-                        let ix1 = (x1 as isize + dx) as usize;
-                        row[y * w + x0..y * w + x1]
-                            .copy_from_slice(&plane[iy * w + ix0..iy * w + ix1]);
+                    for (dst, y) in row.chunks_exact_mut(w).zip(rows.clone()) {
+                        let iy = y as isize + dy;
+                        if x0 >= x1 || iy < 0 || iy >= h as isize {
+                            dst.fill(0.0);
+                            continue;
+                        }
+                        let src = &plane[iy as usize * w..][..w];
+                        dst[..x0].fill(0.0);
+                        dst[x0..x1].copy_from_slice(
+                            &src[(x0 as isize + dx) as usize..(x1 as isize + dx) as usize],
+                        );
+                        dst[x1..].fill(0.0);
                     }
                 }
             }
@@ -401,9 +463,10 @@ impl Conv2d {
 }
 
 /// Element budget (`k_dim x columns`) of one batched im2col group in
-/// [`Conv2d::forward_batch_with`] — 64 Ki f32 = 256 KB, an L2-resident
-/// working set on every deployment target. Grouping is a pure
-/// performance knob: any partition produces bit-identical results.
+/// [`Conv2d::forward_batch_with`] and of one row band
+/// ([`Conv2d::band_rows`]) — 64 Ki f32 = 256 KB, an L2-resident working
+/// set on every deployment target. Grouping and banding are pure
+/// performance choices: any partition produces bit-identical results.
 const BATCH_COL_BUDGET: usize = 64 * 1024;
 
 /// `out[m][n] = bias[m] + sum_k a[m][k] * b[k][n]`, all matrices row-major.
@@ -702,6 +765,56 @@ mod tests {
         assert!(conv
             .forward_batch_with(&[], &mut Workspace::new())
             .is_empty());
+    }
+
+    #[test]
+    fn row_bands_match_reference_over_stale_scratch() {
+        let mut r = rng();
+        for (ci, co, k, d, h, w) in [
+            (3, 8, 3, 1, 9, 9),
+            (2, 5, 3, 4, 11, 6), // taps reach several bands away
+            (4, 3, 5, 1, 7, 11),
+            (3, 7, 3, 4, 3, 3), // receptive field larger than the image
+            (2, 6, 1, 1, 12, 4),
+        ] {
+            let conv = Conv2d::new(ci, co, k, d, &mut r);
+            let input = Tensor::from_fn(ci, h, w, |c, y, x| {
+                ((c * 31 + y * 7 + x) as f32 * 0.13).sin()
+            });
+            let reference = conv.forward_reference(&input);
+            for band in 1..=h {
+                // Poison the pool: the row-range lowering must write
+                // every element, padding zeros included.
+                let mut ws = Workspace::new();
+                ws.give(vec![f32::NAN; ci * k * k * h * w]);
+                let mut y0 = 0;
+                while y0 < h {
+                    let rows = y0..(y0 + band).min(h);
+                    let n = rows.len() * w;
+                    let mut out = vec![0.0; co * n];
+                    conv.forward_rows_into(&input, rows.clone(), &mut out, &mut ws);
+                    for o in 0..co {
+                        assert_eq!(
+                            &out[o * n..(o + 1) * n],
+                            &reference.channel(o)[y0 * w..y0 * w + n],
+                            "conv {ci}->{co} k{k} d{d} band {band} rows {rows:?}"
+                        );
+                    }
+                    y0 = rows.end;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_rows_follow_the_column_budget() {
+        let mut r = rng();
+        let conv = Conv2d::new(3, 16, 3, 2, &mut r);
+        // 64 Ki / 27 = 2427 columns: 9 rows of a 256 px frame.
+        assert_eq!(conv.band_rows(256), 9);
+        assert_eq!(conv.band_rows(1), 2427);
+        assert_eq!(conv.band_rows(10_000), 1);
+        assert_eq!(conv.band_rows(0), 2427);
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl Workspace {
     /// Fetches a buffer of exactly `len` elements with **unspecified
     /// contents** (stale values from earlier passes), reusing pooled
     /// capacity when possible (best fit). Callers must overwrite every
-    /// element; use [`Workspace::take_zeroed`] when zero-initialisation
-    /// is load-bearing (e.g. the conv im2col padding).
+    /// element (the conv im2col lowering writes its padding zeros
+    /// explicitly).
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         // Best fit: the smallest pooled buffer with enough capacity.
         let mut best: Option<usize> = None;
@@ -105,13 +105,6 @@ impl Workspace {
         buf
     }
 
-    /// Fetches a zero-filled buffer of exactly `len` elements.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.take(len);
-        buf.fill(0.0);
-        buf
-    }
-
     /// Fetches a tensor of the given shape with **unspecified contents**
     /// (see [`Workspace::take`]); callers must overwrite every element.
     pub fn take_tensor(&mut self, channels: usize, height: usize, width: usize) -> Tensor {
@@ -148,17 +141,6 @@ mod tests {
         let b = ws.take(8);
         assert_eq!(b.len(), 8);
         assert_eq!(ws.pooled(), 0);
-    }
-
-    #[test]
-    fn take_zeroed_clears_recycled_contents() {
-        let mut ws = Workspace::new();
-        let mut a = ws.take(16);
-        a.fill(7.0);
-        ws.give(a);
-        let b = ws.take_zeroed(8);
-        assert_eq!(b.len(), 8);
-        assert!(b.iter().all(|&v| v == 0.0), "take_zeroed must re-zero");
     }
 
     #[test]

@@ -8,8 +8,20 @@ use rand::Rng;
 
 /// Converts a rendered RGB image into a 3-channel input tensor.
 pub fn image_to_tensor(image: &Image) -> Tensor {
-    let (w, h) = (image.width(), image.height());
-    Tensor::from_fn(3, h, w, |c, y, x| image[(x, y)][c])
+    let mut t = Tensor::zeros(3, image.height(), image.width());
+    write_image(image, &mut t);
+    t
+}
+
+/// Writes a rendered RGB image into a `(3, h, w)` tensor of its size:
+/// [`image_to_tensor`] into a caller-owned (e.g. workspace) buffer.
+pub(crate) fn write_image(image: &Image, out: &mut Tensor) {
+    debug_assert_eq!(out.shape(), (3, image.height(), image.width()));
+    for c in 0..3 {
+        for (dst, px) in out.channel_mut(c).iter_mut().zip(image.as_slice()) {
+            *dst = px[c];
+        }
+    }
 }
 
 /// Converts a label map into a row-major target-index slice.

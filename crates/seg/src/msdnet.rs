@@ -317,19 +317,51 @@ impl MsdNet {
         out
     }
 
-    /// Deterministic (Eval-phase) inference through the engine: the
-    /// dropout layers are identities, so this is [`MsdNet::mc_prefix`]
-    /// plus the dropout-free head. Identical values to
-    /// `forward(.., Phase::Eval, ..)`, immutable on `self`, and
+    /// Deterministic (Eval-phase) inference in row bands: calls
+    /// `visit(logits)` once per band, top to bottom, with the band's
+    /// logits laid out `[class][band row][x]`.
+    ///
+    /// The dropout layers are identities in Eval, so each band runs every
+    /// branch's `conv → relu` straight into a band-sized fused buffer,
+    /// then `head1 → relu → head2`. A band is [`Conv2d::band_rows`] rows
+    /// tall, so its im2col matrix, fused activations and head activations
+    /// stay cache-resident instead of streaming whole-frame buffers
+    /// through memory. Every logit is bit-identical to
+    /// `forward(.., Phase::Eval, ..)`: each one is a GEMM column with the
+    /// same strict `k` order whatever the band. Immutable on `self` and
     /// allocation-free with a warm workspace.
-    pub fn forward_eval(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let fused = self.mc_prefix(input, ws);
-        let mut y = self.head1.forward_with(&fused, ws);
-        ws.recycle(fused);
-        Relu::apply(&mut y);
-        let out = self.head2.forward_with(&y, ws);
-        ws.recycle(y);
-        out
+    pub fn eval_bands(&self, input: &Tensor, ws: &mut Workspace, mut visit: impl FnMut(&[f32])) {
+        let (h, w) = (input.height(), input.width());
+        let bc = self.config.branch_channels;
+        let band = self
+            .branches
+            .iter()
+            .map(|b| b.conv.band_rows(w))
+            .min()
+            .unwrap_or(1);
+        let mut y0 = 0;
+        while y0 < h {
+            let rows = y0..(y0 + band).min(h);
+            let n = rows.len() * w;
+            let mut fused = ws.take_tensor(bc * self.branches.len(), rows.len(), w);
+            for (bi, b) in self.branches.iter().enumerate() {
+                let out = &mut fused.as_mut_slice()[bi * bc * n..(bi + 1) * bc * n];
+                b.conv.forward_rows_into(input, rows.clone(), out, ws);
+                Relu::apply_slice(out);
+            }
+            let mut hidden = ws.take_tensor(self.config.head_hidden, rows.len(), w);
+            self.head1
+                .forward_rows_into(&fused, 0..rows.len(), hidden.as_mut_slice(), ws);
+            ws.recycle(fused);
+            Relu::apply(&mut hidden);
+            let mut logits = ws.take(self.config.classes * n);
+            self.head2
+                .forward_rows_into(&hidden, 0..rows.len(), &mut logits, ws);
+            ws.recycle(hidden);
+            visit(&logits);
+            ws.give(logits);
+            y0 = rows.end;
+        }
     }
 
     /// Reference forward pass using the naive scalar convolution — the
@@ -577,15 +609,33 @@ mod tests {
     fn engine_paths_match_layer_forward() {
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let x = Tensor::from_fn(3, 9, 7, |c, y, x| {
+        // 300 px wide: 8-row bands, so 19 rows span two full bands and a
+        // 3-row remainder.
+        let x = Tensor::from_fn(3, 19, 300, |c, y, x| {
             ((c * 11 + y * 3 + x) as f32 * 0.21).sin()
         });
         let mut ws = Workspace::new();
+        assert_eq!(net.branches[0].conv.band_rows(300), 8);
 
-        // Eval: engine path == Layer::forward == forward_ws.
+        // Eval: banded engine path == Layer::forward == forward_ws.
         let eval_fwd = net.forward(&x, Phase::Eval, &mut r.clone());
-        let eval_engine = net.forward_eval(&x, &mut ws);
-        assert_eq!(eval_fwd, eval_engine, "forward_eval diverges from forward");
+        let mut banded = Vec::new();
+        net.eval_bands(&x, &mut ws, |logits| banded.push(logits.to_vec()));
+        assert_eq!(banded.len(), 3);
+        let (c, h, w) = eval_fwd.shape();
+        let mut off = 0;
+        for band in &banded {
+            let bn = band.len() / c;
+            for k in 0..c {
+                assert_eq!(
+                    &band[k * bn..(k + 1) * bn],
+                    &eval_fwd.channel(k)[off..off + bn],
+                    "eval_bands diverges from forward"
+                );
+            }
+            off += bn;
+        }
+        assert_eq!(off, h * w, "bands cover the frame");
         let eval_ws = net.forward_ws(&x, Phase::Eval, &mut r.clone(), &mut ws);
         assert_eq!(eval_fwd, eval_ws, "forward_ws diverges from forward");
     }
@@ -643,7 +693,7 @@ mod tests {
         let mut ws = Workspace::new();
         let fused = net.mc_prefix(&x, &mut ws);
         let keyed = net.mc_sample_at(&fused, 9, (0, 0), &mut ws);
-        assert_eq!(keyed, net.forward_eval(&x, &mut ws));
+        assert_eq!(keyed, net.forward(&x, Phase::Eval, &mut r));
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub enum ServeError {
     /// The session id is unknown (never opened, or already closed).
     UnknownSession(SessionId),
     /// The submitted frame cannot be processed: a zero width or height,
-    /// or a non-finite wind observation.
+    /// a non-finite pixel or a non-finite wind observation.
     InvalidFrame(String),
 }
 
@@ -336,8 +336,8 @@ impl ElService {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownSession`] for a closed or unknown id,
-    /// and [`ServeError::InvalidFrame`] for an empty image or a
-    /// non-finite wind. A rejected frame is never assigned a frame index,
+    /// and [`ServeError::InvalidFrame`] for an empty image, a non-finite
+    /// pixel or a non-finite wind. A rejected frame is never assigned a frame index,
     /// so it shifts no other frame's seed.
     pub fn submit(&mut self, id: SessionId, request: FrameRequest) -> Result<bool, ServeError> {
         let cap = self.config.max_inbox;
@@ -348,6 +348,18 @@ impl ElService {
         let (w, h) = (request.image.width(), request.image.height());
         if w == 0 || h == 0 {
             return Err(ServeError::InvalidFrame(format!("empty {w}x{h} image")));
+        }
+        if let Some(i) = request
+            .image
+            .iter()
+            .position(|px| px.iter().any(|v| !v.is_finite()))
+        {
+            let px = request.image.as_slice()[i];
+            return Err(ServeError::InvalidFrame(format!(
+                "non-finite pixel {px:?} at ({}, {})",
+                i % w,
+                i / w
+            )));
         }
         if !request.wind_mps.is_finite() {
             return Err(ServeError::InvalidFrame(format!(

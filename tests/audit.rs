@@ -273,8 +273,8 @@ fn candidate_tiles_audited_first_under_tight_budget() {
 /// panic, through the solo pipeline (audit on and off) or the service.
 /// None can hold a verified landing zone, so each aborts. The audit
 /// report stays attached iff the audit is enabled; an empty frame's
-/// report plans zero tiles. The service rejects the empty frame at
-/// `submit` and processes the rest.
+/// report plans zero tiles. The service rejects the empty and the
+/// all-NaN frame at `submit` and processes the rest.
 #[test]
 fn degenerate_frames_abort_without_panic() {
     use certel::el_core::decision::AbortReason;
@@ -329,7 +329,7 @@ fn degenerate_frames_abort_without_panic() {
                     wind_mps: 0.0,
                 },
             );
-            if image.width() == 0 {
+            if image.width() == 0 || *name == "nan" {
                 assert!(
                     matches!(submitted, Err(ServeError::InvalidFrame(_))),
                     "{name}: {submitted:?}"

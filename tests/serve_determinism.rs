@@ -83,7 +83,8 @@ fn audit_key(coverage: f64, warning_fraction: f64, regions: usize, complete: boo
 /// state as `(log_json, decision_fp, audit_fp)` — captured *before* the
 /// sessions close, so the comparison covers the full per-frame log, not
 /// just the digest. With `malformed` set, each round also submits a 0×0
-/// frame and a NaN-wind frame between the valid ones.
+/// frame, a NaN-wind frame and three copies of the round's frame with
+/// one NaN, +inf or -inf pixel between the valid ones.
 fn run_service(
     net: StdArc<MsdNet>,
     admission: el_serve::AdmissionConfig,
@@ -118,7 +119,20 @@ fn run_service(
                     wind_mps: f64::NAN,
                     ..stream.frames[round].clone()
                 };
-                for bad in [empty, nan_wind] {
+                // A valid frame with one poisoned pixel, anywhere.
+                let poisoned = |v: f32| {
+                    let mut bad = stream.frames[round].clone();
+                    let (w, h) = (bad.image.width(), bad.image.height());
+                    bad.image[((round * 7) % w, (round * 13) % h)][round % 3] = v;
+                    bad
+                };
+                for bad in [
+                    empty,
+                    nan_wind,
+                    poisoned(f32::NAN),
+                    poisoned(f32::INFINITY),
+                    poisoned(f32::NEG_INFINITY),
+                ] {
                     assert!(matches!(
                         service.submit(*id, bad),
                         Err(el_serve::ServeError::InvalidFrame(_))

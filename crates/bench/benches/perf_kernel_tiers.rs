@@ -1,7 +1,7 @@
 //! Experiment P4: the kernel-tier ladder on the paper-config shapes.
 //!
-//! Times every kernel tier the host CPU supports — portable → SSE2 →
-//! AVX2 → AVX-512F on x86_64, NEON on aarch64 — on the exact GEMM
+//! Times every kernel tier the host CPU supports — portable → AVX2 →
+//! AVX-512F on x86_64, NEON on aarch64 — on the exact GEMM
 //! shapes the trained paper-config MSDnet lowers to (branch im2col,
 //! fusion head, classifier head; 48x48 verification crops and 128x128
 //! audit tiles), plus the coordinate-keyed mask rows and the ChaCha8

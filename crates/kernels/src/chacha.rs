@@ -7,7 +7,6 @@
 //! identical across tiers:
 //!
 //! - portable: lane-array quarter rounds LLVM autovectorises,
-//! - SSE2: four blocks diagonally interleaved across `xmm` lanes,
 //! - AVX2: two blocks per `ymm` via the classic in-register
 //!   diagonalisation, run twice,
 //! - AVX-512F: four blocks, one per 128-bit lane of the `zmm` state,
@@ -94,102 +93,6 @@ pub fn chacha_blocks_portable(key: &[u32; 8], counter: u64, out: &mut [u32; REFI
     for l in 0..BLOCKS_PER_REFILL {
         for i in 0..16 {
             out[l * 16 + i] = state[i][l];
-        }
-    }
-}
-
-/// SSE2 ChaCha8 core (SSE2 is part of the `x86_64` baseline, so no
-/// runtime feature detection is needed). Lane `l` of every vector
-/// computes block `counter + l`; the initial state is *recomputed* at
-/// add-back time instead of kept live, so the sixteen state vectors fit
-/// the sixteen XMM registers without spills.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn chacha_blocks_sse2(key: &[u32; 8], counter: u64, out: &mut [u32; REFILL_WORDS]) {
-    use core::arch::x86_64::*;
-
-    // Safety throughout: SSE2 is unconditionally available on x86_64.
-    #[inline(always)]
-    fn rot(v: __m128i, n: i32) -> __m128i {
-        match n {
-            16 => unsafe { _mm_or_si128(_mm_slli_epi32::<16>(v), _mm_srli_epi32::<16>(v)) },
-            12 => unsafe { _mm_or_si128(_mm_slli_epi32::<12>(v), _mm_srli_epi32::<20>(v)) },
-            8 => unsafe { _mm_or_si128(_mm_slli_epi32::<8>(v), _mm_srli_epi32::<24>(v)) },
-            7 => unsafe { _mm_or_si128(_mm_slli_epi32::<7>(v), _mm_srli_epi32::<25>(v)) },
-            _ => unreachable!("fixed ChaCha rotations"),
-        }
-    }
-
-    macro_rules! qr {
-        ($s:ident, $a:expr, $b:expr, $c:expr, $d:expr) => {{
-            unsafe {
-                $s[$a] = _mm_add_epi32($s[$a], $s[$b]);
-                $s[$d] = rot(_mm_xor_si128($s[$d], $s[$a]), 16);
-                $s[$c] = _mm_add_epi32($s[$c], $s[$d]);
-                $s[$b] = rot(_mm_xor_si128($s[$b], $s[$c]), 12);
-                $s[$a] = _mm_add_epi32($s[$a], $s[$b]);
-                $s[$d] = rot(_mm_xor_si128($s[$d], $s[$a]), 8);
-                $s[$c] = _mm_add_epi32($s[$c], $s[$d]);
-                $s[$b] = rot(_mm_xor_si128($s[$b], $s[$c]), 7);
-            }
-        }};
-    }
-
-    // Initial state, recomputable cheaply (broadcasts + the counters).
-    let init = |i: usize| -> __m128i {
-        unsafe {
-            match i {
-                0..=3 => _mm_set1_epi32(CONSTANTS[i] as i32),
-                4..=11 => _mm_set1_epi32(key[i - 4] as i32),
-                12 => _mm_set_epi32(
-                    counter.wrapping_add(3) as u32 as i32,
-                    counter.wrapping_add(2) as u32 as i32,
-                    counter.wrapping_add(1) as u32 as i32,
-                    counter as u32 as i32,
-                ),
-                13 => _mm_set_epi32(
-                    (counter.wrapping_add(3) >> 32) as u32 as i32,
-                    (counter.wrapping_add(2) >> 32) as u32 as i32,
-                    (counter.wrapping_add(1) >> 32) as u32 as i32,
-                    (counter >> 32) as u32 as i32,
-                ),
-                _ => _mm_setzero_si128(),
-            }
-        }
-    };
-    let mut s: [__m128i; 16] = core::array::from_fn(init);
-    for _ in 0..ROUNDS / 2 {
-        // Column round.
-        qr!(s, 0, 4, 8, 12);
-        qr!(s, 1, 5, 9, 13);
-        qr!(s, 2, 6, 10, 14);
-        qr!(s, 3, 7, 11, 15);
-        // Diagonal round.
-        qr!(s, 0, 5, 10, 15);
-        qr!(s, 1, 6, 11, 12);
-        qr!(s, 2, 7, 8, 13);
-        qr!(s, 3, 4, 9, 14);
-    }
-    // Add back the initial state and de-interleave lanes into
-    // block-counter order via 4x4 transposes.
-    unsafe {
-        for t in 0..4 {
-            let a = _mm_add_epi32(s[4 * t], init(4 * t));
-            let b = _mm_add_epi32(s[4 * t + 1], init(4 * t + 1));
-            let c = _mm_add_epi32(s[4 * t + 2], init(4 * t + 2));
-            let d = _mm_add_epi32(s[4 * t + 3], init(4 * t + 3));
-            let ab_lo = _mm_unpacklo_epi32(a, b);
-            let ab_hi = _mm_unpackhi_epi32(a, b);
-            let cd_lo = _mm_unpacklo_epi32(c, d);
-            let cd_hi = _mm_unpackhi_epi32(c, d);
-            let lane0 = _mm_unpacklo_epi64(ab_lo, cd_lo);
-            let lane1 = _mm_unpackhi_epi64(ab_lo, cd_lo);
-            let lane2 = _mm_unpacklo_epi64(ab_hi, cd_hi);
-            let lane3 = _mm_unpackhi_epi64(ab_hi, cd_hi);
-            let base = out.as_mut_ptr();
-            _mm_storeu_si128(base.add(4 * t).cast(), lane0);
-            _mm_storeu_si128(base.add(16 + 4 * t).cast(), lane1);
-            _mm_storeu_si128(base.add(32 + 4 * t).cast(), lane2);
-            _mm_storeu_si128(base.add(48 + 4 * t).cast(), lane3);
         }
     }
 }

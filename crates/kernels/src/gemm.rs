@@ -110,63 +110,6 @@ pub fn gemm_bias_portable(
     }
 }
 
-/// SSE2 micro-kernel: 4 output rows x 8 columns in eight `xmm`
-/// accumulators (SSE2 is the x86_64 baseline — no runtime detection
-/// needed). `mulps` + `addps`, never FMA.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn gemm_bias_sse2(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k_dim: usize,
-    n: usize,
-) {
-    use core::arch::x86_64::*;
-    const W: usize = 8; // two xmm registers of columns
-    let tiles = n / W;
-    let tail = tiles * W;
-    for t in 0..tiles {
-        let j0 = t * W;
-        let mut o = 0usize;
-        while o < m {
-            let block = (m - o).min(4);
-            // Safety: SSE2 is unconditionally available on x86_64; all
-            // loads/stores stay inside the asserted buffer shapes.
-            unsafe {
-                let mut acc = [[_mm_setzero_ps(); 2]; 4];
-                for (r, row) in acc.iter_mut().enumerate().take(block) {
-                    let bv = _mm_set1_ps(bias[o + r]);
-                    *row = [bv, bv];
-                }
-                for k in 0..k_dim {
-                    let bp = b.as_ptr().add(k * n + j0);
-                    let b0 = _mm_loadu_ps(bp);
-                    let b1 = _mm_loadu_ps(bp.add(4));
-                    for (r, row) in acc.iter_mut().enumerate().take(block) {
-                        let wv = _mm_set1_ps(a[(o + r) * k_dim + k]);
-                        row[0] = _mm_add_ps(row[0], _mm_mul_ps(wv, b0));
-                        row[1] = _mm_add_ps(row[1], _mm_mul_ps(wv, b1));
-                    }
-                }
-                for (r, row) in acc.iter().enumerate().take(block) {
-                    let op = out.as_mut_ptr().add((o + r) * n + j0);
-                    _mm_storeu_ps(op, row[0]);
-                    _mm_storeu_ps(op.add(4), row[1]);
-                }
-            }
-            o += block;
-        }
-    }
-    let mut o = 0usize;
-    while o < m {
-        let block = (m - o).min(4);
-        gemm_cols_scalar(a, b, bias, out, o, block, k_dim, n, tail);
-        o += block;
-    }
-}
-
 /// AVX2 micro-kernel: 4 output rows x 16 columns held in eight `ymm`
 /// accumulators. Uses `vmulps` + `vaddps` (not FMA) so every element
 /// sees exactly the scalar kernel's rounding.

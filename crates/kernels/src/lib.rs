@@ -5,12 +5,11 @@
 //! Monte-Carlo mask hash, the vendored ChaCha8 block function, and the
 //! per-pixel Welford statistics fold behind the monitor's Monte-Carlo
 //! mean/σ — lowers through one dispatch table defined here. The table
-//! exists at five **tiers**:
+//! exists at four **tiers**:
 //!
 //! | tier       | ISA                | availability                     |
 //! |------------|--------------------|----------------------------------|
 //! | `portable` | scalar / autovec   | every target (the ground truth)  |
-//! | `sse2`     | SSE2               | x86_64 baseline                  |
 //! | `avx2`     | AVX2               | runtime-detected on x86_64       |
 //! | `avx512`   | AVX-512F           | runtime-detected on x86_64       |
 //! | `neon`     | NEON               | aarch64 baseline                 |
@@ -40,9 +39,10 @@
 //!
 //! The contract is property-tested across random shapes — including
 //! k-tails, column tails and single-column edge cases — for every tier
-//! the host supports (`tests/kernel_tiers.rs` at the workspace root),
-//! and CI pins each x86 tier in a matrix job so "works on whatever the
-//! runner detects" becomes "proven on every rung, every push". See
+//! the host supports (`tests/kernel_tiers.rs` at the workspace root).
+//! CI pins `portable` and `avx2` in a matrix job, runs `avx512` wherever
+//! the runner detects it and `neon` under qemu, so "works on whatever
+//! the runner detects" becomes "proven on every rung". See
 //! `docs/kernels.md`.
 
 #![warn(missing_docs)]
@@ -66,8 +66,6 @@ pub enum KernelTier {
     /// Scalar / autovectorised Rust — compiled everywhere, the reference
     /// implementation every other tier must reproduce bit for bit.
     Portable,
-    /// SSE2 intrinsics (x86_64 baseline, always available there).
-    Sse2,
     /// AVX2 intrinsics (runtime-detected).
     Avx2,
     /// AVX-512F intrinsics (runtime-detected).
@@ -77,9 +75,8 @@ pub enum KernelTier {
 }
 
 /// Every tier, ladder order (portable first).
-pub const ALL_TIERS: [KernelTier; 5] = [
+pub const ALL_TIERS: [KernelTier; 4] = [
     KernelTier::Portable,
-    KernelTier::Sse2,
     KernelTier::Avx2,
     KernelTier::Avx512,
     KernelTier::Neon,
@@ -97,10 +94,14 @@ pub enum KernelError {
 impl std::fmt::Display for KernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelError::UnknownTier(name) => write!(
-                f,
-                "unknown kernel tier {name:?} (expected one of: portable, sse2, avx2, avx512, neon)"
-            ),
+            KernelError::UnknownTier(name) => {
+                let expected: Vec<&str> = ALL_TIERS.into_iter().map(KernelTier::name).collect();
+                write!(
+                    f,
+                    "unknown kernel tier {name:?} (expected one of: {})",
+                    expected.join(", ")
+                )
+            }
             KernelError::Unsupported(tier) => {
                 let supported: Vec<&str> = KernelTier::supported()
                     .into_iter()
@@ -125,7 +126,6 @@ impl KernelTier {
     pub const fn name(self) -> &'static str {
         match self {
             KernelTier::Portable => "portable",
-            KernelTier::Sse2 => "sse2",
             KernelTier::Avx2 => "avx2",
             KernelTier::Avx512 => "avx512",
             KernelTier::Neon => "neon",
@@ -140,7 +140,6 @@ impl KernelTier {
     pub fn parse(name: &str) -> Result<Self, KernelError> {
         match name.trim().to_ascii_lowercase().as_str() {
             "portable" => Ok(KernelTier::Portable),
-            "sse2" => Ok(KernelTier::Sse2),
             "avx2" => Ok(KernelTier::Avx2),
             "avx512" | "avx512f" => Ok(KernelTier::Avx512),
             "neon" => Ok(KernelTier::Neon),
@@ -152,8 +151,6 @@ impl KernelTier {
     pub fn is_supported(self) -> bool {
         match self {
             KernelTier::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => true, // x86_64 baseline
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -229,18 +226,6 @@ static PORTABLE: Kernels = Kernels {
 };
 
 #[cfg(target_arch = "x86_64")]
-static SSE2: Kernels = Kernels {
-    tier: KernelTier::Sse2,
-    gemm_bias: gemm::gemm_bias_sse2,
-    mask_scale_row: mask::mask_scale_row_sse2,
-    mask_scale_row_in_place: mask::mask_scale_row_in_place_sse2,
-    chacha_blocks: chacha::chacha_blocks_sse2,
-    welford_push: welford::welford_push_sse2,
-    welford_push2: welford::welford_push2_sse2,
-    welford_merge: welford::welford_merge_sse2,
-};
-
-#[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     tier: KernelTier::Avx2,
     gemm_bias: gemm::gemm_bias_avx2,
@@ -279,8 +264,6 @@ static NEON: Kernels = Kernels {
 fn table(tier: KernelTier) -> Option<&'static Kernels> {
     match tier {
         KernelTier::Portable => Some(&PORTABLE),
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => Some(&SSE2),
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => Some(&AVX2),
         #[cfg(target_arch = "x86_64")]
@@ -356,8 +339,11 @@ impl Kernels {
     ///
     /// # Panics
     ///
-    /// Debug-asserts the buffer shapes (`a`: `m x k_dim`, `b`:
-    /// `k_dim x n`, `out`: `m x n`).
+    /// Panics unless `a` is exactly `m x k_dim`, `b` exactly `k_dim x n`
+    /// and `out` exactly `m x n` elements (`bias` needs `m`, read with
+    /// bounds checks), in release builds too: the SIMD tiers load `b` and
+    /// store `out` through raw pointers, so a mis-sized buffer must stop
+    /// here rather than be accessed out of bounds.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_bias(
@@ -370,9 +356,10 @@ impl Kernels {
         k_dim: usize,
         n: usize,
     ) {
-        debug_assert_eq!(a.len(), m * k_dim);
-        debug_assert_eq!(b.len(), k_dim * n);
-        debug_assert_eq!(out.len(), m * n);
+        // `checked_mul`: a wrapped product must not pass the check.
+        assert_eq!(Some(a.len()), m.checked_mul(k_dim), "gemm_bias: a shape");
+        assert_eq!(Some(b.len()), k_dim.checked_mul(n), "gemm_bias: b shape");
+        assert_eq!(Some(out.len()), m.checked_mul(n), "gemm_bias: out shape");
         let sw = el_metrics::Stopwatch::start();
         (self.gemm_bias)(a, b, bias, out, m, k_dim, n);
         el_metrics::registry().gemm.record(sw);
@@ -525,10 +512,18 @@ mod tests {
         let err = KernelTier::parse("sse9").unwrap_err();
         assert!(matches!(err, KernelError::UnknownTier(_)));
         assert!(err.to_string().contains("sse9"), "error names the input");
-        assert!(
-            err.to_string().contains("portable"),
-            "error lists the valid spellings"
-        );
+        for tier in ALL_TIERS {
+            assert!(
+                err.to_string().contains(tier.name()),
+                "error lists every valid spelling: {err}"
+            );
+        }
+        // The retired 128-bit SSE rung is no longer a tier: forcing its
+        // old name must fail loudly, never downgrade to portable.
+        assert!(matches!(
+            KernelTier::parse(concat!("sse", "2")),
+            Err(KernelError::UnknownTier(_))
+        ));
     }
 
     #[test]
@@ -541,7 +536,16 @@ mod tests {
             assert!(pair[0] < pair[1]);
         }
         #[cfg(target_arch = "x86_64")]
-        assert!(supported.contains(&KernelTier::Sse2), "sse2 is baseline");
+        {
+            let expected = if std::arch::is_x86_feature_detected!("avx512f") {
+                KernelTier::Avx512
+            } else if std::arch::is_x86_feature_detected!("avx2") {
+                KernelTier::Avx2
+            } else {
+                KernelTier::Portable
+            };
+            assert_eq!(KernelTier::detect(), expected);
+        }
         #[cfg(target_arch = "aarch64")]
         assert!(supported.contains(&KernelTier::Neon), "neon is baseline");
     }

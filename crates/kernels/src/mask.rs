@@ -176,13 +176,6 @@ macro_rules! simd_entry_pair {
 
 #[cfg(target_arch = "x86_64")]
 simd_entry_pair!(
-    mask_scale_row_sse2,
-    mask_scale_row_in_place_sse2,
-    mask_rows_sse2,
-    "SSE2"
-);
-#[cfg(target_arch = "x86_64")]
-simd_entry_pair!(
     mask_scale_row_avx2,
     mask_scale_row_in_place_avx2,
     mask_rows_avx2,
@@ -202,72 +195,6 @@ simd_entry_pair!(
     mask_rows_neon,
     "NEON"
 );
-
-/// SSE2 lacks a 32-bit lane multiply (`pmulld` is SSE4.1), so emulate
-/// it exactly with two widening `pmuludq` and a re-interleave.
-///
-/// # Safety
-///
-/// SSE2 only (x86_64 baseline).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mullo32_sse2(
-    a: core::arch::x86_64::__m128i,
-    b: core::arch::x86_64::__m128i,
-) -> core::arch::x86_64::__m128i {
-    use core::arch::x86_64::*;
-    let even = _mm_mul_epu32(a, b); // lanes 0 and 2, 64-bit products
-    let odd = _mm_mul_epu32(_mm_srli_epi64::<32>(a), _mm_srli_epi64::<32>(b)); // lanes 1, 3
-                                                                               // Low 32 bits of each product sit in words 0 and 2; re-interleave.
-    let even = _mm_shuffle_epi32::<0b00_00_10_00>(even);
-    let odd = _mm_shuffle_epi32::<0b00_00_10_00>(odd);
-    _mm_unpacklo_epi32(even, odd)
-}
-
-/// SSE2 row kernel: 4 mask words per step.
-///
-/// # Safety
-///
-/// `src`/`dst` valid for `len` reads/writes (aliasing allowed).
-#[cfg(target_arch = "x86_64")]
-unsafe fn mask_rows_sse2(
-    row_seed: u32,
-    gx0: usize,
-    rate: f32,
-    scale: f32,
-    src: *const f32,
-    dst: *mut f32,
-    len: usize,
-) {
-    use core::arch::x86_64::*;
-    const W: usize = 4;
-    let seed_v = _mm_set1_epi32(row_seed as i32);
-    let golden = _mm_set1_epi32(0x9E37_79B9u32 as i32);
-    let c1 = _mm_set1_epi32(0x85EB_CA6Bu32 as i32);
-    let c2 = _mm_set1_epi32(0xC2B2_AE35u32 as i32);
-    let lanes = _mm_setr_epi32(0, 1, 2, 3);
-    let rate_v = _mm_set1_ps(rate);
-    let scale_v = _mm_set1_ps(scale);
-    let one = _mm_set1_ps(1.0);
-    let to_unit = _mm_set1_ps(1.0 / (1u32 << 24) as f32);
-    let mut x = 0usize;
-    while x + W <= len {
-        let base = (gx0 as u32).wrapping_add(x as u32);
-        let idx = _mm_add_epi32(_mm_set1_epi32(base as i32), lanes);
-        let mut h = _mm_xor_si128(seed_v, mullo32_sse2(idx, golden));
-        h = _mm_xor_si128(h, _mm_srli_epi32::<16>(h));
-        h = mullo32_sse2(h, c1);
-        h = _mm_xor_si128(h, _mm_srli_epi32::<13>(h));
-        h = mullo32_sse2(h, c2);
-        h = _mm_xor_si128(h, _mm_srli_epi32::<16>(h));
-        let f = _mm_mul_ps(_mm_cvtepi32_ps(_mm_srli_epi32::<8>(h)), to_unit);
-        let keep = _mm_and_ps(_mm_cmpge_ps(f, rate_v), one);
-        let t = _mm_mul_ps(_mm_loadu_ps(src.add(x)), scale_v);
-        _mm_storeu_ps(dst.add(x), _mm_mul_ps(t, keep));
-        x += W;
-    }
-    mask_tail_scalar(row_seed, gx0, rate, scale, src, dst, x, len);
-}
 
 /// AVX2 row kernel: 8 mask words per step.
 ///

@@ -357,16 +357,6 @@ macro_rules! welford_entry_pair {
 
 #[cfg(target_arch = "x86_64")]
 welford_entry_pair!(
-    welford_push_sse2,
-    welford_push2_sse2,
-    welford_merge_sse2,
-    welford_push_sse2_inner,
-    welford_push2_sse2_inner,
-    welford_merge_sse2_inner,
-    "SSE2"
-);
-#[cfg(target_arch = "x86_64")]
-welford_entry_pair!(
     welford_push_avx2,
     welford_push2_avx2,
     welford_merge_avx2,
@@ -395,108 +385,6 @@ welford_entry_pair!(
     welford_merge_neon_inner,
     "NEON"
 );
-
-/// SSE2 push: 4 pixels per step.
-///
-/// # Safety
-///
-/// `mean`/`m2`/`xs` valid for `len` reads/writes.
-#[cfg(target_arch = "x86_64")]
-unsafe fn welford_push_sse2_inner(
-    mean: *mut f32,
-    m2: *mut f32,
-    xs: *const f32,
-    n: f32,
-    len: usize,
-) {
-    use core::arch::x86_64::*;
-    const W: usize = 4;
-    let inv_v = _mm_set1_ps(1.0 / n);
-    let mut i = 0usize;
-    while i + W <= len {
-        let m = _mm_loadu_ps(mean.add(i));
-        let x = _mm_loadu_ps(xs.add(i));
-        let s2 = _mm_loadu_ps(m2.add(i));
-        let delta = _mm_sub_ps(x, m);
-        let m_new = _mm_add_ps(m, _mm_mul_ps(delta, inv_v));
-        _mm_storeu_ps(mean.add(i), m_new);
-        let s2_new = _mm_add_ps(s2, _mm_mul_ps(delta, _mm_sub_ps(x, m_new)));
-        _mm_storeu_ps(m2.add(i), s2_new);
-        i += W;
-    }
-    welford_push_tail(mean, m2, xs, n, i, len);
-}
-
-/// SSE2 fused-pair push: 4 pixels per step, two samples per pass.
-///
-/// # Safety
-///
-/// All four pointers valid for `len` reads/writes.
-#[cfg(target_arch = "x86_64")]
-unsafe fn welford_push2_sse2_inner(
-    mean: *mut f32,
-    m2: *mut f32,
-    xs0: *const f32,
-    xs1: *const f32,
-    n0: f32,
-    len: usize,
-) {
-    use core::arch::x86_64::*;
-    const W: usize = 4;
-    let inv0 = _mm_set1_ps(1.0 / n0);
-    let inv1 = _mm_set1_ps(1.0 / (n0 + 1.0));
-    let mut i = 0usize;
-    while i + W <= len {
-        let m = _mm_loadu_ps(mean.add(i));
-        let xa = _mm_loadu_ps(xs0.add(i));
-        let s2 = _mm_loadu_ps(m2.add(i));
-        let d0 = _mm_sub_ps(xa, m);
-        let mut mm = _mm_add_ps(m, _mm_mul_ps(d0, inv0));
-        let s2a = _mm_add_ps(s2, _mm_mul_ps(d0, _mm_sub_ps(xa, mm)));
-        let xb = _mm_loadu_ps(xs1.add(i));
-        let d1 = _mm_sub_ps(xb, mm);
-        mm = _mm_add_ps(mm, _mm_mul_ps(d1, inv1));
-        _mm_storeu_ps(mean.add(i), mm);
-        let s2b = _mm_add_ps(s2a, _mm_mul_ps(d1, _mm_sub_ps(xb, mm)));
-        _mm_storeu_ps(m2.add(i), s2b);
-        i += W;
-    }
-    welford_push2_tail(mean, m2, xs0, xs1, n0, i, len);
-}
-
-/// SSE2 merge: 4 pixels per step.
-///
-/// # Safety
-///
-/// All four pointers valid for `len` reads/writes.
-#[cfg(target_arch = "x86_64")]
-unsafe fn welford_merge_sse2_inner(
-    mean_a: *mut f32,
-    m2_a: *mut f32,
-    mean_b: *const f32,
-    m2_b: *const f32,
-    w_mean: f32,
-    w_m2: f32,
-    len: usize,
-) {
-    use core::arch::x86_64::*;
-    const W: usize = 4;
-    let wm = _mm_set1_ps(w_mean);
-    let ws = _mm_set1_ps(w_m2);
-    let mut i = 0usize;
-    while i + W <= len {
-        let ma = _mm_loadu_ps(mean_a.add(i));
-        let mb = _mm_loadu_ps(mean_b.add(i));
-        let sa = _mm_loadu_ps(m2_a.add(i));
-        let sb = _mm_loadu_ps(m2_b.add(i));
-        let delta = _mm_sub_ps(mb, ma);
-        _mm_storeu_ps(mean_a.add(i), _mm_add_ps(ma, _mm_mul_ps(delta, wm)));
-        let dd = _mm_mul_ps(_mm_mul_ps(delta, delta), ws);
-        _mm_storeu_ps(m2_a.add(i), _mm_add_ps(sa, _mm_add_ps(sb, dd)));
-        i += W;
-    }
-    welford_merge_tail(mean_a, m2_a, mean_b, m2_b, w_mean, w_m2, i, len);
-}
 
 /// AVX2 push: 8 pixels per step.
 ///

@@ -26,7 +26,7 @@
 //!    on what else shares its batch, and a tile computed at its frame
 //!    origin agrees with the whole frame. The per-row mask evaluation —
 //!    like the GEMMs under every convolution here — dispatches through
-//!    the `el_kernels` tier ladder (portable/SSE2/AVX2/AVX-512F/NEON,
+//!    the `el_kernels` tier ladder (portable/AVX2/AVX-512F/NEON,
 //!    `EL_FORCE_KERNEL` to pin), and every tier is bit-identical, so
 //!    verdicts are also independent of the ISA the monitor ships on
 //!    (`docs/kernels.md`).

@@ -483,7 +483,7 @@ const BATCH_COL_BUDGET: usize = 64 * 1024;
 /// accumulates over `k` strictly in order, matching the naive tap loop's
 /// f32 rounding.
 ///
-/// The per-ISA variants (portable → SSE2 → AVX2 → AVX-512F on x86_64,
+/// The per-ISA variants (portable → AVX2 → AVX-512F on x86_64,
 /// NEON on aarch64 — separate multiply and add instructions, never FMA,
 /// which rounds differently) live in [`el_kernels::gemm`]; this resolves
 /// the runtime-detected (or `EL_FORCE_KERNEL`-pinned) tier once per

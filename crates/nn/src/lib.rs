@@ -36,7 +36,7 @@
 //!   followed by a register-blocked row-major micro-kernel that computes
 //!   four output channels per sweep. The micro-kernel (like the
 //!   keyed-mask rows and the ChaCha8 refill) dispatches through the
-//!   `el_kernels` tier ladder — portable → SSE2 → AVX2 → AVX-512F on
+//!   `el_kernels` tier ladder — portable → AVX2 → AVX-512F on
 //!   x86_64, NEON on aarch64, `EL_FORCE_KERNEL` pins a tier — and per
 //!   output element the reduction runs in the same `(in, ky, kx)` order
 //!   as the naive tap loop on every tier, so the optimized kernel

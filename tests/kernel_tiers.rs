@@ -6,10 +6,14 @@
 //! reproduce the portable reference **bit for bit** over hundreds of
 //! random shapes, deliberately skewed toward the remainder paths
 //! (k-tails, column tails, odd widths, single-column outputs, 1-pixel
-//! slabs). CI pins each x86 tier with `EL_FORCE_KERNEL` in a matrix job
-//! and executes the NEON tier under qemu, so these properties execute on
-//! every rung of the ladder on every push — not just whichever tier the
-//! runner detects.
+//! slabs). CI pins `portable` and `avx2` with `EL_FORCE_KERNEL` in a
+//! matrix job, runs `avx512` wherever the runner detects it and executes
+//! the NEON tier under qemu, so these properties execute on every rung
+//! of the ladder — not just whichever tier the runner detects.
+//!
+//! Shape checks are contract as well: the SIMD tiers load and store
+//! through raw pointers, so a mis-sized GEMM buffer must panic on every
+//! tier in release builds, never write past the slice.
 //!
 //! The override itself is contract too: an unknown or unsupported tier
 //! must be **rejected with a clear error**, never silently downgraded.
@@ -73,6 +77,43 @@ fn gemm_every_tier_matches_portable_over_random_shapes() {
                 kernels.tier().name()
             );
         }
+    }
+}
+
+#[test]
+fn gemm_rejects_undersized_buffers_on_every_tier() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const SENTINEL: f32 = 1234.5;
+    // One 32-column row: a full tile on every SIMD tier, so an unchecked
+    // kernel stores all 32 columns.
+    let (m, k_dim, n) = (1usize, 1usize, 32usize);
+    let a = [1.0f32];
+    let bias = [0.0f32];
+    let b = vec![2.0f32; k_dim * n];
+    for tier in KernelTier::supported() {
+        let kernels = Kernels::for_tier(tier).unwrap();
+        // `out` is the first half of one allocation; the second half is a
+        // sentinel tail an out-of-bounds store would overwrite.
+        let mut buf = vec![SENTINEL; m * n];
+        let (out, tail) = buf.split_at_mut(m * n / 2);
+        let short_out = catch_unwind(AssertUnwindSafe(|| {
+            kernels.gemm_bias(&a, &b, &bias, out, m, k_dim, n)
+        }));
+        assert!(
+            short_out.is_err(),
+            "{}: undersized out accepted",
+            tier.name()
+        );
+        assert!(
+            tail.iter().all(|v| v.to_bits() == SENTINEL.to_bits()),
+            "{}: gemm_bias wrote past the end of out",
+            tier.name()
+        );
+        let mut full_out = vec![0.0f32; m * n];
+        let short_b = catch_unwind(AssertUnwindSafe(|| {
+            kernels.gemm_bias(&a, &b[..n / 2], &bias, &mut full_out, m, k_dim, n)
+        }));
+        assert!(short_b.is_err(), "{}: undersized b accepted", tier.name());
     }
 }
 

@@ -14,7 +14,7 @@
 //! `Kernels::for_tier`.
 
 use el_kernels::chacha::REFILL_WORDS;
-use el_kernels::{chacha, gemm, welford, KernelTier, Kernels};
+use el_kernels::{chacha, gemm, KernelTier, Kernels};
 use el_seg::MsdNetConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -134,103 +134,6 @@ fn print_mask_tiers(tiers: &[&'static Kernels]) {
     }
 }
 
-fn print_welford_tiers(tiers: &[&'static Kernels]) {
-    eprintln!("\n===== P4d: Welford fold per tier (10-sample per-pixel mean/M2) =====");
-    // One verification's statistics fold exactly as the engine runs it:
-    // 10 Monte-Carlo sample slabs of (classes x h·w) softmax scores
-    // folded as fused pairs into 64-byte-aligned mean/M2 accumulators,
-    // then the fixed-order chunk merge. Every tier does identical work;
-    // the ground truth is the portable *single-push* fold, so the
-    // asserted bit-identity also re-proves that pairing never changes
-    // the statistics.
-    let cfg = MsdNetConfig::default_uavid();
-    let samples = 10usize;
-    // Inner repeats keep each timed rep near half a millisecond — a
-    // single 48x48 fold is ~40 µs, too short to time stably on a busy
-    // box.
-    for (label, hw, inner) in [
-        ("48x48 crop", 48 * 48usize, 8usize),
-        ("128x128 tile", 128 * 128, 1),
-    ] {
-        let len = cfg.classes * hw;
-        let slabs: Vec<Vec<f32>> = (0..samples).map(|k| fill(11 + k, len)).collect();
-        // Portable single-push ground truth — also the bits every tier's
-        // pair fold must produce.
-        let (mut em, mut es) = (vec![0.0f32; len], vec![0.0f32; len]);
-        for (k, xs) in slabs.iter().enumerate() {
-            welford::welford_push_portable(&mut em, &mut es, xs, (k + 1) as f32);
-        }
-        let (na, nb) = (samples as f32, samples as f32);
-        let n = na + nb;
-        let mut emerged = (em.clone(), es.clone());
-        welford::welford_merge_portable(
-            &mut emerged.0,
-            &mut emerged.1,
-            &em,
-            &es,
-            nb / n,
-            na * nb / n,
-        );
-        eprint!("{:>16}", label);
-        let mut portable_t = f64::NAN;
-        let mut last_t = f64::NAN;
-        for kernels in tiers {
-            let mut m = welford::AlignedF32::zeroed(len);
-            let mut s = welford::AlignedF32::zeroed(len);
-            let t = best_of(15, || {
-                for _ in 0..inner {
-                    m.as_mut_slice().fill(0.0);
-                    s.as_mut_slice().fill(0.0);
-                    let mut k = 0usize;
-                    while k + 2 <= samples {
-                        kernels.welford_push2(
-                            m.as_mut_slice(),
-                            s.as_mut_slice(),
-                            black_box(&slabs[k]),
-                            &slabs[k + 1],
-                            (k + 1) as f32,
-                        );
-                        k += 2;
-                    }
-                    while k < samples {
-                        kernels.welford_push(
-                            m.as_mut_slice(),
-                            s.as_mut_slice(),
-                            black_box(&slabs[k]),
-                            (k + 1) as f32,
-                        );
-                        k += 1;
-                    }
-                    kernels.welford_merge(
-                        m.as_mut_slice(),
-                        s.as_mut_slice(),
-                        black_box(&em),
-                        &es,
-                        nb / n,
-                        na * nb / n,
-                    );
-                    black_box(&mut m);
-                }
-            }) / inner as f64;
-            assert!(
-                m.as_slice()
-                    .iter()
-                    .zip(&emerged.0)
-                    .chain(s.as_slice().iter().zip(&emerged.1))
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{} Welford fold diverged — the comparison is meaningless",
-                kernels.tier().name()
-            );
-            if kernels.tier() == KernelTier::Portable {
-                portable_t = t;
-            }
-            last_t = t;
-            eprint!(" {:>7}: {:>8.3} ms", kernels.tier().name(), t * 1e3);
-        }
-        eprintln!("   widest/port {:>5.2}x", portable_t / last_t);
-    }
-}
-
 fn print_chacha_tiers(tiers: &[&'static Kernels]) {
     eprintln!("\n===== P4c: ChaCha8 refill per tier =====");
     let key: [u32; 8] = core::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1));
@@ -273,6 +176,5 @@ fn main() {
     );
     print_gemm_tiers(&tiers);
     print_mask_tiers(&tiers);
-    print_welford_tiers(&tiers);
     print_chacha_tiers(&tiers);
 }

@@ -7,7 +7,7 @@
 //! closes that gap *without touching the safety-critical decision path*:
 //! after [`ElPipeline::run`](crate::pipeline::ElPipeline::run) fixes its
 //! landing decision, the remaining latency budget drives a budgeted
-//! [`bayesian_segment_tiled`](el_monitor::bayesian_segment_tiled) sweep
+//! [`el_monitor::bayesian_segment_tiled`] sweep
 //! over the full frame — candidate-zone tiles first — and the result is
 //! attached to the outcome as a strictly **advisory**
 //! [`AuditReport`]: the landing decision and trials are bit-identical
@@ -116,6 +116,26 @@ impl AuditConfig {
         }
         if self.budget_s.is_nan() || self.budget_s < 0.0 {
             return Err("audit budget must be non-negative".into());
+        }
+        Ok(())
+    }
+
+    /// Checks an enabled audit against the network it will sweep: the
+    /// tile margin must cover the net's receptive radius, the exactness
+    /// precondition [`bayesian_segment_tiled`] asserts. Constructors run
+    /// this so a too-small margin is a configuration error, not a panic
+    /// on the first audited frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the margin and the radius.
+    pub fn validate_for(&self, net: &MsdNet) -> Result<(), String> {
+        let radius = net.receptive_radius();
+        if self.enabled && self.margin < radius {
+            return Err(format!(
+                "audit margin {} is below the network's receptive radius {radius}",
+                self.margin
+            ));
         }
         Ok(())
     }

@@ -249,10 +249,15 @@ impl ElPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineConfigError`] when the configuration fails
-    /// [`PipelineConfig::validate`] — the scenario subsystem's "never a
-    /// panic" contract extends to construction.
+    /// [`PipelineConfig::validate`], or when an enabled audit's margin is
+    /// below `net`'s receptive radius ([`AuditConfig::validate_for`]) —
+    /// the scenario subsystem's "never a panic" contract extends to
+    /// construction.
     pub fn try_new(net: MsdNet, config: PipelineConfig) -> Result<Self, PipelineConfigError> {
-        if let Err(detail) = config.validate() {
+        if let Err(detail) = config
+            .validate()
+            .and_then(|()| config.audit.validate_for(&net))
+        {
             return Err(PipelineConfigError { detail });
         }
         // `validate` covered the monitor section, so this cannot panic.
@@ -451,7 +456,7 @@ mod tests {
     use crate::zone::propose_zones;
     use el_geom::SemanticClass;
     use el_scene::{Conditions, Scene, SceneParams};
-    use el_seg::MsdNetConfig;
+    use el_seg::{MsdNetConfig, TileConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -647,6 +652,60 @@ mod tests {
             err.to_string().contains("monitor_margin_px"),
             "message should name the field, got: {err}"
         );
+    }
+
+    #[test]
+    fn audit_margin_below_receptive_radius_is_rejected() {
+        // The paper net's dilation-4 branches have receptive radius 4; a
+        // 1 px margin must fail construction rather than panic on the
+        // first audited frame.
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let uavid = MsdNet::new(&MsdNetConfig::default_uavid(), &mut rng);
+        assert_eq!(uavid.receptive_radius(), 4);
+        let config = PipelineConfig::fast_test().with_audit(AuditConfig {
+            margin: 1,
+            ..AuditConfig::paper_scale()
+        });
+        let err = ElPipeline::try_new(uavid.clone(), config).expect_err("margin below radius");
+        assert_eq!(
+            err.detail(),
+            "audit margin 1 is below the network's receptive radius 4"
+        );
+        let at_radius = PipelineConfig::fast_test().with_audit(AuditConfig {
+            margin: 4,
+            ..AuditConfig::paper_scale()
+        });
+        assert!(ElPipeline::try_new(uavid, at_radius).is_ok());
+        // The test fixture (margin 4) on the tiny net (radius 2) stays
+        // valid.
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let tiny = MsdNet::new(&MsdNetConfig::tiny(), &mut rng);
+        assert_eq!(tiny.receptive_radius(), 2);
+        let config = PipelineConfig::fast_test().with_audit(AuditConfig::fast_test());
+        assert!(ElPipeline::try_new(tiny, config).is_ok());
+    }
+
+    #[test]
+    fn huge_tile_margins_are_rejected_without_overflow() {
+        // Margins whose double overflows `usize` must be rejected, not
+        // wrapped into a value that passes validation.
+        for margin in [usize::MAX / 2 + 1, usize::MAX] {
+            let tile = TileConfig { tile: 128, margin };
+            assert!(tile.validate().is_err(), "tile margin {margin}");
+            let audit = AuditConfig {
+                margin,
+                ..AuditConfig::paper_scale()
+            };
+            assert!(audit.validate().is_err(), "audit margin {margin}");
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            let net = MsdNet::new(&MsdNetConfig::tiny(), &mut rng);
+            let config = PipelineConfig::fast_test().with_audit(audit);
+            let err = ElPipeline::try_new(net, config).expect_err("huge margin");
+            assert!(err.detail().contains("margin"), "got: {err}");
+        }
+        // The boundary itself: 2·margin < tile.
+        assert!(TileConfig { tile: 9, margin: 4 }.validate().is_ok());
+        assert!(TileConfig { tile: 8, margin: 4 }.validate().is_err());
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub fn is_high_risk(class: SemanticClass) -> bool {
 }
 
 /// `true` for classes the UAV may touch down on: low vegetation is
-/// preferred (it cushions and risks nothing — cf. the paper's survey
-/// [15]); clutter is acceptable ground.
+/// preferred (it cushions and risks nothing — cf. the landing-site
+/// survey cited by the paper); clutter is acceptable ground.
 pub fn is_landable(class: SemanticClass) -> bool {
     matches!(class, SemanticClass::LowVegetation | SemanticClass::Clutter)
 }

@@ -15,7 +15,7 @@ use crate::rect::Rect;
 /// rendered feature images (as `Grid<[f32; C]>` or per-channel `Grid<f32>`),
 /// score maps, masks and distance fields are all grids.
 ///
-/// Indexing is `(x, y)` — column first, matching [`Point`](crate::Point).
+/// Indexing is `(x, y)` — column first, matching [`Point`].
 ///
 /// # Example
 ///

@@ -10,9 +10,9 @@
 //! invariant lets the engine's im2col convolutions reproduce the naive
 //! tap loop exactly, on whatever silicon the monitor ships.
 //!
-//! Column and row remainders share one scalar path
-//! ([`gemm_cols_scalar`]) so the contract has a single implementation
-//! to keep correct.
+//! Column and row remainders share one crate-private scalar path
+//! (`gemm_cols_scalar`) so the contract has a single implementation to
+//! keep correct.
 
 /// Spatial tile width of the portable micro-kernel (f32 lanes that LLVM
 /// autovectorises where the ISA allows).

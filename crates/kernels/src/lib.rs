@@ -2,10 +2,9 @@
 //!
 //! Every SIMD hot path of the workspace — the register-blocked GEMM
 //! micro-kernel behind the convolutions, the coordinate-keyed
-//! Monte-Carlo mask hash, the vendored ChaCha8 block function, and the
-//! per-pixel Welford statistics fold behind the monitor's Monte-Carlo
-//! mean/σ — lowers through one dispatch table defined here. The table
-//! exists at four **tiers**:
+//! Monte-Carlo mask hash and the vendored ChaCha8 block function —
+//! lowers through one dispatch table defined here. The table exists at
+//! four **tiers**:
 //!
 //! | tier       | ISA                | availability                     |
 //! |------------|--------------------|----------------------------------|
@@ -32,10 +31,6 @@
 //!   identical `x * scale * keep` float expression lane-wise.
 //! - The ChaCha8 kernels emit the identical keystream (blocks in counter
 //!   order).
-//! - The Welford kernels apply the identical per-lane
-//!   subtract/multiply/add sequence (the single `1 / n` rounding happens
-//!   before the lanes; never FMA) — lanes map onto pixels, whose
-//!   accumulate order across samples the monitor fixes.
 //!
 //! The contract is property-tested across random shapes — including
 //! k-tails, column tails and single-column edge cases — for every tier
@@ -51,7 +46,6 @@
 pub mod chacha;
 pub mod gemm;
 pub mod mask;
-pub mod welford;
 
 use std::sync::OnceLock;
 
@@ -190,9 +184,6 @@ pub struct Kernels {
     mask_scale_row: MaskScaleRowFn,
     mask_scale_row_in_place: MaskScaleRowInPlaceFn,
     chacha_blocks: ChaChaBlocksFn,
-    welford_push: WelfordPushFn,
-    welford_push2: WelfordPush2Fn,
-    welford_merge: WelfordMergeFn,
 }
 
 /// `gemm_bias(a, b, bias, out, m, k_dim, n)` — see [`Kernels::gemm_bias`].
@@ -205,14 +196,6 @@ pub type MaskScaleRowFn = fn(u32, usize, f32, f32, &[f32], &mut [f32]);
 pub type MaskScaleRowInPlaceFn = fn(u32, usize, f32, f32, &mut [f32]);
 /// `chacha_blocks(key, counter, out)` — see [`Kernels::chacha_blocks`].
 pub type ChaChaBlocksFn = fn(&[u32; 8], u64, &mut [u32; chacha::REFILL_WORDS]);
-/// `welford_push(mean, m2, xs, n)` — see [`Kernels::welford_push`].
-pub type WelfordPushFn = fn(&mut [f32], &mut [f32], &[f32], f32);
-/// `welford_push2(mean, m2, xs0, xs1, n0)` — see
-/// [`Kernels::welford_push2`].
-pub type WelfordPush2Fn = fn(&mut [f32], &mut [f32], &[f32], &[f32], f32);
-/// `welford_merge(mean_a, m2_a, mean_b, m2_b, w_mean, w_m2)` — see
-/// [`Kernels::welford_merge`].
-pub type WelfordMergeFn = fn(&mut [f32], &mut [f32], &[f32], &[f32], f32, f32);
 
 static PORTABLE: Kernels = Kernels {
     tier: KernelTier::Portable,
@@ -220,9 +203,6 @@ static PORTABLE: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_portable,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_portable,
     chacha_blocks: chacha::chacha_blocks_portable,
-    welford_push: welford::welford_push_portable,
-    welford_push2: welford::welford_push2_portable,
-    welford_merge: welford::welford_merge_portable,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -232,9 +212,6 @@ static AVX2: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_avx2,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_avx2,
     chacha_blocks: chacha::chacha_blocks_avx2,
-    welford_push: welford::welford_push_avx2,
-    welford_push2: welford::welford_push2_avx2,
-    welford_merge: welford::welford_merge_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -244,9 +221,6 @@ static AVX512: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_avx512,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_avx512,
     chacha_blocks: chacha::chacha_blocks_avx512,
-    welford_push: welford::welford_push_avx512,
-    welford_push2: welford::welford_push2_avx512,
-    welford_merge: welford::welford_merge_avx512,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -256,9 +230,6 @@ static NEON: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_neon,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_neon,
     chacha_blocks: chacha::chacha_blocks_neon,
-    welford_push: welford::welford_push_neon,
-    welford_push2: welford::welford_push2_neon,
-    welford_merge: welford::welford_merge_neon,
 };
 
 fn table(tier: KernelTier) -> Option<&'static Kernels> {
@@ -412,83 +383,6 @@ impl Kernels {
         out: &mut [u32; chacha::REFILL_WORDS],
     ) {
         (self.chacha_blocks)(key, counter, out)
-    }
-
-    /// Folds one sample slab into running Welford statistics, lane-wise
-    /// over the elements: with `inv_n = 1 / n` rounded once per slab,
-    /// `delta = x - mean`, `mean += delta * inv_n`,
-    /// `m2 += delta * (x - mean')` — `n` the **post-increment** sample
-    /// count (the caller increments its count first). Every tier
-    /// reproduces [`welford::welford_push_portable`] bit for bit; the
-    /// accumulate order across samples is the caller's (sequential),
-    /// lanes being independent pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length.
-    #[inline]
-    pub fn welford_push(&self, mean: &mut [f32], m2: &mut [f32], xs: &[f32], n: f32) {
-        assert!(
-            mean.len() == m2.len() && mean.len() == xs.len(),
-            "welford push length mismatch"
-        );
-        (self.welford_push)(mean, m2, xs, n)
-    }
-
-    /// Fused two-sample push: exactly [`Kernels::welford_push`] of `xs0`
-    /// at count `n0` followed by `xs1` at count `n0 + 1`, with the
-    /// `mean`/`m2` streams loaded and stored once for the pair. The fold
-    /// is memory-bound, so halving that traffic roughly doubles
-    /// throughput; the fusion preserves every intermediate rounding of
-    /// the unfused sequence, so pairing is **bit-identical** to two
-    /// single pushes on every tier — a pure performance choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the four slices differ in length.
-    #[inline]
-    pub fn welford_push2(
-        &self,
-        mean: &mut [f32],
-        m2: &mut [f32],
-        xs0: &[f32],
-        xs1: &[f32],
-        n0: f32,
-    ) {
-        assert!(
-            mean.len() == m2.len() && mean.len() == xs0.len() && mean.len() == xs1.len(),
-            "welford push2 length mismatch"
-        );
-        (self.welford_push2)(mean, m2, xs0, xs1, n0)
-    }
-
-    /// Merges Welford partial `b` into partial `a` with Chan's
-    /// parallel-combine formula, lane-wise: `delta = mean_b - mean_a`,
-    /// `mean_a += delta * w_mean`, `m2_a += m2_b + delta² * w_m2`. The
-    /// caller computes the loop-invariant weights as `w_mean = n_b / n`
-    /// and `w_m2 = n_a * n_b / n` (those exact expressions). Every tier
-    /// reproduces [`welford::welford_merge_portable`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the four slices differ in length.
-    #[inline]
-    pub fn welford_merge(
-        &self,
-        mean_a: &mut [f32],
-        m2_a: &mut [f32],
-        mean_b: &[f32],
-        m2_b: &[f32],
-        w_mean: f32,
-        w_m2: f32,
-    ) {
-        assert!(
-            mean_a.len() == m2_a.len()
-                && mean_a.len() == mean_b.len()
-                && mean_a.len() == m2_b.len(),
-            "welford merge length mismatch"
-        );
-        (self.welford_merge)(mean_a, m2_a, mean_b, m2_b, w_mean, w_m2)
     }
 }
 

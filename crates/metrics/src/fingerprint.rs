@@ -1,11 +1,11 @@
 //! Streaming FNV-1a fingerprints over canonical bytes.
 //!
 //! The stack's determinism instrument, used by the service's per-stream
-//! decision logs and the fleet risk map's snapshots alike. Same
-//! discipline as the scenario subsystem's event-log fingerprints: every
-//! value appends a fixed, architecture-independent byte sequence —
-//! integers and float bit patterns little-endian, sequences
-//! length-prefixed, enums as declaration-order tag bytes. Hashing bytes
+//! decision logs, the fleet risk map's snapshots and the scenario
+//! subsystem's event-log fingerprints alike. Every value appends a
+//! fixed, architecture-independent byte sequence — integers and float
+//! bit patterns little-endian, sequences length-prefixed, enums as
+//! declaration-order tag bytes. Hashing bytes
 //! instead of formatted text keeps the fingerprint portable across
 //! platforms (float *formatting* differs; float *bits* do not).
 

@@ -356,11 +356,10 @@ pub struct MetricsRegistry {
     /// Verification-batch wall time (`Monitor::verify_batch` or the
     /// `el-core` verify stage), one sample per batch.
     pub verify_batch_latency: Histogram,
-    /// One Monte-Carlo fold step (stochastic forward pass + softmax +
+    /// One Monte-Carlo sample (stochastic forward pass + softmax +
     /// Welford push), recorded inside the chunk engine. The engine folds
-    /// consecutive samples as fused pairs, so a pair records one sample
-    /// here; compare against [`MetricsRegistry::samples_run`] for the
-    /// true sample count.
+    /// one sample per step, so this records one entry per sample and its
+    /// count equals [`MetricsRegistry::samples_run`].
     pub sample_fold: Histogram,
     /// Monte-Carlo samples executed.
     pub samples_run: Counter,

@@ -37,13 +37,12 @@
 //!    count); the per-chunk partials are then merged **in chunk order**
 //!    with Chan's parallel-combine formula. Because both the partition and
 //!    the merge order are fixed, the statistics are bit-identical for any
-//!    number of rayon workers. The fold itself is **lane-parallel across
-//!    pixels, sequential across samples** — pixel statistics never
-//!    interact — so both the per-pixel update and the chunk merge
-//!    dispatch through the `el_kernels` tier ladder
-//!    ([`el_kernels::Kernels::welford_push`] /
-//!    [`el_kernels::Kernels::welford_merge`]), 4/8/16 pixels per lane
-//!    step, every tier bit-identical to portable.
+//!    number of rayon workers. The fold itself is one portable pair of
+//!    loops, **elementwise across pixels, sequential across samples**
+//!    (one sample per step, never FMA): it costs well under 1% of a
+//!    frame, so unlike the GEMM and mask rows it does not dispatch
+//!    through the `el_kernels` tier ladder, and its bits are the same on
+//!    every ISA by construction.
 //! 4. **One crop × chunk work queue.** A batch of crops becomes
 //!    `crops x chunks` independent tasks drained by a single rayon
 //!    `par_iter` — no per-crop join barriers, so workers stay busy while
@@ -56,7 +55,6 @@
 //! strictly sequential — survives as [`bayesian_segment_tensor_reference`]
 //! for the equivalence tests and the `perf_monitor_scaling` benchmark.
 
-use el_kernels::welford::AlignedF32;
 use el_nn::layers::Phase;
 use el_nn::loss::{softmax, softmax_in_place};
 use el_nn::{Tensor, Workspace};
@@ -143,62 +141,59 @@ fn chunk_layout(samples: usize) -> Vec<(usize, usize)> {
 
 /// A streaming Welford mean/M2 accumulator over equal-length vectors.
 ///
-/// Both the per-sample update and the Chan merge are lane-parallel
-/// across elements (pixels) and dispatch through the `el_kernels` tier
-/// ladder ([`el_kernels::active`], honouring `EL_FORCE_KERNEL`); every
-/// tier reproduces the portable fold bit for bit, so the monitor's
-/// statistics are independent of the ISA it ships on. The accumulator
-/// slabs live in 64-byte-aligned storage
-/// ([`el_kernels::welford::AlignedF32`]) — they are the streams loaded
-/// *and* stored every sample, and aligned 512-bit accesses dodge the
-/// cache-line-split tax. Consecutive samples can fold as fused pairs
-/// ([`Welford::push2`]), which is bit-identical to two single pushes
-/// and halves the accumulator traffic.
+/// Both the per-sample update and the Chan merge are plain lane-wise
+/// loops over the elements (pixels): pixel statistics never interact, so
+/// the accumulate order that matters is the one across samples, which
+/// the chunk layout and merge order fix. Every operation is a separate
+/// IEEE-754 subtract, multiply or add — never FMA — so the statistics
+/// are the same bits on every ISA the monitor ships on.
 struct Welford {
     count: usize,
-    mean: AlignedF32,
-    m2: AlignedF32,
+    mean: Vec<f32>,
+    m2: Vec<f32>,
 }
 
 impl Welford {
     fn new(len: usize) -> Self {
         Welford {
             count: 0,
-            mean: AlignedF32::zeroed(len),
-            m2: AlignedF32::zeroed(len),
+            mean: vec![0.0; len],
+            m2: vec![0.0; len],
         }
     }
 
-    /// Folds one sample in (classic Welford update, lane-parallel over
-    /// the slab).
+    /// Folds one sample in: with `inv_n = 1 / n` rounded once per slab
+    /// (`n` the post-increment count), per element `delta = x - mean`,
+    /// `mean += delta * inv_n`, `m2 += delta * (x - mean')`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` differs in length from the accumulator.
     fn push(&mut self, xs: &[f32]) {
-        debug_assert_eq!(xs.len(), self.mean.len());
+        assert_eq!(xs.len(), self.mean.len(), "welford push length mismatch");
         self.count += 1;
-        let n = self.count as f32;
-        el_kernels::active().welford_push(self.mean.as_mut_slice(), self.m2.as_mut_slice(), xs, n);
+        let inv_n = 1.0 / self.count as f32;
+        for ((m, s2), &x) in self.mean.iter_mut().zip(self.m2.iter_mut()).zip(xs) {
+            let delta = x - *m;
+            *m += delta * inv_n;
+            *s2 += delta * (x - *m);
+        }
     }
 
-    /// Folds two consecutive samples as one fused pass — bit-identical
-    /// to `push(xs0); push(xs1)` on every tier (the kernel preserves
-    /// every intermediate rounding), but the accumulator slabs stream
-    /// through the cache once instead of twice.
-    fn push2(&mut self, xs0: &[f32], xs1: &[f32]) {
-        debug_assert_eq!(xs0.len(), self.mean.len());
-        let n0 = (self.count + 1) as f32;
-        self.count += 2;
-        el_kernels::active().welford_push2(
-            self.mean.as_mut_slice(),
-            self.m2.as_mut_slice(),
-            xs0,
-            xs1,
-            n0,
-        );
-    }
-
-    /// Merges two partials with Chan's parallel-combine formula
-    /// (lane-parallel; the scalar weights are computed once, which is
-    /// bit-identical to recomputing them per element).
+    /// Merges two partials with Chan's parallel-combine formula: with the
+    /// loop-invariant weights `w_mean = n_b / n` and `w_m2 = n_a * n_b / n`
+    /// computed once, per element `delta = mean_b - mean_a`,
+    /// `mean_a += delta * w_mean`, `m2_a += m2_b + delta * delta * w_m2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partials differ in length.
     fn merge(mut self, other: Welford) -> Welford {
+        assert_eq!(
+            self.mean.len(),
+            other.mean.len(),
+            "welford merge length mismatch"
+        );
         if other.count == 0 {
             return self;
         }
@@ -208,14 +203,18 @@ impl Welford {
         let na = self.count as f32;
         let nb = other.count as f32;
         let n = na + nb;
-        el_kernels::active().welford_merge(
-            self.mean.as_mut_slice(),
-            self.m2.as_mut_slice(),
-            other.mean.as_slice(),
-            other.m2.as_slice(),
-            nb / n,
-            na * nb / n,
-        );
+        let (w_mean, w_m2) = (nb / n, na * nb / n);
+        for (((ma, s2a), &mb), &s2b) in self
+            .mean
+            .iter_mut()
+            .zip(self.m2.iter_mut())
+            .zip(&other.mean)
+            .zip(&other.m2)
+        {
+            let delta = mb - *ma;
+            *ma += delta * w_mean;
+            *s2a += s2b + delta * delta * w_m2;
+        }
         self.count += other.count;
         self
     }
@@ -235,23 +234,7 @@ fn run_chunk(
     ws: &mut Workspace,
 ) -> Welford {
     let mut acc = Welford::new(stat_len);
-    // Consecutive samples fold as fused pairs — bit-identical to single
-    // pushes (see `Kernels::welford_push2`) with half the accumulator
-    // traffic; an odd chunk folds its last sample singly.
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut p0 = net.mc_sample_at(fused, sample_seed(seed, k), origin, ws);
-        softmax_in_place(&mut p0);
-        let mut p1 = net.mc_sample_at(fused, sample_seed(seed, k + 1), origin, ws);
-        softmax_in_place(&mut p1);
-        acc.push2(p0.as_slice(), p1.as_slice());
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
+    for k in start..start + len {
         let sw = el_metrics::Stopwatch::start();
         let mut probs = net.mc_sample_at(fused, sample_seed(seed, k), origin, ws);
         softmax_in_place(&mut probs);
@@ -297,13 +280,11 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
     let (c, h, w) = shape;
     let std: Vec<f32> = total
         .m2
-        .as_slice()
         .iter()
         .map(|&s2| (s2 / denom).max(0.0).sqrt())
         .collect();
     BayesStats {
-        mean: Tensor::from_vec(c, h, w, total.mean.into_vec())
-            .expect("mean shaped like the logits"),
+        mean: Tensor::from_vec(c, h, w, total.mean).expect("mean shaped like the logits"),
         std: Tensor::from_vec(c, h, w, std).expect("std shaped like the logits"),
         samples,
     }
@@ -576,6 +557,37 @@ mod tests {
             assert!((stats.mean.as_slice()[i] - mean).abs() < 1e-5);
             assert!((stats.std.as_slice()[i] - var.sqrt()).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn portable_push_matches_naive_two_loop_fold() {
+        // The scalar reference fold, spelled out independently of
+        // `Welford::push` (guards against editing both in lockstep).
+        let (samples, len) = (9, 33);
+        let slabs: Vec<Vec<f32>> = (0..samples)
+            .map(|k| {
+                (0..len)
+                    .map(|i| (((7 + 31 * k + i) as f32) * 0.173).sin() * 0.8 + 0.1)
+                    .collect()
+            })
+            .collect();
+        let (mut mean, mut m2) = (vec![0.0f32; len], vec![0.0f32; len]);
+        for (k, xs) in slabs.iter().enumerate() {
+            let inv_n = 1.0 / (k + 1) as f32;
+            for i in 0..len {
+                let delta = xs[i] - mean[i];
+                mean[i] += delta * inv_n;
+                m2[i] += delta * (xs[i] - mean[i]);
+            }
+        }
+        let mut acc = Welford::new(len);
+        for xs in &slabs {
+            acc.push(xs);
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(acc.count, samples);
+        assert_eq!(bits(&acc.mean), bits(&mean));
+        assert_eq!(bits(&acc.m2), bits(&m2));
     }
 
     #[test]

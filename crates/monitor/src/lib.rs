@@ -46,7 +46,10 @@
 //!   chunks drain one shared crop × chunk rayon queue;
 //! - statistics stream through per-chunk Welford accumulators merged in
 //!   fixed chunk order (Chan's formula) — O(1) memory in the sample
-//!   count, and bit-identical for any number of worker threads.
+//!   count, and bit-identical for any number of worker threads. The fold
+//!   is one safe, portable pair of loops (one sample per step, never
+//!   FMA); only the GEMMs and mask rows under it dispatch through the
+//!   `el_kernels` tier ladder.
 //!
 //! # Example
 //!

@@ -291,8 +291,9 @@ impl Conv2d {
 
     /// Output rows per band for a `width`-pixel-wide image run through
     /// [`Conv2d::forward_rows_into`] band by band: as many rows as keep
-    /// one band's im2col matrix inside [`BATCH_COL_BUDGET`], and at least
-    /// one.
+    /// one band's im2col matrix inside the batch column budget (64 Ki
+    /// `f32`, the same L2 budget that groups
+    /// [`Conv2d::forward_batch_with`]), and at least one.
     pub fn band_rows(&self, width: usize) -> usize {
         ((BATCH_COL_BUDGET / self.k_dim()).max(1) / width.max(1)).max(1)
     }
@@ -311,7 +312,7 @@ impl Conv2d {
     /// only share the channel count.
     ///
     /// The batch is processed in consecutive **cache-budgeted groups**
-    /// ([`BATCH_COL_BUDGET`]): stacking is a win only while the stacked
+    /// (64 Ki `f32` of im2col matrix per group): stacking is a win only while the stacked
     /// im2col matrix stays cache-resident — past that the three passes
     /// over it (zero, lower, multiply) start streaming through the outer
     /// cache levels and the batched GEMM loses to per-crop GEMMs. Small

@@ -39,7 +39,8 @@ impl TileConfig {
         if self.tile == 0 {
             return Err("tile must be positive".into());
         }
-        if self.margin * 2 >= self.tile {
+        // `2·margin < tile`, compared without the overflowing product.
+        if self.margin >= self.tile.div_ceil(2) {
             return Err("margin must be smaller than half the tile".into());
         }
         Ok(())

@@ -227,9 +227,13 @@ impl ElService {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] if the configuration fails
-    /// validation.
+    /// validation, or if an enabled audit's margin is below `net`'s
+    /// receptive radius.
     pub fn try_new(net: Arc<MsdNet>, config: ServeConfig) -> Result<Self, ServeError> {
-        config.validate().map_err(ServeError::InvalidConfig)?;
+        config
+            .validate()
+            .and_then(|()| config.pipeline.audit.validate_for(&net))
+            .map_err(ServeError::InvalidConfig)?;
         let monitor = Monitor::new(config.pipeline.monitor);
         let admission = AdmissionControl::new(config.admission);
         let riskmap = match &config.riskmap {
@@ -580,5 +584,63 @@ impl ElService {
             total.deprioritized += t.deprioritized;
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use el_core::audit::AuditConfig;
+    use el_seg::MsdNetConfig;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn net(config: &MsdNetConfig) -> Arc<MsdNet> {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        Arc::new(MsdNet::new(config, &mut rng))
+    }
+
+    fn with_audit(audit: AuditConfig) -> ServeConfig {
+        ServeConfig {
+            pipeline: PipelineConfig::fast_test().with_audit(audit),
+            ..ServeConfig::fast_test()
+        }
+    }
+
+    #[test]
+    fn audit_margin_below_receptive_radius_is_a_config_error() {
+        // The paper net's dilation-4 branches have receptive radius 4; a
+        // 1 px margin must fail construction rather than panic on the
+        // first audited frame and take the whole tick down with it.
+        let uavid = net(&MsdNetConfig::default_uavid());
+        assert_eq!(uavid.receptive_radius(), 4);
+        let config = with_audit(AuditConfig {
+            margin: 1,
+            ..AuditConfig::paper_scale()
+        });
+        match ElService::try_new(uavid.clone(), config) {
+            Err(ServeError::InvalidConfig(detail)) => assert!(
+                detail.contains("margin 1") && detail.contains("radius 4"),
+                "message should name the margin and the radius, got: {detail}"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // A margin at the radius is accepted, as is a disabled audit's
+        // inert margin.
+        let at_radius = with_audit(AuditConfig {
+            margin: 4,
+            ..AuditConfig::paper_scale()
+        });
+        assert!(ElService::try_new(uavid.clone(), at_radius).is_ok());
+        let disabled = with_audit(AuditConfig {
+            margin: 1,
+            ..AuditConfig::disabled()
+        });
+        assert!(ElService::try_new(uavid, disabled).is_ok());
+        // The test fixture (margin 4) on the tiny net (radius 2) stays
+        // valid.
+        let tiny = net(&MsdNetConfig::tiny());
+        assert_eq!(tiny.receptive_radius(), 2);
+        assert!(ElService::try_new(tiny, with_audit(AuditConfig::fast_test())).is_ok());
     }
 }

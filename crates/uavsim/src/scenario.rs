@@ -6,7 +6,7 @@
 //! on top, the EL-system policy, and the statistical-power floor. The
 //! runner replays a scenario bit-identically from its `base_seed`,
 //! fanning missions out over a thread pool, and produces a
-//! [`CampaignReport`] (with its [`PowerReport`](crate::campaign::PowerReport)
+//! [`CampaignReport`] (with its [`PowerReport`]
 //! section) plus one machine-readable event log per mission.
 //!
 //! # Determinism contract
@@ -48,6 +48,7 @@
 use std::fmt;
 use std::path::Path;
 
+use el_metrics::Fingerprint;
 use el_scene::SceneParams;
 use el_sora::hazard::HazardCategory;
 use rayon::prelude::*;
@@ -755,18 +756,8 @@ pub struct ScenarioOutcome {
     pub logs: Vec<MissionRecord>,
 }
 
-/// FNV-1a 64-bit hash.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A streaming FNV-1a hasher over the canonical byte encoding of
-/// scenario outcomes.
+/// The canonical byte encoding of scenario outcomes, on top of the
+/// workspace's one FNV-1a encoder ([`Fingerprint`]).
 ///
 /// Every value appends a fixed, architecture-independent byte sequence:
 /// integers and float bit patterns little-endian, strings and sequences
@@ -775,33 +766,18 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// fingerprint portable — `serde_json` float formatting (the previous
 /// encoding) renders shortest-roundtrip decimals whose text can differ
 /// across platforms, which pinned the goldens to x86_64.
-struct Canon(u64);
+trait Canon {
+    fn bool(&mut self, v: bool);
+    fn str(&mut self, s: &str);
+    fn opt_f64(&mut self, v: Option<f64>);
+    fn vec2(&mut self, v: el_geom::Vec2);
+    fn flight_mode(&mut self, m: FlightMode);
+    fn event(&mut self, e: &MissionEvent);
+    fn outcome(&mut self, o: &MissionOutcome);
+    fn report(&mut self, r: &CampaignReport);
+}
 
-impl Canon {
-    fn new() -> Self {
-        Canon(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a(self.0, bytes);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn tag(&mut self, t: u8) {
-        self.bytes(&[t]);
-    }
-
+impl Canon for Fingerprint {
     fn bool(&mut self, v: bool) {
         self.tag(u8::from(v));
     }
@@ -961,7 +937,7 @@ impl ScenarioOutcome {
     /// derived power section (arch-sensitive libm maths, fully
     /// determined by the hashed tallies) is excluded.
     pub fn fingerprint(&self) -> u64 {
-        let mut c = Canon::new();
+        let mut c = Fingerprint::new();
         c.str(&self.scenario_name);
         c.report(&self.report);
         c.usize(self.logs.len());
@@ -975,7 +951,7 @@ impl ScenarioOutcome {
                 c.event(event);
             }
         }
-        c.0
+        c.value()
     }
 
     /// [`ScenarioOutcome::fingerprint`] as a 16-digit hex string.

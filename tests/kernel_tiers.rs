@@ -1,12 +1,11 @@
 //! Cross-tier bit-identity: the kernel-dispatch contract, fuzzed.
 //!
-//! For **every kernel tier the host CPU supports**, the four dispatched
-//! hot paths — the GEMM micro-kernel, the coordinate-keyed mask rows,
-//! the ChaCha8 block function and the Welford statistics fold — must
-//! reproduce the portable reference **bit for bit** over hundreds of
-//! random shapes, deliberately skewed toward the remainder paths
-//! (k-tails, column tails, odd widths, single-column outputs, 1-pixel
-//! slabs). CI pins `portable` and `avx2` with `EL_FORCE_KERNEL` in a
+//! For **every kernel tier the host CPU supports**, the dispatched hot
+//! paths — the GEMM micro-kernel, the coordinate-keyed mask rows and the
+//! ChaCha8 block function — must reproduce the portable reference **bit
+//! for bit** over hundreds of random shapes, deliberately skewed toward
+//! the remainder paths (k-tails, column tails, odd widths, single-column
+//! outputs). CI pins `portable` and `avx2` with `EL_FORCE_KERNEL` in a
 //! matrix job, runs `avx512` wherever the runner detects it and executes
 //! the NEON tier under qemu, so these properties execute on every rung
 //! of the ladder — not just whichever tier the runner detects.
@@ -22,7 +21,7 @@
 //! (checked by spawning this test binary once per supported tier).
 
 use el_kernels::chacha::REFILL_WORDS;
-use el_kernels::{chacha, gemm, mask, resolve, welford, KernelError, KernelTier, Kernels};
+use el_kernels::{chacha, gemm, mask, resolve, KernelError, KernelTier, Kernels};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -189,125 +188,12 @@ fn chacha_every_tier_matches_portable_over_random_streams() {
     }
 }
 
-#[test]
-fn welford_every_tier_matches_portable_over_random_shapes() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x3E1F0);
-    let tiers = simd_tiers();
-    for case in 0..200 {
-        let classes = 1 + (rng.next_u32() % 8) as usize;
-        // Pixel counts biased toward the lane-width edges: the 1-pixel
-        // slab, exact multiples of the widest (16-lane) kernel, multiples
-        // plus a sub-width tail, and free odd widths.
-        let pixels = match case % 4 {
-            0 => 1,
-            1 => 16 * (1 + (rng.next_u32() % 8) as usize),
-            2 => 16 * (1 + (rng.next_u32() % 8) as usize) + 1 + (rng.next_u32() % 15) as usize,
-            _ => 1 + (rng.next_u32() % 300) as usize,
-        };
-        let samples = 1 + (rng.next_u32() % 12) as usize;
-        let len = classes * pixels;
-        // NaN-free slabs; every third case mixes in denormal magnitudes
-        // (confident softmax pixels underflow toward them in production).
-        let slabs: Vec<Vec<f32>> = (0..samples)
-            .map(|_| {
-                (0..len)
-                    .map(|_| {
-                        if case % 3 == 0 && rng.next_u32() % 4 == 0 {
-                            f32::from_bits(1 + rng.next_u32() % 0x007F_FFFF) // denormal
-                        } else {
-                            rng.gen::<f32>()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // Portable reference: the sequential per-sample fold, then a Chan
-        // merge against a second partial built from a sample prefix.
-        let (mut em, mut es) = (vec![0.0f32; len], vec![0.0f32; len]);
-        for (k, xs) in slabs.iter().enumerate() {
-            welford::welford_push_portable(&mut em, &mut es, xs, (k + 1) as f32);
-        }
-        let prefix = 1 + samples / 2;
-        let (mut pm, mut ps) = (vec![0.0f32; len], vec![0.0f32; len]);
-        for (k, xs) in slabs.iter().take(prefix).enumerate() {
-            welford::welford_push_portable(&mut pm, &mut ps, xs, (k + 1) as f32);
-        }
-        let (na, nb) = (samples as f32, prefix as f32);
-        let n = na + nb;
-        let (mut emerged_m, mut emerged_s) = (em.clone(), es.clone());
-        welford::welford_merge_portable(
-            &mut emerged_m,
-            &mut emerged_s,
-            &pm,
-            &ps,
-            nb / n,
-            na * nb / n,
-        );
-        for kernels in &tiers {
-            let (mut gm, mut gs) = (vec![0.0f32; len], vec![0.0f32; len]);
-            for (k, xs) in slabs.iter().enumerate() {
-                kernels.welford_push(&mut gm, &mut gs, xs, (k + 1) as f32);
-            }
-            assert_eq!(
-                bits(&gm),
-                bits(&em),
-                "{} welford push mean diverges on {classes}x{pixels}, {samples} samples (case {case})",
-                kernels.tier().name()
-            );
-            assert_eq!(
-                bits(&gs),
-                bits(&es),
-                "{} welford push m2 diverges on {classes}x{pixels} (case {case})",
-                kernels.tier().name()
-            );
-            kernels.welford_merge(&mut gm, &mut gs, &pm, &ps, nb / n, na * nb / n);
-            assert_eq!(
-                bits(&gm),
-                bits(&emerged_m),
-                "{} welford merge mean diverges (case {case})",
-                kernels.tier().name()
-            );
-            assert_eq!(
-                bits(&gs),
-                bits(&emerged_s),
-                "{} welford merge m2 diverges (case {case})",
-                kernels.tier().name()
-            );
-            // The fused pair fold must also reproduce the portable
-            // single-push fold bit for bit (pairing is a performance
-            // choice, never a rounding choice).
-            let (mut qm, mut qs) = (vec![0.0f32; len], vec![0.0f32; len]);
-            let mut k = 0usize;
-            while k + 2 <= samples {
-                kernels.welford_push2(&mut qm, &mut qs, &slabs[k], &slabs[k + 1], (k + 1) as f32);
-                k += 2;
-            }
-            while k < samples {
-                kernels.welford_push(&mut qm, &mut qs, &slabs[k], (k + 1) as f32);
-                k += 1;
-            }
-            assert_eq!(
-                bits(&qm),
-                bits(&em),
-                "{} fused-pair fold mean diverges (case {case})",
-                kernels.tier().name()
-            );
-            assert_eq!(
-                bits(&qs),
-                bits(&es),
-                "{} fused-pair fold m2 diverges (case {case})",
-                kernels.tier().name()
-            );
-        }
-    }
-}
-
 /// FNV-1a over the bit patterns of the monitor's statistics for a fixed
 /// pair of Monte-Carlo verifications — the whole-engine fingerprint the
 /// cross-tier test compares between forced-tier processes. Covers both
-/// an odd-width crop and a 1-pixel-wide slab (the welford kernels' tail
-/// paths), with enough samples for several Welford chunks and a chunk
-/// merge.
+/// an odd-width crop and a 1-pixel-wide slab (the GEMM and mask rows'
+/// tail paths), with enough samples for several Welford chunks and a
+/// chunk merge.
 fn bayes_fingerprint() -> u64 {
     use certel::el_monitor::bayesian_segment_batch;
     use certel::el_nn::Tensor;
@@ -350,8 +236,8 @@ fn bayesian_segment_bit_identical_under_every_forced_tier() {
     // once per supported tier with EL_FORCE_KERNEL pinned (the active
     // dispatch table is resolved once per process, so distinct tiers
     // need distinct processes) and demand the identical whole-engine
-    // fingerprint — GEMM, masks, ChaCha and the Welford fold all forced
-    // through the named rung.
+    // fingerprint — GEMM, masks and ChaCha all forced through the named
+    // rung.
     let local = bayes_fingerprint();
     let exe = std::env::current_exe().expect("test binary path");
     for tier in KernelTier::supported() {

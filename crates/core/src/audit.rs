@@ -48,8 +48,9 @@ pub struct AuditConfig {
     pub budget_s: f64,
     /// Audit tile side, pixels.
     pub tile: usize,
-    /// Tile overlap margin, pixels; must be at least the network's
-    /// receptive radius for the sweep's exactness guarantee.
+    /// Tile overlap margin, pixels; shapes the tile plan and must be at
+    /// least the network's receptive radius (checked by
+    /// [`AuditConfig::validate_for`]).
     pub margin: usize,
     /// Monte-Carlo samples per audit tile. Typically fewer than the
     /// monitor's crop verification: the audit trades sample count for
@@ -121,7 +122,7 @@ impl AuditConfig {
     }
 
     /// Checks an enabled audit against the network it will sweep: the
-    /// tile margin must cover the net's receptive radius, the exactness
+    /// tile margin must cover the net's receptive radius, the
     /// precondition [`bayesian_segment_tiled`] asserts. Constructors run
     /// this so a too-small margin is a configuration error, not a panic
     /// on the first audited frame.

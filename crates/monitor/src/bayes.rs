@@ -15,7 +15,10 @@
 //!    computes it once per crop, with **one** column-stacked GEMM per
 //!    branch for the whole batch; each sample replays only the stochastic
 //!    suffix (branch dropout → fusion head → head dropout → classifier,
-//!    [`el_seg::MsdNet::mc_sample_at`]).
+//!    [`el_seg::MsdNet::mc_sample_at`]). The suffix is pointwise, so it
+//!    runs over any window of a prefix: the tiled sweep computes each
+//!    tile's prefix over its kept interior grown by the receptive radius
+//!    and samples the kept interior only.
 //! 2. **Coordinate-keyed masks.** Sample `k`'s per-sample seed is
 //!    `splitmix64(seed + (k+1)·φ)` (`φ` the 64-bit golden-ratio
 //!    constant), and each activation's mask bit is a pure hash of that

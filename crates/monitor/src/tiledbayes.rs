@@ -8,11 +8,19 @@
 //! candidate-zone tiles verified first so the safety-relevant regions are
 //! covered before the budget runs out.
 //!
-//! Correctness rests on two invariants of the engine:
+//! Each tile is computed only over what it keeps. Its
+//! Monte-Carlo-invariant prefix runs on the kept interior grown by the
+//! network's receptive radius (clipped to the frame), and its
+//! Monte-Carlo suffix — mask rows, head GEMMs, softmax, Welford fold —
+//! runs on the kept interior alone. Correctness rests on three
+//! invariants of the engine:
 //!
-//! - the tile margin is at least the network's receptive radius, so every
-//!   kept pixel's Monte-Carlo-invariant prefix equals the whole-frame
-//!   prefix bit for bit;
+//! - every kept pixel's branch-convolution window lies inside that
+//!   prefix crop or runs off the frame border, where the crop's zero
+//!   padding is the whole frame's own — so the kept prefix equals the
+//!   whole-frame prefix bit for bit;
+//! - everything after the prefix is pointwise, each column reduced in
+//!   the same order whatever the block's shape;
 //! - dropout masks are **coordinate-keyed**
 //!   ([`el_nn::layers::keyed_mask_word`]): a tile processed at its frame
 //!   origin draws exactly the masks the whole frame would draw at those
@@ -24,7 +32,9 @@
 //! Together they make an unbudgeted tiled pass **bit-identical** to
 //! untiled [`bayesian_segment`](crate::bayes::bayesian_segment)
 //! (property-tested), so partial coverage is a strict prefix of the exact
-//! full-frame answer — not an approximation of it.
+//! full-frame answer — not an approximation of it. The tile margin only
+//! shapes the plan (which tile keeps which pixel); no pixel outside a
+//! kept interior's receptive halo is ever computed.
 
 use el_geom::{Grid, Rect};
 use el_nn::{Tensor, Workspace};
@@ -69,8 +79,9 @@ impl TiledBayesStats {
 }
 
 /// Pixel-column budget of one batched prefix group: consecutive admitted
-/// tiles whose combined pixel count stays within it share one
-/// column-stacked prefix GEMM per branch ([`MsdNet::mc_prefix_batch`]).
+/// tiles whose combined prefix pixels (kept interior plus receptive
+/// halo, clipped to the frame — what the sweep computes) stay within it
+/// share one column-stacked prefix GEMM per branch ([`MsdNet::mc_prefix_batch`]).
 /// Purely a performance knob — any partition is bit-identical.
 const PREFIX_GROUP_COLUMNS: usize = 32 * 1024;
 
@@ -92,14 +103,41 @@ const PREFIX_GROUP_TILES: usize = 2;
 /// `elapsed + (pending + 1) · avg >= budget`.
 const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 
+/// The frame region a tile's prefix is computed over: its kept interior
+/// grown by the receptive radius, clipped to the frame. Every kept
+/// pixel's convolution window lies inside it or runs off the frame
+/// border, where the crop's zero padding is the frame's own.
+fn prefix_rect(tile: &Tile, radius: usize, frame: Rect) -> Rect {
+    tile.keep_rect().inflate(radius as i64).intersect(frame)
+}
+
+/// Copies the `keep` window (frame coordinates) out of `t`, a tensor
+/// laid over the frame region `at`, into a tensor taken from `ws`.
+fn crop_tensor(t: &Tensor, keep: Rect, at: Rect, ws: &mut Workspace) -> Tensor {
+    let (x0, y0) = ((keep.x - at.x) as usize, (keep.y - at.y) as usize);
+    let (kw, kh) = (keep.w as usize, keep.h as usize);
+    let mut out = ws.take_tensor(t.channels(), kh, kw);
+    for c in 0..t.channels() {
+        let src = t.channel(c);
+        for (yy, dst) in out.channel_mut(c).chunks_exact_mut(kw).enumerate() {
+            let row = (y0 + yy) * t.width() + x0;
+            dst.copy_from_slice(&src[row..row + kw]);
+        }
+    }
+    out
+}
+
 /// Bayesian-verifies a full frame tile by tile under a latency budget.
 ///
 /// Tiles come from the shared planner ([`el_seg::plan_tiles`]); tiles
 /// whose kept interior intersects a `priority` rectangle (candidate
 /// landing zones) are verified first, remaining tiles in row-major order.
-/// Each tile's Monte-Carlo chunks run on the engine behind
-/// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch), with
-/// one prefix workspace and one chunk-task pool kept warm across the
+/// Each tile's prefix is computed over its kept interior grown by the
+/// receptive radius and cropped back to the kept interior, whose
+/// Monte-Carlo chunks then run on the engine behind
+/// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch) at
+/// the kept interior's frame origin — no discarded pixel is sampled.
+/// One prefix workspace and one chunk-task pool stay warm across the
 /// whole sweep.
 ///
 /// `elapsed_s` returns seconds since the pass began and is polled once
@@ -125,8 +163,9 @@ const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 /// # Panics
 ///
 /// Panics if the tile configuration is invalid, `samples == 0`, or the
-/// margin is smaller than the network's receptive radius (the exactness
-/// precondition).
+/// margin is smaller than the network's receptive radius (a
+/// configuration error: the exactness argument rests on the prefix crop,
+/// not on the margin).
 #[allow(clippy::too_many_arguments)]
 pub fn bayesian_segment_tiled(
     net: &MsdNet,
@@ -147,6 +186,8 @@ pub fn bayesian_segment_tiled(
         net.receptive_radius()
     );
     let (w, h) = (image.width(), image.height());
+    let radius = net.receptive_radius();
+    let frame = Rect::new(0, 0, w as i64, h as i64);
     let tiles = plan_tiles(w, h, config);
     let order = prioritize_tiles(&tiles, priority);
     let classes = net.classes();
@@ -158,8 +199,9 @@ pub fn bayesian_segment_tiled(
     // on the first group and serve every subsequent tile.
     let mut ws = Workspace::new();
     let pool = WsPool::new();
-    // Tiles are admitted in cache-budgeted groups whose invariant
-    // prefixes share one batched engine invocation
+    // Tiles are admitted in cache-budgeted groups (sized by the prefix
+    // pixels they actually compute) whose invariant prefixes share one
+    // batched engine invocation
     // ([`MsdNet::mc_prefix_batch`] — a single column-stacked im2col GEMM
     // per branch). The budget clock is polled once per tile, at
     // admission; successive poll deltas bracket the processing of a
@@ -180,8 +222,7 @@ pub fn bayesian_segment_tiled(
         let mut group: Vec<usize> = Vec::new();
         let mut cols = 0usize;
         while pos < order.len() {
-            let tile = tiles[order[pos]];
-            let hw = (tile.rect.w * tile.rect.h) as usize;
+            let hw = prefix_rect(&tiles[order[pos]], radius, frame).area() as usize;
             if !group.is_empty()
                 && (group.len() >= PREFIX_GROUP_TILES || cols + hw > PREFIX_GROUP_COLUMNS)
             {
@@ -216,19 +257,25 @@ pub fn bayesian_segment_tiled(
         if group.is_empty() {
             break;
         }
-        let inputs: Vec<Tensor> = group
+        let prefixes: Vec<Rect> = group
             .iter()
-            .map(|&i| image_to_tensor(&image.crop(tiles[i].rect).expect("tile within image")))
+            .map(|&i| prefix_rect(&tiles[i], radius, frame))
+            .collect();
+        let inputs: Vec<Tensor> = prefixes
+            .iter()
+            .map(|&r| image_to_tensor(&image.crop(r).expect("prefix crop within image")))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let fused = net.mc_prefix_batch(&refs, &mut ws);
-        for (&i, f) in group.iter().zip(&fused) {
-            let tile = tiles[i];
-            let origin = (tile.rect.y as usize, tile.rect.x as usize);
+        for ((&i, &prefix), f) in group.iter().zip(&prefixes).zip(fused) {
+            let keep = tiles[i].keep_rect();
+            let kept = crop_tensor(&f, keep, prefix, &mut ws);
+            ws.recycle(f);
+            let origin = (keep.y as usize, keep.x as usize);
             let tile_sw = el_metrics::Stopwatch::start();
             let stats = mc_stats_prefixed(
                 net,
-                std::slice::from_ref(f),
+                std::slice::from_ref(&kept),
                 samples,
                 &[seed],
                 &[origin],
@@ -237,36 +284,29 @@ pub fn bayesian_segment_tiled(
             .pop()
             .expect("one result per tile");
             el_metrics::registry().tile_cost.record(tile_sw);
-            let (tw, th) = (tile.rect.w as usize, tile.rect.h as usize);
-            debug_assert_eq!(stats.mean.shape(), (classes, th, tw));
-            let (tx, ty) = (tile.rect.x as usize, tile.rect.y as usize);
+            ws.recycle(kept);
+            let (kx, ky, kw, kh) = (
+                keep.x as usize,
+                keep.y as usize,
+                keep.w as usize,
+                keep.h as usize,
+            );
+            debug_assert_eq!(stats.mean.shape(), (classes, kh, kw));
             for c in 0..classes {
-                let src_mean = stats.mean.channel(c);
-                let src_std = stats.std.channel(c);
-                let dst_mean = mean.channel_mut(c);
-                for yy in tile.keep_y0..tile.keep_y1 {
-                    let src = yy * tw;
-                    let dst = (ty + yy) * w + tx;
-                    dst_mean[dst + tile.keep_x0..dst + tile.keep_x1]
-                        .copy_from_slice(&src_mean[src + tile.keep_x0..src + tile.keep_x1]);
-                }
-                let dst_std = std.channel_mut(c);
-                for yy in tile.keep_y0..tile.keep_y1 {
-                    let src = yy * tw;
-                    let dst = (ty + yy) * w + tx;
-                    dst_std[dst + tile.keep_x0..dst + tile.keep_x1]
-                        .copy_from_slice(&src_std[src + tile.keep_x0..src + tile.keep_x1]);
+                for (src, dst) in [
+                    (stats.mean.channel(c), mean.channel_mut(c)),
+                    (stats.std.channel(c), std.channel_mut(c)),
+                ] {
+                    for (yy, row) in src.chunks_exact(kw).enumerate() {
+                        let at = (ky + yy) * w + kx;
+                        dst[at..at + kw].copy_from_slice(row);
+                    }
                 }
             }
-            for yy in tile.keep_y0..tile.keep_y1 {
-                for xx in tile.keep_x0..tile.keep_x1 {
-                    covered[(tx + xx, ty + yy)] = true;
-                }
+            for yy in ky..ky + kh {
+                covered.row_mut(yy)[kx..kx + kw].fill(true);
             }
             verified.push(i);
-        }
-        for f in fused {
-            ws.recycle(f);
         }
     }
     let tiles_verified = verified.len();

@@ -225,8 +225,8 @@ impl MsdNet {
     /// The network's receptive radius: how far (in pixels) an output can
     /// depend on its input neighbourhood. Everything after the dilated
     /// branch convolutions is pointwise, so this is just the widest
-    /// branch's half-width — the minimum tile margin for seam-free tiled
-    /// inference.
+    /// branch's half-width — the halo the tiled Bayesian sweep computes
+    /// around each kept interior, and the minimum tile margin it accepts.
     pub fn receptive_radius(&self) -> usize {
         self.branches
             .iter()

@@ -2,11 +2,12 @@
 //! memory or latency budgets allow in one pass.
 //!
 //! The paper's frames are 3840x2160; Bayesian inference on such frames
-//! is only affordable tile by tile. Statistics are computed on
-//! overlapping tiles and stitched by keeping each tile's *interior* (the
-//! overlap margin absorbs convolution edge effects, so stitched output
-//! matches whole-image inference). The budgeted Bayesian sweep in
-//! `el-monitor` runs over these plans.
+//! is only affordable tile by tile. A plan partitions the frame into the
+//! overlapping tiles' *kept interiors*, each at least a margin away from
+//! its tile's cut edges. The budgeted Bayesian sweep in `el-monitor`
+//! runs over these plans: it computes each tile only over its kept
+//! interior plus the network's receptive halo, so the margin shapes
+//! which tile keeps which pixel, not what is computed.
 
 use el_geom::Rect;
 
@@ -15,8 +16,9 @@ use el_geom::Rect;
 pub struct TileConfig {
     /// Tile side length (pixels).
     pub tile: usize,
-    /// Overlap margin on each side (pixels); should be at least the
-    /// network's receptive-field radius.
+    /// Overlap margin on each side (pixels). It places the cuts and the
+    /// kept interiors; the Bayesian sweep requires it to be at least the
+    /// network's receptive-field radius as a configuration check.
     pub margin: usize,
 }
 
@@ -48,7 +50,9 @@ impl TileConfig {
 }
 
 /// One planned tile: the crop rectangle plus the interior this tile is
-/// responsible for in the stitched output.
+/// responsible for in the stitched output. The Bayesian sweep computes
+/// only the kept interior (its prefix over the interior grown by the
+/// receptive radius); the rest of the rectangle is never evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// The crop rectangle, in image coordinates.

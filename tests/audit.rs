@@ -234,6 +234,72 @@ fn unexpired_audit_equals_untiled_bayesian_segment() {
     );
 }
 
+/// A budget-truncated sweep is an exact prefix of the complete one on a
+/// plan with a trimmed middle keep (64 px frame, 32 px tiles, 4 px
+/// margin: the middle tile on each axis keeps 8 of its 32 px, as the
+/// paper-scale plan's keeps 16 of 128). For every admitted count `k`
+/// under a fake clock, each covered pixel carries the untiled pass's
+/// mean and σ bit for bit, every uncovered pixel is zero, and the
+/// report's per-tile statistics are the first `k` of the complete
+/// report's.
+#[test]
+fn truncated_audit_is_an_exact_prefix_of_the_complete_sweep() {
+    use certel::el_core::run_audit_with_clock;
+    let net = tiny_net(5);
+    let image = scene_image(17, 64, 64);
+    let seed = 303u64;
+    let rule = MonitorRule::default();
+    let mut config = AuditConfig::fast_test();
+    config.tile = 32;
+    config.margin = 4;
+    let complete = run_audit_with_clock(&net, &image, &config, &rule, seed, &[], || 0.0);
+    assert!(complete.is_complete());
+    let tiles_total = complete.tiles_total();
+    assert_eq!(tiles_total, 9);
+    let middle = complete.tiled.tiles[4].keep_rect();
+    assert_eq!((middle.w, middle.h), (8, 8), "plan lost its trimmed keep");
+    let whole = bayesian_segment(&net, &image, config.samples, audit_seed(seed));
+    let hw = image.width() * image.height();
+    let mut admitted = Vec::new();
+    for budget in 0..=tiles_total + 1 {
+        config.budget_s = (budget as f64 - 0.5).max(0.0);
+        let mut t = -1.0f64;
+        let out = run_audit_with_clock(&net, &image, &config, &rule, seed, &[], move || {
+            t += 1.0;
+            t
+        });
+        let k = out.tiles_verified();
+        assert_eq!(k, expected_admitted(config.budget_s, tiles_total));
+        assert_eq!(out.tile_stats, complete.tile_stats[..k], "budget {budget}");
+        for (i, ((&m, &s), (&wm, &ws))) in out
+            .tiled
+            .stats
+            .mean
+            .as_slice()
+            .iter()
+            .zip(out.tiled.stats.std.as_slice())
+            .zip(whole.mean.as_slice().iter().zip(whole.std.as_slice()))
+            .enumerate()
+        {
+            let p = i % hw;
+            if out.tiled.covered[(p % image.width(), p / image.width())] {
+                assert_eq!(
+                    (m.to_bits(), s.to_bits()),
+                    (wm.to_bits(), ws.to_bits()),
+                    "budget {budget}: covered pixel diverges from the untiled pass"
+                );
+            } else {
+                assert_eq!((m, s), (0.0, 0.0), "budget {budget}: uncovered pixel set");
+            }
+        }
+        admitted.push(k);
+    }
+    assert!(
+        (1..tiles_total).all(|k| admitted.contains(&k)),
+        "budgets must stop the sweep after every tile: {admitted:?}"
+    );
+}
+
 /// Candidate zones steer the audit: under a tight budget the first
 /// audited tile covers a candidate's rectangle whenever candidates
 /// exist.

@@ -215,6 +215,75 @@ fn mc_engine_is_bit_identical_across_thread_counts() {
     );
 }
 
+/// The unbudgeted tiled sweep equals the untiled pass bit for bit on
+/// random frame and tile geometries, at 1 and 2 rayon threads. Each
+/// tile's prefix is computed over its kept interior grown by the
+/// receptive radius and its Monte-Carlo suffix over the kept interior
+/// only, so the sweep is drawn across the shapes that stress that crop:
+/// 1-px-wide and 1-px-tall frames, frames smaller than one tile,
+/// `margin == radius`, and plans whose clamped last tile trims its
+/// neighbour's keep.
+#[test]
+fn tiled_sweep_equals_untiled_on_random_geometries() {
+    use el_monitor::{bayesian_segment, bayesian_segment_tiled};
+    use el_seg::{plan_tiles, TileConfig};
+    let mut r = rng();
+    let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
+    let radius = net.receptive_radius();
+    let bits = |s: &BayesStats| -> (Vec<u32>, Vec<u32>) {
+        (
+            s.mean.as_slice().iter().map(|v| v.to_bits()).collect(),
+            s.std.as_slice().iter().map(|v| v.to_bits()).collect(),
+        )
+    };
+    // (w, h, tile, margin): the edge shapes first, then random ones.
+    let mut cases: Vec<(usize, usize, usize, usize)> = vec![
+        (1, 37, 8, radius),
+        (41, 1, 8, radius + 1),
+        (1, 1, 6, radius),
+        (10, 7, 16, radius + 1),
+        (33, 29, 9, radius),
+        (30, 30, 16, radius),
+    ];
+    while cases.len() < 66 {
+        let tile = r.gen_range(2 * radius + 1..=32);
+        let margin = r.gen_range(radius..tile.div_ceil(2));
+        cases.push((r.gen_range(1..=48), r.gen_range(1..=48), tile, margin));
+    }
+    let (mut thin, mut sub_tile, mut tight, mut trimmed) = (0, 0, 0, 0);
+    for (case, &(w, h, tile, margin)) in cases.iter().enumerate() {
+        let config = TileConfig { tile, margin };
+        let plan = plan_tiles(w, h, config);
+        thin += usize::from(w == 1 || h == 1);
+        sub_tile += usize::from(w < tile && h < tile);
+        tight += usize::from(margin == radius);
+        trimmed += usize::from(plan.iter().any(|t| {
+            (t.rect.right() < w as i64 && t.keep_x1 + margin < t.rect.w as usize)
+                || (t.rect.bottom() < h as i64 && t.keep_y1 + margin < t.rect.h as usize)
+        }));
+        let image: certel::el_scene::Image =
+            Grid::from_fn(w, h, |_, _| [r.gen(), r.gen(), r.gen()]);
+        let seed = r.gen::<u64>();
+        let whole = bits(&bayesian_segment(&net, &image, 3, seed));
+        for threads in [1, 2] {
+            let tiled = with_thread_count(threads, || {
+                bayesian_segment_tiled(&net, &image, config, 3, seed, f64::INFINITY, &[], || 0.0)
+            });
+            assert!(tiled.is_complete());
+            assert_eq!(tiled.tiles_total, plan.len());
+            assert!(
+                whole == bits(&tiled.stats),
+                "case {case}: {w}x{h} tile {tile} margin {margin} diverges at {threads} threads"
+            );
+        }
+    }
+    assert!(
+        thin >= 2 && sub_tile >= 1 && tight >= 1 && trimmed >= 1,
+        "sweep misses an edge shape: thin {thin}, sub-tile {sub_tile}, \
+         margin == radius {tight}, trimmed keep {trimmed}"
+    );
+}
+
 /// The monitor rule is monotone: tightening tau or raising the sigma
 /// factor can only add warnings.
 #[test]

@@ -27,7 +27,7 @@
 //!   `el_uavsim::SafetySwitch::on_audit_advisory`).
 
 use el_geom::components::Connectivity;
-use el_geom::{label_components, Grid, Rect};
+use el_geom::{label_components, Grid, Point, Rect};
 use el_monitor::rule::MonitorRule;
 use el_monitor::tiledbayes::{bayesian_segment_tiled, TiledBayesStats};
 use el_scene::Image;
@@ -269,24 +269,17 @@ pub fn run_audit_with_clock(
     report_from_sweep(config, rule, tiled)
 }
 
-/// Mean `σ` over all classes of the pixels of `bbox` (image coordinates,
-/// assumed within the frame) that satisfy `select`. Iterates the bounding
-/// box only, so distilling a report stays O(total keep/region area), not
-/// O(tiles x frame).
-fn mean_sigma_in(
-    tiled: &TiledBayesStats,
-    bbox: Rect,
-    select: impl Fn(usize, usize) -> bool,
-) -> f64 {
+/// Mean `σ` over all classes of `pixels` (image coordinates, assumed
+/// within the frame), summed in the order given. Callers pass a keep
+/// rectangle's or a region's own pixels, so distilling a report stays
+/// O(total keep/region area), not O(tiles x frame).
+fn mean_sigma_in(tiled: &TiledBayesStats, pixels: impl IntoIterator<Item = Point>) -> f64 {
     let (classes, h, w) = tiled.stats.std.shape();
     let std = tiled.stats.std.as_slice();
     let mut sum = 0.0f64;
     let mut count = 0usize;
-    for p in bbox.pixels() {
+    for p in pixels {
         let (x, y) = (p.x as usize, p.y as usize);
-        if !select(x, y) {
-            continue;
-        }
         for c in 0..classes {
             sum += std[c * h * w + y * w + x] as f64;
         }
@@ -324,7 +317,7 @@ fn report_from_sweep(
         .iter()
         .map(|&i| {
             let keep = tiled.tiles[i].keep_rect();
-            let mean_sigma = mean_sigma_in(&tiled, keep, |_, _| true);
+            let mean_sigma = mean_sigma_in(&tiled, keep.pixels());
             let keep_px = keep.area().max(1) as f64;
             let mut warn_in = 0usize;
             for p in keep.pixels() {
@@ -345,14 +338,10 @@ fn report_from_sweep(
         .components
         .iter()
         .filter(|c| c.area >= config.min_region_px)
-        .map(|c| {
-            let id = c.id;
-            let mean_sigma = mean_sigma_in(&tiled, c.bbox, |x, y| cc.labels[(x, y)] == Some(id));
-            AuditRegion {
-                bbox: c.bbox,
-                area: c.area,
-                mean_sigma,
-            }
+        .map(|c| AuditRegion {
+            bbox: c.bbox,
+            area: c.area,
+            mean_sigma: mean_sigma_in(&tiled, cc.pixels(c.id)),
         })
         .collect();
     regions.sort_by(|a, b| b.area.cmp(&a.area).then(a.bbox.x.cmp(&b.bbox.x)));

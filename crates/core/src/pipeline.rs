@@ -652,6 +652,18 @@ mod tests {
             err.to_string().contains("monitor_margin_px"),
             "message should name the field, got: {err}"
         );
+
+        // A zone half-side whose 2·h + 1 overflows is a config error, not
+        // a panic (debug) or an empty zone (release) in the zone search.
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut rng);
+        let mut config = PipelineConfig::fast_test();
+        config.zone.zone_half_side = i64::MAX / 2 + 1;
+        let err = ElPipeline::try_new(net, config).expect_err("overflowing zone side");
+        assert!(
+            err.detail().contains("zone_half_side"),
+            "message should name the field, got: {err}"
+        );
     }
 
     #[test]

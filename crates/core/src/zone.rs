@@ -1,8 +1,8 @@
 //! Candidate landing-zone proposal — the core function of Figure 2.
 
 use el_geom::components::{label_components, Connectivity};
-use el_geom::distance::distance_from;
-use el_geom::{Grid, LabelMap, Point, Rect, SemanticClass};
+use el_geom::distance::{distance_of, squared_distance_from, NO_SEED};
+use el_geom::{LabelMap, Point, Rect, SemanticClass};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the zone proposer.
@@ -53,6 +53,11 @@ impl ZoneParams {
         if self.zone_half_side < 1 {
             return Err("zone_half_side must be at least 1".into());
         }
+        if self.zone_half_side > (i64::MAX - 1) / 2 {
+            return Err(
+                "zone_half_side is too large: the zone side 2·zone_half_side + 1 overflows".into(),
+            );
+        }
         if self.max_candidates == 0 {
             return Err("max_candidates must be positive".into());
         }
@@ -96,14 +101,47 @@ pub fn is_landable(class: SemanticClass) -> bool {
     matches!(class, SemanticClass::LowVegetation | SemanticClass::Clutter)
 }
 
+/// The least squared distance `s` with `sqrt(s) >= clearance_px`
+/// (`(s as f64).sqrt()`, correctly rounded), or [`NO_SEED`] when no
+/// finite squared distance reaches the clearance.
+///
+/// `s ↦ (s as f64).sqrt()` is monotone, so `d² >= threshold` is exactly
+/// `distance_of(d²) >= clearance_px` for every squared distance the
+/// transform produces, [`NO_SEED`] (+∞) included.
+fn clearance_threshold(clearance_px: f64) -> u64 {
+    let reaches = |s: u64| (s as f64).sqrt() >= clearance_px;
+    // Invariant: the answer lies in (lo, hi]; `hi = NO_SEED` stands for
+    // +∞, which reaches every finite clearance.
+    if reaches(0) {
+        return 0;
+    }
+    let (mut lo, mut hi) = (0u64, NO_SEED);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// Proposes candidate landing zones from a (predicted) label map.
 ///
 /// Algorithm:
-/// 1. Distance transform from every predicted high-risk pixel.
-/// 2. Safe mask: landable pixels at distance `>= clearance_px`.
+/// 1. Exact integer squared distance `d²` from every predicted high-risk
+///    pixel ([`squared_distance_from`]).
+/// 2. Safe mask: landable pixels with `d² >= T`, where `T` is the least
+///    integer whose correctly rounded `sqrt` reaches `clearance_px` — the
+///    same pixels as `sqrt(d²) >= clearance_px`, without a `sqrt` per
+///    pixel. A frame without any high-risk pixel has `d² = +∞`
+///    ([`NO_SEED`]) everywhere, which passes every clearance.
 /// 3. Connected components of the safe mask; small slivers discarded.
-/// 4. Within each region, the pixel farthest from high-risk areas becomes
-///    the zone centre; the zone must fit inside the image.
+/// 4. Within each region, the pixel with the largest `d²` becomes the zone
+///    centre (first in raster order on ties), scanning only the region's
+///    runs clipped to the centres whose zone square fits inside the image.
+///    One `sqrt` at the winner gives its clearance.
 /// 5. Rank by score (clearance, then region size).
 ///
 /// The returned list is best-first and unique per region. This is a *pure
@@ -117,38 +155,43 @@ pub fn propose_zones(predicted: &LabelMap, params: &ZoneParams) -> Vec<Candidate
     if let Err(e) = params.validate() {
         panic!("invalid zone parameters: {e}");
     }
-    let dist = distance_from(predicted, is_high_risk);
-    let safe: Grid<bool> = Grid::from_fn(predicted.width(), predicted.height(), |x, y| {
-        is_landable(predicted[(x, y)]) && dist[(x, y)] >= params.clearance_px
-    });
+    let d2 = squared_distance_from(predicted, is_high_risk);
+    let threshold = clearance_threshold(params.clearance_px);
+    let safe = predicted
+        .zip_map(&d2, |&c, &d| is_landable(c) && d >= threshold)
+        .expect("the transform keeps the map's shape");
     let cc = label_components(&safe, Connectivity::Four);
-    let bounds = predicted.bounds();
+    // Centres whose zone square fits inside the image.
+    let half = params.zone_half_side;
+    let side = 2 * half + 1;
+    let (w, h) = (predicted.width() as i64, predicted.height() as i64);
+    let fits = Rect::new(half, half, w - side + 1, h - side + 1);
 
     let mut candidates = Vec::new();
     for comp in &cc.components {
         if comp.area < params.min_area_px {
             continue;
         }
-        // Farthest-from-risk pixel inside the component whose zone square
-        // fits in the image.
-        let mut best: Option<(Point, f64)> = None;
-        for p in comp.bbox.pixels() {
-            if cc.labels[p] != Some(comp.id) {
+        let mut best: Option<(Point, u64)> = None;
+        for run in cc.runs(comp.id) {
+            let y = run.y as i64;
+            let x0 = (run.x0 as i64).max(fits.x);
+            let x1 = (run.x1 as i64).min(fits.right());
+            if y < fits.y || y >= fits.bottom() || x0 >= x1 {
                 continue;
             }
-            let zone = Rect::centered_square(p, 2 * params.zone_half_side + 1);
-            if !bounds.contains_rect(zone) {
-                continue;
-            }
-            let d = dist[p];
-            if best.is_none_or(|(_, bd)| d > bd) {
-                best = Some((p, d));
+            let dists = &d2.row(run.y)[x0 as usize..x1 as usize];
+            for (x, &d) in (x0..).zip(dists) {
+                if best.is_none_or(|(_, bd)| d > bd) {
+                    best = Some((Point::new(x, y), d));
+                }
             }
         }
-        let Some((center, clearance)) = best else {
+        let Some((center, d)) = best else {
             continue;
         };
-        let rect = Rect::centered_square(center, 2 * params.zone_half_side + 1);
+        let clearance = distance_of(d);
+        let rect = Rect::centered_square(center, side);
         // Score: clearance dominates; larger regions break ties (more
         // margin for the landing controller to adjust).
         let score = clearance + (comp.area as f64).sqrt() * 0.05;
@@ -293,6 +336,7 @@ fn score_desc(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use el_geom::Grid;
 
     /// A map with a vertical road at x in [28, 35] and grass elsewhere.
     fn road_map(w: usize, h: usize) -> LabelMap {
@@ -566,6 +610,46 @@ mod tests {
             veto_heat: 1.0,
         };
         let _ = screen_candidates(screen_fixture(1), &bad, |_| 0.0);
+    }
+
+    #[test]
+    fn zone_half_side_must_keep_the_side_representable() {
+        let mut params = ZoneParams::small();
+        // The largest half-side whose side 2·h + 1 is exactly i64::MAX.
+        params.zone_half_side = (i64::MAX - 1) / 2;
+        assert!(params.validate().is_ok());
+        for h in [i64::MAX / 2 + 1, i64::MAX] {
+            params.zone_half_side = h;
+            let err = params.validate().expect_err("2·h + 1 overflows");
+            assert!(err.contains("zone_half_side"), "got: {err}");
+        }
+        // The largest valid half-side fits nowhere: no candidate, no panic.
+        params.zone_half_side = (i64::MAX - 1) / 2;
+        params.clearance_px = 0.0;
+        let open: LabelMap = Grid::new(16, 16, SemanticClass::LowVegetation);
+        assert!(propose_zones(&open, &params).is_empty());
+    }
+
+    #[test]
+    fn clearance_threshold_is_the_least_passing_square() {
+        for c in [0.0, 1.0, 2f64.sqrt(), 5.0, 20.0, 20.5, 1e6] {
+            for c in [c, c.next_up(), c.next_down()] {
+                if c < 0.0 {
+                    continue;
+                }
+                let t = clearance_threshold(c);
+                assert!((t as f64).sqrt() >= c, "{c}: T = {t} must pass");
+                assert!(
+                    t == 0 || ((t - 1) as f64).sqrt() < c,
+                    "{c}: T - 1 must fail"
+                );
+            }
+        }
+        assert_eq!(clearance_threshold(5.0), 25);
+        assert_eq!(clearance_threshold(5f64.next_up()), 26);
+        assert_eq!(clearance_threshold(2f64.sqrt()), 2);
+        // No finite squared distance reaches f64::MAX; only +∞ does.
+        assert_eq!(clearance_threshold(f64::MAX), NO_SEED);
     }
 
     #[test]

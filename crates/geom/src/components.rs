@@ -1,8 +1,12 @@
 //! Connected-component labelling.
 //!
 //! Candidate landing zones are extracted as connected components of the
-//! "safe" mask (pixels far enough from busy roads). This module provides a
-//! two-pass union-find labelling with per-component statistics.
+//! "safe" mask (pixels far enough from busy roads); the audit and the risk
+//! map label their warning and hot-cell masks the same way. This module
+//! provides a run-based union-find labelling over flat `u32` provisional
+//! labels. Each component is returned as its statistics, accumulated as
+//! exact integers, and its pixels as horizontal runs — no per-pixel label
+//! raster is built.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,8 +27,9 @@ pub enum Connectivity {
 /// Statistics of one connected component.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Component {
-    /// Component id; pixel `p` belongs to this component iff
-    /// `labels[p] == Some(id)`.
+    /// Component id: the index of this component in
+    /// [`ComponentLabels::components`] and the key of its pixels in
+    /// [`ComponentLabels::runs`].
     pub id: u32,
     /// Number of pixels.
     pub area: usize,
@@ -56,14 +61,28 @@ impl Component {
     }
 }
 
-/// The result of component labelling: a per-pixel component id plus
-/// per-component statistics.
+/// A maximal horizontal run of foreground pixels: `x0..x1` on row `y`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Run {
+    /// Row.
+    pub y: usize,
+    /// First column of the run.
+    pub x0: usize,
+    /// One past the last column of the run.
+    pub x1: usize,
+}
+
+/// The result of component labelling: per-component statistics plus each
+/// component's pixels as horizontal runs.
 #[derive(Debug, Clone)]
 pub struct ComponentLabels {
-    /// `Some(id)` for foreground pixels, `None` for background.
-    pub labels: Grid<Option<u32>>,
     /// Component statistics, indexed by id.
     pub components: Vec<Component>,
+    /// Every foreground run, grouped by component id and in raster order
+    /// within a component.
+    runs: Vec<Run>,
+    /// Component `id` owns `runs[offsets[id]..offsets[id + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl ComponentLabels {
@@ -77,6 +96,27 @@ impl ComponentLabels {
         let mut v: Vec<&Component> = self.components.iter().collect();
         v.sort_by(|a, b| b.area.cmp(&a.area).then(a.id.cmp(&b.id)));
         v
+    }
+
+    /// The runs of component `id`, in raster order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a component id.
+    pub fn runs(&self, id: u32) -> &[Run] {
+        let id = id as usize;
+        &self.runs[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// The pixels of component `id`, in raster order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a component id.
+    pub fn pixels(&self, id: u32) -> impl Iterator<Item = Point> + '_ {
+        self.runs(id)
+            .iter()
+            .flat_map(|r| (r.x0..r.x1).map(move |x| Point::new(x as i64, r.y as i64)))
     }
 }
 
@@ -117,7 +157,16 @@ impl UnionFind {
 /// Labels connected components of the `true` pixels of `mask`.
 ///
 /// Returns compactly renumbered component ids (0, 1, 2, …) in first-pixel
-/// raster order, along with per-component statistics.
+/// raster order, along with per-component statistics and runs.
+///
+/// One raster pass splits every row into maximal runs of foreground
+/// pixels. A run's provisional label is its index (a flat `u32`), and a
+/// union-find forest joins it to every run of the row above that it
+/// touches; roots are the smallest label of their set. Runs are found in
+/// raster order and a component's first pixel starts its first run, so
+/// numbering the roots in label order *is* first-pixel raster order.
+/// Area, bounding box and centroid sums accumulate per run as exact
+/// integers; the centroid is one division per axis at the end.
 ///
 /// # Example
 ///
@@ -131,85 +180,98 @@ impl UnionFind {
 /// let cc = label_components(&mask, Connectivity::Four);
 /// assert_eq!(cc.components.len(), 2);
 /// assert_eq!(cc.largest().unwrap().area, 2);
+/// assert_eq!(cc.pixels(1).collect::<Vec<_>>(), [el_geom::Point::new(4, 0)]);
 /// ```
 pub fn label_components(mask: &Grid<bool>, connectivity: Connectivity) -> ComponentLabels {
     let (w, h) = (mask.width(), mask.height());
-    let mut provisional: Grid<Option<u32>> = Grid::new(w, h, None);
+    // How far past a run's ends a run of the row above may start or end
+    // and still touch it: diagonal neighbours count under 8-connectivity.
+    let reach = usize::from(connectivity == Connectivity::Eight);
+    let mut runs: Vec<Run> = Vec::new();
     let mut uf = UnionFind::new();
-
+    let mut above = 0..0; // the previous row's runs
     for y in 0..h {
-        for x in 0..w {
-            if !mask[(x, y)] {
-                continue;
+        let row = &mask.as_slice()[y * w..(y + 1) * w];
+        let first = runs.len();
+        let mut p = above.start; // first run above that may touch
+        let mut x = 0;
+        while let Some(offset) = row[x..].iter().position(|&b| b) {
+            let x0 = x + offset;
+            let x1 = row[x0..].iter().position(|&b| !b).map_or(w, |len| x0 + len);
+            let label = uf.make();
+            while p < above.end && runs[p].x1 + reach <= x0 {
+                p += 1;
             }
-            // Look at already-visited neighbours (left, up; plus the two
-            // diagonals above for 8-connectivity).
-            let mut neigh: [Option<u32>; 4] = [None; 4];
-            if x > 0 {
-                neigh[0] = provisional[(x - 1, y)];
+            // Runs above that touch this one; the last may also touch the
+            // next run of this row, so `p` stays on it.
+            let mut q = p;
+            while q < above.end && runs[q].x0 < x1 + reach {
+                uf.union(label, q as u32);
+                q += 1;
             }
-            if y > 0 {
-                neigh[1] = provisional[(x, y - 1)];
-                if connectivity == Connectivity::Eight {
-                    if x > 0 {
-                        neigh[2] = provisional[(x - 1, y - 1)];
-                    }
-                    if x + 1 < w {
-                        neigh[3] = provisional[(x + 1, y - 1)];
-                    }
-                }
-            }
-            let mut assigned = None;
-            for n in neigh.into_iter().flatten() {
-                match assigned {
-                    None => assigned = Some(n),
-                    Some(a) => uf.union(a, n),
-                }
-            }
-            let id = assigned.unwrap_or_else(|| uf.make());
-            provisional[(x, y)] = Some(id);
+            runs.push(Run { y, x0, x1 });
+            x = x1;
         }
+        above = first..runs.len();
     }
 
-    // Renumber roots compactly in raster order of first appearance.
-    let mut remap: Vec<Option<u32>> = vec![None; uf.parent.len()];
+    // Final ids, in label order (= first-pixel raster order): a root
+    // takes the next id, any other label its parent's. Parents are smaller
+    // labels, so theirs is already resolved, and the forest can hold the
+    // ids in place.
+    let mut ids = uf.parent;
     let mut components: Vec<Component> = Vec::new();
-    let mut labels: Grid<Option<u32>> = Grid::new(w, h, None);
-    let mut sums: Vec<(f64, f64)> = Vec::new();
-
-    for y in 0..h {
-        for x in 0..w {
-            let Some(p) = provisional[(x, y)] else {
-                continue;
-            };
-            let root = uf.find(p);
-            let id = match remap[root as usize] {
-                Some(id) => id,
-                None => {
-                    let id = components.len() as u32;
-                    remap[root as usize] = Some(id);
-                    components.push(Component {
-                        id,
-                        area: 0,
-                        bbox: Rect::new(x as i64, y as i64, 0, 0),
-                        centroid: (0.0, 0.0),
-                    });
-                    sums.push((0.0, 0.0));
-                    id
-                }
-            };
-            labels[(x, y)] = Some(id);
-            let c = &mut components[id as usize];
-            c.area += 1;
-            c.bbox = c.bbox.union(Rect::new(x as i64, y as i64, 1, 1));
-            sums[id as usize].0 += x as f64;
-            sums[id as usize].1 += y as f64;
-        }
+    let mut sums: Vec<(u64, u64)> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    for (label, run) in runs.iter().enumerate() {
+        let up = ids[label] as usize;
+        let id = if up == label {
+            let id = components.len() as u32;
+            components.push(Component {
+                id,
+                area: 0,
+                bbox: Rect::new(run.x0 as i64, run.y as i64, 0, 0),
+                centroid: (0.0, 0.0),
+            });
+            sums.push((0, 0));
+            counts.push(0);
+            id
+        } else {
+            ids[up]
+        };
+        ids[label] = id;
+        let len = run.x1 - run.x0;
+        let c = &mut components[id as usize];
+        c.area += len;
+        c.bbox = c
+            .bbox
+            .union(Rect::new(run.x0 as i64, run.y as i64, len as i64, 1));
+        let sum = &mut sums[id as usize];
+        // x0 + … + (x1 − 1), exactly: one of len and x0 + x1 − 1 is even.
+        sum.0 += (len * (run.x0 + run.x1 - 1) / 2) as u64;
+        sum.1 += (len * run.y) as u64;
+        counts[id as usize] += 1;
     }
-    for (c, s) in components.iter_mut().zip(sums) {
-        c.centroid = (s.0 / c.area as f64, s.1 / c.area as f64);
+    for (c, (sx, sy)) in components.iter_mut().zip(sums) {
+        c.centroid = (sx as f64 / c.area as f64, sy as f64 / c.area as f64);
     }
-    ComponentLabels { labels, components }
+    // Group the runs by id (a stable counting sort keeps raster order).
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    offsets.push(0);
+    for n in counts {
+        offsets.push(offsets[offsets.len() - 1] + n);
+    }
+    let mut next = offsets.clone();
+    let mut grouped = vec![Run { y: 0, x0: 0, x1: 0 }; runs.len()];
+    for (run, &id) in runs.iter().zip(&ids) {
+        grouped[next[id as usize]] = *run;
+        next[id as usize] += 1;
+    }
+    ComponentLabels {
+        components,
+        runs: grouped,
+        offsets,
+    }
 }
 
 #[cfg(test)]
@@ -276,23 +338,42 @@ mod tests {
     }
 
     #[test]
-    fn labels_consistent_with_components() {
+    fn pixels_consistent_with_components() {
         let mask = mask_from_str(&["##..", "..##", "##.#"]);
         let cc = label_components(&mask, Connectivity::Eight);
-        let mut counts = vec![0usize; cc.components.len()];
-        for (p, l) in cc.labels.enumerate() {
-            match l {
-                Some(id) => {
-                    assert!(mask[p]);
-                    counts[*id as usize] += 1;
-                    assert!(cc.components[*id as usize].bbox.contains(p));
-                }
-                None => assert!(!mask[p]),
+        let mut owner: Grid<Option<u32>> = Grid::new(mask.width(), mask.height(), None);
+        for c in &cc.components {
+            let pixels: Vec<Point> = cc.pixels(c.id).collect();
+            assert_eq!(pixels.len(), c.area);
+            // Raster order within a component.
+            assert!(pixels
+                .windows(2)
+                .all(|p| (p[0].y, p[0].x) < (p[1].y, p[1].x)));
+            for p in pixels {
+                assert!(mask[p] && c.bbox.contains(p));
+                assert_eq!(owner[p].replace(c.id), None, "{p} in two components");
             }
         }
-        for (c, n) in cc.components.iter().zip(counts) {
-            assert_eq!(c.area, n);
+        for (p, &b) in mask.enumerate() {
+            assert_eq!(b, owner[p].is_some(), "at {p}");
         }
+    }
+
+    #[test]
+    fn runs_are_maximal_and_grouped() {
+        let mask = mask_from_str(&["##.##", "#####", "....#"]);
+        let cc = label_components(&mask, Connectivity::Four);
+        assert_eq!(cc.components.len(), 1);
+        assert_eq!(
+            cc.runs(0),
+            [
+                Run { y: 0, x0: 0, x1: 2 },
+                Run { y: 0, x0: 3, x1: 5 },
+                Run { y: 1, x0: 0, x1: 5 },
+                Run { y: 2, x0: 4, x1: 5 },
+            ]
+        );
+        assert_eq!(cc.components[0].centroid, (22.0 / 10.0, 7.0 / 10.0));
     }
 
     #[test]

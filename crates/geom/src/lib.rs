@@ -10,11 +10,11 @@
 //!   2-D vectors and axis-aligned rectangles.
 //! - [`SemanticClass`] / [`LabelMap`]: the eight UAVid semantic classes the
 //!   paper's segmentation model predicts, and dense per-pixel label maps.
-//! - [`distance`]: an exact Euclidean distance transform, the workhorse
-//!   behind "select an area far from busy roads".
+//! - [`distance`]: an exact integer squared Euclidean distance transform,
+//!   the workhorse behind "select an area far from busy roads".
 //! - [`components`]: connected-component labelling for candidate-zone
-//!   extraction.
-//! - [`morph`]: binary dilation/erosion used for safety buffers.
+//!   extraction, the audit's anomalous regions and the risk map's hot
+//!   regions.
 //! - [`draw`]: rasterisation helpers used by the procedural scene generator.
 //!
 //! # Example
@@ -40,7 +40,6 @@ pub mod draw;
 pub mod error;
 pub mod grid;
 pub mod label;
-pub mod morph;
 pub mod point;
 pub mod rect;
 pub mod transform;

@@ -422,14 +422,10 @@ impl RiskMap {
             .iter()
             .map(|comp| {
                 let mut peak = 0.0f64;
-                for y in comp.bbox.y..comp.bbox.bottom() {
-                    for x in comp.bbox.x..comp.bbox.right() {
-                        if cc.labels[(x as usize, y as usize)] == Some(comp.id) {
-                            let v = decayed[(x as usize, y as usize)];
-                            if v > peak {
-                                peak = v;
-                            }
-                        }
+                for p in cc.pixels(comp.id) {
+                    let v = decayed[p];
+                    if v > peak {
+                        peak = v;
                     }
                 }
                 HotRegion {

@@ -166,7 +166,8 @@ pub enum ServeError {
     /// The session id is unknown (never opened, or already closed).
     UnknownSession(SessionId),
     /// The submitted frame cannot be processed: a zero width or height,
-    /// a non-finite pixel or a non-finite wind observation.
+    /// a non-finite pixel, a non-finite wind observation, or a wind whose
+    /// drift clearance is non-finite.
     InvalidFrame(String),
 }
 
@@ -341,8 +342,9 @@ impl ElService {
     ///
     /// Returns [`ServeError::UnknownSession`] for a closed or unknown id,
     /// and [`ServeError::InvalidFrame`] for an empty image, a non-finite
-    /// pixel or a non-finite wind. A rejected frame is never assigned a frame index,
-    /// so it shifts no other frame's seed.
+    /// pixel, a non-finite wind, or (with drift tracking configured) a wind
+    /// whose drift clearance is non-finite. A rejected frame is never
+    /// assigned a frame index, so it shifts no other frame's seed.
     pub fn submit(&mut self, id: SessionId, request: FrameRequest) -> Result<bool, ServeError> {
         let cap = self.config.max_inbox;
         let session = self
@@ -370,6 +372,19 @@ impl ElService {
                 "non-finite wind {} m/s",
                 request.wind_mps
             )));
+        }
+        // A finite wind can still be too large for the drift model: its
+        // clearance overflows to +∞, which no zone search accepts. The
+        // tracker's EWMA never exceeds the largest wind it was fed, so
+        // rejecting such winds here keeps every tick's clearance finite.
+        if let Some(drift) = &self.config.drift {
+            let clearance = drift.required_clearance_px(request.wind_mps);
+            if !clearance.is_finite() {
+                return Err(ServeError::InvalidFrame(format!(
+                    "wind {} m/s needs a non-finite drift clearance ({clearance} px)",
+                    request.wind_mps
+                )));
+            }
         }
         let queued = session.enqueue(request, cap);
         if !queued {
@@ -642,5 +657,67 @@ mod tests {
         let tiny = net(&MsdNetConfig::tiny());
         assert_eq!(tiny.receptive_radius(), 2);
         assert!(ElService::try_new(tiny, with_audit(AuditConfig::fast_test())).is_ok());
+    }
+
+    #[test]
+    fn zone_side_overflow_is_a_config_error() {
+        // 2·h + 1 overflows i64: the zone search must never see it.
+        let mut config = ServeConfig::fast_test();
+        config.pipeline.zone.zone_half_side = i64::MAX / 2 + 1;
+        match ElService::try_new(net(&MsdNetConfig::tiny()), config) {
+            Err(ServeError::InvalidConfig(detail)) => {
+                assert!(detail.contains("zone_half_side"), "got: {detail}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_finite_wind_is_rejected_before_it_reaches_the_tick() {
+        // With drift tracking, a finite wind of 1e308 m/s needs an
+        // infinite clearance; accepting it used to panic the next tick's
+        // zone search. It is an invalid frame and consumes no frame index.
+        let config = ServeConfig {
+            drift: Some(DriftConfig::medi_delivery()),
+            ..ServeConfig::fast_test()
+        };
+        let drift = config.drift.expect("drift configured");
+        assert!(drift.required_clearance_px(1e308).is_infinite());
+        let mut service =
+            ElService::try_new(net(&MsdNetConfig::tiny()), config.clone()).expect("valid config");
+        let mut reference =
+            ElService::try_new(net(&MsdNetConfig::tiny()), config).expect("valid config");
+        let (id, ref_id) = (service.open_session(7), reference.open_session(7));
+        let frame = |wind_mps| FrameRequest {
+            image: Image::new(24, 24, [0.5; 3]),
+            wind_mps,
+        };
+        for wind in [1e308, f64::MAX] {
+            match service.submit(id, frame(wind)) {
+                Err(ServeError::InvalidFrame(detail)) => {
+                    assert!(detail.contains("wind"), "got: {detail}")
+                }
+                other => panic!("wind {wind}: expected InvalidFrame, got {other:?}"),
+            }
+        }
+        // Huge winds whose clearance is still finite (and negative ones,
+        // clamped to calm) are accepted, and ticks over them run.
+        assert!(drift.required_clearance_px(1e300).is_finite());
+        assert!(drift.required_clearance_px(-1e308).is_finite());
+        for wind in [1e300, 1e300, -1e308, 3.0] {
+            assert_eq!(service.submit(id, frame(wind)), Ok(true));
+            assert_eq!(reference.submit(ref_id, frame(wind)), Ok(true));
+            let (tick, ref_tick) = (service.tick(), reference.tick());
+            assert_eq!(
+                (tick.admitted, tick.aborts),
+                (ref_tick.admitted, ref_tick.aborts)
+            );
+        }
+        let (summary, ref_summary) = (
+            service.close_session(id).expect("open session"),
+            reference.close_session(ref_id).expect("open session"),
+        );
+        assert_eq!(summary.frames, 4);
+        assert_eq!(summary.decision_fp, ref_summary.decision_fp);
     }
 }

@@ -68,6 +68,13 @@ impl DriftConfig {
         }
         Ok(())
     }
+
+    /// Required clearance (pixels) at a wind speed (m/s, clamped
+    /// non-negative as the tracker clamps it).
+    pub fn required_clearance_px(&self, wind_mps: f64) -> f64 {
+        self.model
+            .required_clearance_px(wind_mps.max(0.0), self.level, &self.camera)
+    }
 }
 
 /// The per-session drift tracker (see [`DriftConfig`]).
@@ -107,11 +114,7 @@ impl DriftTracker {
 
     /// Required clearance (pixels) at the current wind estimate.
     pub fn required_clearance_px(&self) -> f64 {
-        self.config.model.required_clearance_px(
-            self.wind_mps(),
-            self.config.level,
-            &self.config.camera,
-        )
+        self.config.required_clearance_px(self.wind_mps())
     }
 }
 

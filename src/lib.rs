@@ -7,7 +7,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`el_geom`] | grids, label maps, distance transforms, morphology |
+//! | [`el_geom`] | grids, label maps, distance transforms, component labelling |
 //! | [`el_nn`] | from-scratch tensors, dilated convolutions, dropout, backprop |
 //! | [`el_scene`] | procedural UAVid-like urban scenes, conditions, datasets |
 //! | [`el_seg`] | the MSDnet-style segmenter, trainer and metrics |

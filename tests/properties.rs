@@ -6,7 +6,7 @@
 //! reproducibility.
 
 use certel::prelude::*;
-use el_geom::distance::distance_transform;
+use el_geom::distance::{distance_transform, squared_distance_transform, NO_SEED};
 use el_geom::Grid;
 use el_nn::layers::Conv2d;
 use el_nn::{Tensor, Workspace};
@@ -25,50 +25,87 @@ fn rng() -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(0x5EED)
 }
 
-/// The exact Euclidean distance transform matches brute force on
-/// arbitrary masks.
-#[test]
-fn distance_transform_matches_brute_force() {
-    let mut r = rng();
-    for _ in 0..CASES {
-        let bits: Vec<bool> = (0..64).map(|_| r.gen::<bool>()).collect();
-        let mask = Grid::from_vec(8, 8, bits).unwrap();
-        let fast = distance_transform(&mask);
-        let seeds: Vec<_> = mask
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(p, _)| p)
-            .collect();
-        for (p, &v) in fast.enumerate() {
-            let brute = seeds
-                .iter()
-                .map(|s| ((s.x - p.x).pow(2) as f64 + (s.y - p.y).pow(2) as f64).sqrt())
-                .fold(f64::INFINITY, f64::min);
-            if brute.is_infinite() {
-                assert!(v.is_infinite());
-            } else {
-                assert!((v - brute).abs() < 1e-9, "at {p}: {v} vs {brute}");
+/// Brute-force squared distance to the nearest `true` pixel of `mask`,
+/// `None` when the mask has none.
+fn brute_squared_distances(mask: &Grid<bool>) -> Grid<Option<u64>> {
+    let seeds: Vec<Point> = mask
+        .enumerate()
+        .filter(|(_, &b)| b)
+        .map(|(p, _)| p)
+        .collect();
+    Grid::from_fn(mask.width(), mask.height(), |x, y| {
+        seeds
+            .iter()
+            .map(|s| s.x.abs_diff(x as i64).pow(2) + s.y.abs_diff(y as i64).pow(2))
+            .min()
+    })
+}
+
+/// Checks both views of the transform against brute force: the exact
+/// integers, and the `sqrt` of each.
+fn assert_transform_exact(mask: &Grid<bool>, what: &str) {
+    let exact = squared_distance_transform(mask);
+    let dist = distance_transform(mask);
+    let brute = brute_squared_distances(mask);
+    for (p, &b) in brute.enumerate() {
+        match b {
+            Some(d2) => {
+                assert_eq!(exact[p], d2, "{what} at {p}");
+                assert_eq!(dist[p], (d2 as f64).sqrt(), "{what} at {p}");
+            }
+            None => {
+                assert_eq!(exact[p], NO_SEED, "{what} at {p}");
+                assert_eq!(dist[p], f64::INFINITY, "{what} at {p}");
             }
         }
     }
 }
 
-/// Dilation is extensive and monotone in the radius.
+/// The exact integer distance transform matches brute force on arbitrary
+/// masks, on degenerate shapes (0×0, 1×N, N×1, seedless, all seeds), and
+/// on a single row long enough that `d²` exceeds `u32::MAX`.
 #[test]
-fn dilation_monotone() {
+fn distance_transform_matches_brute_force() {
     let mut r = rng();
-    for _ in 0..CASES {
-        let bits: Vec<bool> = (0..49).map(|_| r.gen::<bool>()).collect();
-        let r1 = r.gen_range(0.5f64..2.0);
-        let r2 = r.gen_range(2.0f64..4.0);
-        let mask = Grid::from_vec(7, 7, bits).unwrap();
-        let d1 = el_geom::morph::dilate(&mask, r1);
-        let d2 = el_geom::morph::dilate(&mask, r2);
-        for ((&m, &a), &b) in mask.iter().zip(d1.iter()).zip(d2.iter()) {
-            assert!(!m || a, "dilation must be extensive");
-            assert!(!a || b, "dilation must be monotone in radius");
+    for case in 0..CASES {
+        let w = r.gen_range(1usize..14);
+        let h = r.gen_range(1usize..14);
+        let density = r.gen_range(0.0f64..0.6);
+        let bits: Vec<bool> = (0..w * h).map(|_| r.gen_bool(density)).collect();
+        let mask = Grid::from_vec(w, h, bits).unwrap();
+        assert_transform_exact(&mask, &format!("case {case} ({w}x{h})"));
+    }
+    for (w, h) in [
+        (0, 0),
+        (0, 5),
+        (5, 0),
+        (1, 1),
+        (1, 9),
+        (9, 1),
+        (1, 40),
+        (40, 1),
+    ] {
+        for fill in [false, true] {
+            assert_transform_exact(&Grid::new(w, h, fill), &format!("{w}x{h} all {fill}"));
+        }
+        if w * h > 1 {
+            let mut r = rng();
+            let bits: Vec<bool> = (0..w * h).map(|_| r.gen_bool(0.2)).collect();
+            assert_transform_exact(&Grid::from_vec(w, h, bits).unwrap(), &format!("{w}x{h}"));
         }
     }
+    // (w − 1)² > u32::MAX: the transform must neither wrap nor round.
+    let w = 70_000usize;
+    assert!(((w - 1) as u64).pow(2) > u64::from(u32::MAX));
+    let mut mask = Grid::new(w, 1, false);
+    mask[(0, 0)] = true;
+    mask[(1_234, 0)] = true;
+    let exact = squared_distance_transform(&mask);
+    for x in 0..w {
+        let d = x.abs_diff(0).min(x.abs_diff(1_234)) as u64;
+        assert_eq!(exact[(x, 0)], d * d, "long row at x = {x}");
+    }
+    assert_eq!(exact[(w - 1, 0)], ((w - 1 - 1_234) as u64).pow(2));
 }
 
 /// The optimized im2col/GEMM convolution reproduces the naive reference
@@ -336,6 +373,123 @@ fn zones_respect_predicted_risk() {
             }
         }
     }
+}
+
+/// The zone search as specified, computed the slow way: brute-force
+/// nearest-risk distance (`sqrt` of the exact integer), a flood-fill of
+/// the safe pixels in first-pixel raster order, and a raster scan of
+/// each region for the first pixel of greatest clearance whose zone
+/// fits inside the image.
+fn propose_zones_reference(labels: &LabelMap, params: &el_core::ZoneParams) -> Vec<Candidate> {
+    let (w, h) = (labels.width(), labels.height());
+    let risk = labels.map(|&c| el_core::zone::is_high_risk(c));
+    let dist =
+        brute_squared_distances(&risk).map(|d2| d2.map_or(f64::INFINITY, |d2| (d2 as f64).sqrt()));
+    let safe = Grid::from_fn(w, h, |x, y| {
+        el_core::zone::is_landable(labels[(x, y)]) && dist[(x, y)] >= params.clearance_px
+    });
+    let mut region: Grid<Option<usize>> = Grid::new(w, h, None);
+    let mut areas = Vec::new();
+    for start in labels.bounds().pixels() {
+        if !safe[start] || region[start].is_some() {
+            continue;
+        }
+        let id = areas.len();
+        let mut stack = vec![start];
+        region[start] = Some(id);
+        let mut area = 0;
+        while let Some(p) = stack.pop() {
+            area += 1;
+            for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
+                let q = Point::new(p.x + dx, p.y + dy);
+                if safe.get(q) == Some(&true) && region[q].is_none() {
+                    region[q] = Some(id);
+                    stack.push(q);
+                }
+            }
+        }
+        areas.push(area);
+    }
+    let side = 2 * params.zone_half_side + 1;
+    let mut candidates = Vec::new();
+    for (id, &area) in areas.iter().enumerate() {
+        if area < params.min_area_px {
+            continue;
+        }
+        let mut best: Option<(Point, f64)> = None;
+        for p in labels.bounds().pixels() {
+            let fits = labels
+                .bounds()
+                .contains_rect(Rect::centered_square(p, side));
+            if region[p] == Some(id) && fits && best.is_none_or(|(_, d)| dist[p] > d) {
+                best = Some((p, dist[p]));
+            }
+        }
+        if let Some((center, clearance)) = best {
+            candidates.push(Candidate {
+                center,
+                rect: Rect::centered_square(center, side),
+                clearance_px: clearance,
+                region_area: area,
+                score: clearance + (area as f64).sqrt() * 0.05,
+            });
+        }
+    }
+    candidates.sort_by(|a, b| b.score.total_cmp(&a.score));
+    candidates.truncate(params.max_candidates);
+    candidates
+}
+
+/// `propose_zones` (integer transform, squared-integer clearance test,
+/// run labelling) returns exactly the reference's candidates on random
+/// label maps and degenerate shapes, at clearances on, one ULP either
+/// side of, and far from exact square roots.
+#[test]
+fn propose_zones_matches_brute_force_reference() {
+    let classes = SemanticClass::ALL;
+    let mut clearances = vec![0.0, f64::MAX];
+    for c in [5.0, 2f64.sqrt(), 8f64.sqrt(), 3.0] {
+        clearances.extend([c, c.next_up(), c.next_down()]);
+    }
+    let mut r = rng();
+    let mut maps: Vec<LabelMap> = Vec::new();
+    for _ in 0..CASES {
+        let (w, h) = (r.gen_range(1usize..24), r.gen_range(1usize..24));
+        let risk = r.gen_range(0.0f64..0.2);
+        maps.push(Grid::from_fn(w, h, |_, _| {
+            if r.gen_bool(risk) {
+                [SemanticClass::Road, SemanticClass::Humans][r.gen_range(0..2)]
+            } else if r.gen_bool(0.8) {
+                [SemanticClass::LowVegetation, SemanticClass::Clutter][r.gen_range(0..2)]
+            } else {
+                classes[r.gen_range(0..classes.len())]
+            }
+        }));
+    }
+    for (w, h) in [(0, 0), (1, 12), (12, 1), (9, 9)] {
+        maps.push(Grid::new(w, h, SemanticClass::LowVegetation)); // risk-free
+        maps.push(Grid::new(w, h, SemanticClass::Road)); // all risk
+    }
+    let mut proposing = 0;
+    for (i, labels) in maps.iter().enumerate() {
+        for &clearance_px in &clearances {
+            let params = el_core::ZoneParams {
+                clearance_px,
+                zone_half_side: r.gen_range(1i64..3),
+                min_area_px: r.gen_range(1usize..6),
+                max_candidates: r.gen_range(1usize..6),
+            };
+            let got = el_core::propose_zones(labels, &params);
+            let want = propose_zones_reference(labels, &params);
+            let (w, h) = (labels.width(), labels.height());
+            assert_eq!(got, want, "map {i} ({w}x{h}), {params:?}");
+            proposing += usize::from(!want.is_empty());
+        }
+    }
+    assert!(
+        proposing > 3 * CASES,
+        "too few cases propose a zone: {proposing}"
+    );
 }
 
 /// Drift clearance is monotone in wind speed and integrity level.

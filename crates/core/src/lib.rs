@@ -16,8 +16,9 @@
 //!   Bayesian inference is prohibitively slow.
 //! - [`decision`]: the decision module — confirm landing, request another
 //!   candidate, or abort to flight termination.
-//! - [`stages`]: the Figure 2 frame stages (plan, verify, conclude),
-//!   shared by the one-frame pipeline and the multi-stream service.
+//! - [`stages`]: the Figure 2 frame stages (plan, conclude) around the
+//!   monitor's verify stage, shared by the one-frame pipeline and the
+//!   multi-stream service.
 //! - [`pipeline`]: the complete Figure 2 loop, plus an unmonitored
 //!   baseline and a classical edge-density baseline.
 //! - [`audit`]: the whole-frame audit mode — a strictly advisory,
@@ -71,5 +72,5 @@ pub use pipeline::{
     Trial,
 };
 pub use requirements::{AssuranceEvidence, AssuranceLevel, IntegrityLevel};
-pub use stages::{audit_frame, plan_frame, verify_frames, FramePlan, Screen};
+pub use stages::{audit_frame, plan_frame, FramePlan, Screen};
 pub use zone::{propose_zones, screen_candidates, Candidate, RiskConfig, RiskScreen, ZoneParams};

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use el_geom::{Grid, LabelMap};
+use el_geom::{Grid, LabelMap, SemanticClass};
 use el_monitor::{Monitor, MonitorConfig, MonitorReport, Verdict};
 use el_nn::Workspace;
 use el_scene::Image;
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::decision::{AbortReason, Decision, DecisionConfig, DecisionModule};
-use crate::stages::{audit_frame, plan_frame, verify_frames};
+use crate::stages::{audit_frame, plan_frame};
 use crate::zone::{Candidate, ZoneParams};
 
 /// Pipeline configuration.
@@ -111,6 +111,34 @@ impl PipelineConfig {
         }
         self.audit.validate()?;
         Ok(())
+    }
+
+    /// Validates the configuration against the network it will run:
+    /// [`PipelineConfig::validate`], then the network's shape — one
+    /// output class per [`SemanticClass`] and 3 (RGB) input channels —
+    /// and an enabled audit's margin against the network's receptive
+    /// radius ([`AuditConfig::validate_for`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint, naming
+    /// the expected and the actual value.
+    pub fn validate_for(&self, net: &MsdNet) -> Result<(), String> {
+        self.validate()?;
+        if net.classes() != SemanticClass::COUNT {
+            return Err(format!(
+                "network has {} output classes, expected {} (one per semantic class)",
+                net.classes(),
+                SemanticClass::COUNT
+            ));
+        }
+        let in_channels = net.config().in_channels;
+        if in_channels != 3 {
+            return Err(format!(
+                "network has {in_channels} input channels, expected 3 (RGB)"
+            ));
+        }
+        self.audit.validate_for(net)
     }
 }
 
@@ -249,15 +277,13 @@ impl ElPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineConfigError`] when the configuration fails
-    /// [`PipelineConfig::validate`], or when an enabled audit's margin is
-    /// below `net`'s receptive radius ([`AuditConfig::validate_for`]) —
-    /// the scenario subsystem's "never a panic" contract extends to
+    /// [`PipelineConfig::validate_for`] on `net` — an invalid setting, a
+    /// network whose classes or input channels the pipeline cannot run,
+    /// or an enabled audit's margin below `net`'s receptive radius. The
+    /// scenario subsystem's "never a panic" contract extends to
     /// construction.
     pub fn try_new(net: MsdNet, config: PipelineConfig) -> Result<Self, PipelineConfigError> {
-        if let Err(detail) = config
-            .validate()
-            .and_then(|()| config.audit.validate_for(&net))
-        {
+        if let Err(detail) = config.validate_for(&net) {
             return Err(PipelineConfigError { detail });
         }
         // `validate` covered the monitor section, so this cannot panic.
@@ -297,8 +323,8 @@ impl ElPipeline {
     /// The monitored path is *propose-all-then-verify-batch*: every
     /// candidate the decision module could possibly try (its trial
     /// budget caps the count) is cropped up front and verified in one
-    /// [`Monitor::verify_batch`] invocation — the candidates' prefix
-    /// convolutions batch into single GEMMs and their Monte-Carlo chunks
+    /// [`Monitor::verify_batch`] invocation — each candidate's prefix
+    /// convolutions run once and all candidates' Monte-Carlo chunks
     /// share one rayon work queue. The *decision semantics* stay exactly
     /// sequential: the precomputed verdicts are replayed through the
     /// [`DecisionModule`] in candidate order, and a trial is recorded
@@ -347,9 +373,7 @@ impl ElPipeline {
         // Verify-batch every candidate the decision module could reach.
         let sw = el_metrics::Stopwatch::start();
         let reports = if config.monitored {
-            verify_frames(&self.net, &self.monitor, &[(&plan.crops, seed)])
-                .pop()
-                .expect("one report list per frame")
+            self.monitor.verify_batch(&self.net, &plan.crops, seed)
         } else {
             Vec::new()
         };
@@ -664,6 +688,35 @@ mod tests {
             err.detail().contains("zone_half_side"),
             "message should name the field, got: {err}"
         );
+    }
+
+    #[test]
+    fn nets_the_pipeline_cannot_run_are_rejected() {
+        // Both configurations pass `MsdNetConfig::validate` (and load
+        // through `MsdNet::from_json`), but the first frame would panic
+        // in the core segmentation or the first branch convolution.
+        let build = |edit: fn(&mut MsdNetConfig)| {
+            let mut cfg = MsdNetConfig::tiny();
+            edit(&mut cfg);
+            assert!(cfg.validate().is_ok());
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            MsdNet::from_json(&MsdNet::new(&cfg, &mut rng).to_json()).expect("loadable")
+        };
+        let four_classes = build(|c| c.classes = 4);
+        let err = ElPipeline::try_new(four_classes, PipelineConfig::fast_test())
+            .expect_err("a 4-class net cannot feed the 8-class pipeline");
+        assert_eq!(
+            err.detail(),
+            "network has 4 output classes, expected 8 (one per semantic class)"
+        );
+        let four_channels = build(|c| c.in_channels = 4);
+        let err = ElPipeline::try_new(four_channels, PipelineConfig::fast_test())
+            .expect_err("a 4-channel net cannot take RGB frames");
+        assert_eq!(
+            err.detail(),
+            "network has 4 input channels, expected 3 (RGB)"
+        );
+        assert!(ElPipeline::try_new(build(|_| {}), PipelineConfig::fast_test()).is_ok());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!    segmentation, zone proposal, an optional risk screen, then the
 //!    monitor crops (up to the trial budget) and the audit's tile
 //!    priority;
-//! 2. **verify** ([`verify_frames`]): one coalesced Monte-Carlo engine
-//!    call over the borrowed crops of any number of frames, crop `i` of a
-//!    frame seeded `batch_seed(frame_seed, i)`;
+//! 2. **verify** ([`Monitor::verify_frames`](el_monitor::Monitor::verify_frames)):
+//!    one coalesced Monte-Carlo engine call over the borrowed crops of any number of frames, crop
+//!    `i` of a frame seeded `batch_seed(frame_seed, i)`;
 //! 3. **conclude**: the sequential decision replay
 //!    ([`replay_decisions`](crate::pipeline::replay_decisions)) over the
 //!    frame's verdicts, then the advisory whole-frame audit
@@ -16,16 +16,14 @@
 //!
 //! [`ElPipeline`](crate::pipeline::ElPipeline) composes them for one
 //! frame; the multi-stream service composes them for a tick's worth of
-//! frames, with one `verify_frames` call for all of them. Because a
-//! crop's Monte-Carlo statistics depend only on its own pixels and seed
+//! frames, with one `Monitor::verify_frames` call for all of them.
+//! Because a crop's Monte-Carlo statistics depend only on its own pixels and seed
 //! (the masks are coordinate-keyed), a frame decides identically
 //! whichever composition runs it.
 
 use el_geom::{LabelMap, Rect};
-use el_monitor::{batch_seed, bayesian_segment_batch, Monitor, MonitorReport};
-use el_nn::{Tensor, Workspace};
+use el_nn::Workspace;
 use el_scene::Image;
-use el_seg::data::image_to_tensor;
 use el_seg::{segment_ws, MsdNet};
 
 use crate::audit::{run_audit_with_clock, AuditReport};
@@ -103,40 +101,6 @@ pub fn plan_frame(
         vetoed,
         deprioritized,
     }
-}
-
-/// The verify stage: every frame's crops in **one** Monte-Carlo engine
-/// call. `frames` pairs each frame's crops with its seed; crop `i` of a
-/// frame draws its masks from `batch_seed(frame_seed, i)` wherever it
-/// lands in the coalesced batch, so the reports of a frame are
-/// bit-identical to [`Monitor::verify_batch`] on that frame alone.
-/// Returns one report list per frame, in order.
-pub fn verify_frames(
-    net: &MsdNet,
-    monitor: &Monitor,
-    frames: &[(&[Image], u64)],
-) -> Vec<Vec<MonitorReport>> {
-    let sw = el_metrics::Stopwatch::start();
-    let tensors: Vec<Tensor> = frames
-        .iter()
-        .flat_map(|(crops, _)| crops.iter().map(image_to_tensor))
-        .collect();
-    let refs: Vec<&Tensor> = tensors.iter().collect();
-    let seeds: Vec<u64> = frames
-        .iter()
-        .flat_map(|&(crops, seed)| (0..crops.len()).map(move |i| batch_seed(seed, i)))
-        .collect();
-    let origins = vec![(0usize, 0usize); refs.len()];
-    let samples = monitor.config().samples;
-    let mut reports = bayesian_segment_batch(net, &refs, samples, &seeds, &origins)
-        .into_iter()
-        .map(|stats| monitor.report_from_stats(stats));
-    let per_frame = frames
-        .iter()
-        .map(|(crops, _)| reports.by_ref().take(crops.len()).collect())
-        .collect();
-    el_metrics::registry().verify_batch_latency.record(sw);
-    per_frame
 }
 
 /// The audit half of the conclude stage: the advisory whole-frame sweep

@@ -11,9 +11,9 @@
 //!
 //! 1. **Invariant-prefix caching.** No dropout layer precedes the MSDnet's
 //!    dilated branch convolutions, so `relu(conv_d(x))` is identical in
-//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix_batch`]
-//!    computes it once per crop, with **one** column-stacked GEMM per
-//!    branch for the whole batch; each sample replays only the stochastic
+//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix`] computes
+//!    it once per crop (one GEMM per branch, written straight into the
+//!    crop's fused buffer); each sample replays only the stochastic
 //!    suffix (branch dropout → fusion head → head dropout → classifier,
 //!    [`el_seg::MsdNet::mc_sample_at`]). The suffix is pointwise, so it
 //!    runs over any window of a prefix: the tiled sweep computes each
@@ -296,7 +296,7 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
 /// The Monte-Carlo chunk machinery over **precomputed** invariant
 /// prefixes — the engine behind [`bayesian_segment_batch`], split out so
 /// the tiled sweep can keep its prefix workspace and chunk `pool` warm
-/// across prefix groups. Crop `i` uses seed `seeds[i]` and frame origin
+/// across tiles. Crop `i` uses seed `seeds[i]` and frame origin
 /// `origins[i]`; all crops' `(crop, chunk)` tasks drain one rayon queue.
 pub(crate) fn mc_stats_prefixed(
     net: &MsdNet,
@@ -350,9 +350,9 @@ pub(crate) fn mc_stats_prefixed(
 /// `origins[i]` (pass `(0, 0)` for standalone crops). The batch shares
 /// one machine:
 ///
-/// - every branch convolution of the Monte-Carlo-invariant prefixes runs
-///   as a **single** column-stacked im2col GEMM across all crops
-///   ([`MsdNet::mc_prefix_batch`]);
+/// - each crop's Monte-Carlo-invariant prefix is computed once
+///   ([`MsdNet::mc_prefix`], one GEMM per branch) and shared by all of
+///   that crop's samples;
 /// - the Monte-Carlo sample chunks of **all** crops flow through one
 ///   rayon work queue — `crops x chunks` independent tasks in a single
 ///   `par_iter`, so workers never idle at a per-crop join barrier while
@@ -363,10 +363,10 @@ pub(crate) fn mc_stats_prefixed(
 ///
 /// Element `i` of the result depends only on `(net, inputs[i], samples,
 /// seeds[i], origins[i])` — never on the rest of the batch or on the
-/// thread count (property-tested): the stacked GEMM computes each column
-/// independently in the same reduction order, the coordinate-keyed masks
-/// depend only on `(seed, global coordinates)`, and the Welford chunk
-/// partition and merge order are fixed functions of `samples`.
+/// thread count (property-tested): each crop's prefix is its own GEMM,
+/// the coordinate-keyed masks depend only on `(seed, global
+/// coordinates)`, and the Welford chunk partition and merge order are
+/// fixed functions of `samples`.
 ///
 /// # Panics
 ///
@@ -387,7 +387,7 @@ pub fn bayesian_segment_batch(
         return Vec::new();
     }
     let mut ws = Workspace::new();
-    let fused = net.mc_prefix_batch(inputs, &mut ws);
+    let fused: Vec<Tensor> = inputs.iter().map(|t| net.mc_prefix(t, &mut ws)).collect();
     mc_stats_prefixed(net, &fused, samples, seeds, origins, &WsPool::new())
 }
 

@@ -34,8 +34,7 @@
 //!
 //! - the Monte-Carlo-**invariant** prefix of the network (the dilated
 //!   branch convolutions, which no dropout precedes) is computed once per
-//!   crop, one column-stacked GEMM per branch for a whole batch, and
-//!   shared by every sample;
+//!   crop or audit tile, one GEMM per branch, and shared by every sample;
 //! - each sample's dropout masks are **coordinate-keyed**: every mask bit
 //!   is a pure hash of the sample's seed (SplitMix64-split from the
 //!   caller's seed by sample index) and the activation's global frame

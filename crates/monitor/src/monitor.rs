@@ -21,9 +21,9 @@ pub const BATCH_SEED_STRIDE: u64 = 0x9E37_79B9;
 /// This is the single definition of the per-trial seed chain. Any caller
 /// that reproduces batch verification crop-by-crop — or coalesces crops
 /// from several frames into one
-/// [`bayesian_segment_batch`] call, as the shared frame
-/// stages in `el-core` do — must derive seeds with this function to stay
-/// bit-identical to [`Monitor::verify_batch`].
+/// [`bayesian_segment_batch`] call, as [`Monitor::verify_frames`] does —
+/// must derive seeds with this function to stay bit-identical to
+/// [`Monitor::verify_batch`].
 pub fn batch_seed(base: u64, index: usize) -> u64 {
     base.wrapping_add((index as u64 + 1).wrapping_mul(BATCH_SEED_STRIDE))
 }
@@ -142,30 +142,59 @@ impl Monitor {
         report
     }
 
-    /// Verifies a batch of candidate crops in **one** engine invocation.
+    /// Verifies a batch of candidate crops in **one** engine invocation:
+    /// the one-frame case of [`Monitor::verify_frames`].
     ///
     /// Crop `i` draws its masks from the derived seed
     /// `seed + (i+1)·`[`BATCH_SEED_STRIDE`] — the same per-trial seed
     /// chain the sequential decision loop uses — so report `i` is
     /// **bit-identical** to `verify(net, &crops[i], seed + (i+1)·stride)`
-    /// (property-tested). The batch shares one machine: each prefix
-    /// convolution runs as a single column-stacked GEMM over every crop,
-    /// all crops' Monte-Carlo chunks drain one shared rayon work queue
-    /// instead of `N` sequential pools with a join barrier per crop, and
-    /// scratch arenas are pooled across the whole batch (see
-    /// [`bayesian_segment_batch`]).
+    /// (property-tested).
     pub fn verify_batch(&self, net: &MsdNet, crops: &[Image], seed: u64) -> Vec<MonitorReport> {
+        self.verify_frames(net, &[(crops, seed)])
+            .pop()
+            .expect("one report list per frame")
+    }
+
+    /// Verifies every frame's crops in **one** engine invocation.
+    /// `frames` pairs each frame's crops with its seed; crop `i` of a
+    /// frame draws its masks from [`batch_seed`]`(frame_seed, i)`
+    /// wherever it lands in the coalesced batch, so a frame's reports are
+    /// bit-identical to [`Monitor::verify_batch`] on that frame alone.
+    /// Returns one report list per frame, in order.
+    ///
+    /// The batch shares one machine: each crop's Monte-Carlo-invariant
+    /// prefix is computed once, all crops' Monte-Carlo chunks drain one
+    /// shared rayon work queue instead of `N` sequential pools with a
+    /// join barrier per crop, and scratch arenas are pooled across the
+    /// whole batch (see [`bayesian_segment_batch`]). Records one
+    /// `verify_batch_latency` sample per call, however many frames it
+    /// coalesces.
+    pub fn verify_frames(
+        &self,
+        net: &MsdNet,
+        frames: &[(&[Image], u64)],
+    ) -> Vec<Vec<MonitorReport>> {
         let sw = el_metrics::Stopwatch::start();
-        let tensors: Vec<Tensor> = crops.iter().map(image_to_tensor).collect();
+        let tensors: Vec<Tensor> = frames
+            .iter()
+            .flat_map(|(crops, _)| crops.iter().map(image_to_tensor))
+            .collect();
         let refs: Vec<&Tensor> = tensors.iter().collect();
-        let seeds: Vec<u64> = (0..crops.len()).map(|i| batch_seed(seed, i)).collect();
-        let origins = vec![(0usize, 0usize); crops.len()];
-        let reports = bayesian_segment_batch(net, &refs, self.config.samples, &seeds, &origins)
+        let seeds: Vec<u64> = frames
+            .iter()
+            .flat_map(|&(crops, seed)| (0..crops.len()).map(move |i| batch_seed(seed, i)))
+            .collect();
+        let origins = vec![(0usize, 0usize); refs.len()];
+        let mut reports = bayesian_segment_batch(net, &refs, self.config.samples, &seeds, &origins)
             .into_iter()
-            .map(|stats| self.report_from_stats(stats))
+            .map(|stats| self.report_from_stats(stats));
+        let per_frame = frames
+            .iter()
+            .map(|(crops, _)| reports.by_ref().take(crops.len()).collect())
             .collect();
         el_metrics::registry().verify_batch_latency.record(sw);
-        reports
+        per_frame
     }
 
     /// Applies the decision rule to precomputed statistics.

@@ -78,29 +78,12 @@ impl TiledBayesStats {
     }
 }
 
-/// Pixel-column budget of one batched prefix group: consecutive admitted
-/// tiles whose combined prefix pixels (kept interior plus receptive
-/// halo, clipped to the frame — what the sweep computes) stay within it
-/// share one column-stacked prefix GEMM per branch ([`MsdNet::mc_prefix_batch`]).
-/// Purely a performance knob — any partition is bit-identical.
-const PREFIX_GROUP_COLUMNS: usize = 32 * 1024;
-
-/// Hard cap on tiles per prefix group, whatever the tile size. The clock
-/// is polled at *admission*, before any of the group's Monte-Carlo work
-/// runs — this cap keeps the admitted-but-unmeasured backlog to at most
-/// two tiles (small audit tiles would otherwise pack dozens of tiles
-/// under the column budget), and the predictive admission check
-/// ([`TILE_COST_EWMA_ALPHA`]) charges every pending group tile against
-/// the budget, so an admitted group no longer overruns it once a
-/// per-tile cost measurement exists.
-const PREFIX_GROUP_TILES: usize = 2;
-
 /// EWMA smoothing factor for the measured per-tile cost that drives
-/// predictive admission. Successive admission polls bracket the
-/// processing of a prefix group, so `(poll_delta / tiles_processed)` is
-/// a direct per-tile cost sample; the EWMA tracks drift (cache warmup,
+/// predictive admission. One tile is admitted per clock poll and run to
+/// completion before the next poll, so each poll-to-poll delta is a
+/// direct per-tile cost sample; the EWMA tracks drift (cache warmup,
 /// load) while damping one-off spikes. Admission stops when
-/// `elapsed + (pending + 1) · avg >= budget`.
+/// `elapsed + avg >= budget`.
 const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 
 /// The frame region a tile's prefix is computed over: its kept interior
@@ -141,16 +124,17 @@ fn crop_tensor(t: &Tensor, keep: Rect, at: Rect, ws: &mut Workspace) -> Tensor {
 /// whole sweep.
 ///
 /// `elapsed_s` returns seconds since the pass began and is polled once
-/// **before each tile** (at its admission into the current prefix
-/// group); production passes wall-clock time, tests a deterministic fake
-/// clock. Admission is **predictive**: an EWMA of the per-tile cost is
-/// derived from the deltas of those same polls (the clock is the single
-/// source of time), and a tile is admitted only while
-/// `elapsed + (pending + 1) · avg < budget_s` (`pending` the tiles
-/// already admitted into the current prefix group) — so a batched prefix
-/// group cannot overrun the budget by a trailing tile once a cost
-/// measurement exists. Until the first group has been measured the raw
-/// `elapsed < budget_s` check applies. On expiry the partial result is
+/// **before each tile**, at its admission; production passes wall-clock
+/// time, tests a deterministic fake clock. Each admitted tile runs to
+/// completion before the next poll, so every poll-to-poll delta is one
+/// tile's cost. Admission is **predictive**: an EWMA of those deltas (the
+/// clock is the single source of time) estimates the next tile's cost,
+/// and a tile is admitted only while `elapsed + avg < budget_s` — so once
+/// a cost measurement exists the sweep does not start a tile it expects
+/// to finish past the budget. Until the first tile has been measured the
+/// raw `elapsed < budget_s` check applies. Whatever the estimate, no tile
+/// is admitted at or past the budget, so a wall-clock sweep overruns it
+/// by at most the one tile in flight. On expiry the partial result is
 /// returned immediately — covered tiles carry exact whole-frame
 /// statistics (see the module docs), uncovered pixels are zero with
 /// `covered` false. An empty frame plans no tiles and returns an empty,
@@ -196,118 +180,75 @@ pub fn bayesian_segment_tiled(
     let mut covered = Grid::new(w, h, false);
     let mut verified: Vec<usize> = Vec::new();
     // One scratch arena (prefix/im2col) and one chunk-task pool warm up
-    // on the first group and serve every subsequent tile.
+    // on the first tile and serve every subsequent tile.
     let mut ws = Workspace::new();
     let pool = WsPool::new();
-    // Tiles are admitted in cache-budgeted groups (sized by the prefix
-    // pixels they actually compute) whose invariant prefixes share one
-    // batched engine invocation
-    // ([`MsdNet::mc_prefix_batch`] — a single column-stacked im2col GEMM
-    // per branch). The budget clock is polled once per tile, at
-    // admission; successive poll deltas bracket the processing of a
-    // group, yielding the per-tile cost samples behind the predictive
-    // stop (`elapsed + (pending + 1) · avg >= budget`). Grouping is a
-    // pure performance knob — the batched prefix is bit-identical to the
-    // per-tile prefix.
-    let mut pos = 0usize;
-    let mut expired = false;
-    // (clock value, tiles verified by then) at the previous admission
-    // poll, and the EWMA per-tile cost measured from those deltas. Until
-    // a group has been processed between two polls there is no cost
-    // sample and admission falls back to the raw `elapsed < budget`
-    // check (the pre-EWMA behaviour).
-    let mut last_poll: Option<(f64, usize)> = None;
+    // The clock value at the previous admission poll, and the EWMA
+    // per-tile cost measured from the deltas between polls. Until one
+    // tile has run between two polls there is no cost sample and
+    // admission falls back to the raw `elapsed < budget` check.
+    let mut last_poll: Option<f64> = None;
     let mut avg_tile_s: Option<f64> = None;
-    while pos < order.len() && !expired {
-        let mut group: Vec<usize> = Vec::new();
-        let mut cols = 0usize;
-        while pos < order.len() {
-            let hw = prefix_rect(&tiles[order[pos]], radius, frame).area() as usize;
-            if !group.is_empty()
-                && (group.len() >= PREFIX_GROUP_TILES || cols + hw > PREFIX_GROUP_COLUMNS)
-            {
-                break;
-            }
-            let now = elapsed_s();
-            if let Some((prev_t, prev_done)) = last_poll {
-                let done = verified.len() - prev_done;
-                if done > 0 {
-                    let cost = ((now - prev_t) / done as f64).max(0.0);
-                    avg_tile_s = Some(match avg_tile_s {
-                        None => cost,
-                        Some(avg) => avg + TILE_COST_EWMA_ALPHA * (cost - avg),
-                    });
-                }
-            }
-            last_poll = Some((now, verified.len()));
-            let predicted = avg_tile_s.map_or(0.0, |avg| (group.len() + 1) as f64 * avg);
-            if now + predicted >= budget_s {
-                expired = true;
-                // Every tile left unadmitted by this pass was refused on
-                // budget grounds.
-                el_metrics::registry()
-                    .tile_refusals
-                    .add((order.len() - pos) as u64);
-                break;
-            }
-            group.push(order[pos]);
-            cols += hw;
-            pos += 1;
+    for (pos, &i) in order.iter().enumerate() {
+        let now = elapsed_s();
+        if let Some(prev) = last_poll {
+            let cost = (now - prev).max(0.0);
+            avg_tile_s = Some(match avg_tile_s {
+                None => cost,
+                Some(avg) => avg + TILE_COST_EWMA_ALPHA * (cost - avg),
+            });
         }
-        if group.is_empty() {
+        last_poll = Some(now);
+        if now + avg_tile_s.unwrap_or(0.0) >= budget_s {
+            // Every tile left unadmitted by this pass was refused on
+            // budget grounds.
+            el_metrics::registry()
+                .tile_refusals
+                .add((order.len() - pos) as u64);
             break;
         }
-        let prefixes: Vec<Rect> = group
-            .iter()
-            .map(|&i| prefix_rect(&tiles[i], radius, frame))
-            .collect();
-        let inputs: Vec<Tensor> = prefixes
-            .iter()
-            .map(|&r| image_to_tensor(&image.crop(r).expect("prefix crop within image")))
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
-        for ((&i, &prefix), f) in group.iter().zip(&prefixes).zip(fused) {
-            let keep = tiles[i].keep_rect();
-            let kept = crop_tensor(&f, keep, prefix, &mut ws);
-            ws.recycle(f);
-            let origin = (keep.y as usize, keep.x as usize);
-            let tile_sw = el_metrics::Stopwatch::start();
-            let stats = mc_stats_prefixed(
-                net,
-                std::slice::from_ref(&kept),
-                samples,
-                &[seed],
-                &[origin],
-                &pool,
-            )
-            .pop()
-            .expect("one result per tile");
-            el_metrics::registry().tile_cost.record(tile_sw);
-            ws.recycle(kept);
-            let (kx, ky, kw, kh) = (
-                keep.x as usize,
-                keep.y as usize,
-                keep.w as usize,
-                keep.h as usize,
-            );
-            debug_assert_eq!(stats.mean.shape(), (classes, kh, kw));
-            for c in 0..classes {
-                for (src, dst) in [
-                    (stats.mean.channel(c), mean.channel_mut(c)),
-                    (stats.std.channel(c), std.channel_mut(c)),
-                ] {
-                    for (yy, row) in src.chunks_exact(kw).enumerate() {
-                        let at = (ky + yy) * w + kx;
-                        dst[at..at + kw].copy_from_slice(row);
-                    }
+        let prefix = prefix_rect(&tiles[i], radius, frame);
+        let input = image_to_tensor(&image.crop(prefix).expect("prefix crop within image"));
+        let fused = net.mc_prefix(&input, &mut ws);
+        let keep = tiles[i].keep_rect();
+        let kept = crop_tensor(&fused, keep, prefix, &mut ws);
+        ws.recycle(fused);
+        let origin = (keep.y as usize, keep.x as usize);
+        let tile_sw = el_metrics::Stopwatch::start();
+        let stats = mc_stats_prefixed(
+            net,
+            std::slice::from_ref(&kept),
+            samples,
+            &[seed],
+            &[origin],
+            &pool,
+        )
+        .pop()
+        .expect("one result per tile");
+        el_metrics::registry().tile_cost.record(tile_sw);
+        ws.recycle(kept);
+        let (kx, ky, kw, kh) = (
+            keep.x as usize,
+            keep.y as usize,
+            keep.w as usize,
+            keep.h as usize,
+        );
+        debug_assert_eq!(stats.mean.shape(), (classes, kh, kw));
+        for c in 0..classes {
+            for (src, dst) in [
+                (stats.mean.channel(c), mean.channel_mut(c)),
+                (stats.std.channel(c), std.channel_mut(c)),
+            ] {
+                for (yy, row) in src.chunks_exact(kw).enumerate() {
+                    let at = (ky + yy) * w + kx;
+                    dst[at..at + kw].copy_from_slice(row);
                 }
             }
-            for yy in ky..ky + kh {
-                covered.row_mut(yy)[kx..kx + kw].fill(true);
-            }
-            verified.push(i);
         }
+        for yy in ky..ky + kh {
+            covered.row_mut(yy)[kx..kx + kw].fill(true);
+        }
+        verified.push(i);
     }
     let tiles_verified = verified.len();
     let metrics = el_metrics::registry();
@@ -393,12 +334,12 @@ mod tests {
 
     #[test]
     fn predictive_admission_stops_before_a_foreseeable_overrun() {
-        // Fake clock: +10 s per admission poll, so after the first
-        // 2-tile group the measured cost is 5 s/tile. Budget 35 s:
-        //   poll 0 s  -> bootstrap, admit        (group tile 1)
-        //   poll 10 s -> bootstrap, admit        (group tile 2; process)
-        //   poll 20 s -> avg 5, 20 + 1*5 < 35, admit
-        //   poll 30 s -> avg 5 (pending 1), 30 + 2*5 >= 35 -> stop.
+        // Fake clock: +10 s per admission poll, one tile per poll, so
+        // the measured cost is 10 s/tile. Budget 35 s:
+        //   poll 0 s  -> bootstrap, admit
+        //   poll 10 s -> avg 10, 10 + 10 < 35, admit
+        //   poll 20 s -> avg 10, 20 + 10 < 35, admit
+        //   poll 30 s -> avg 10, 30 + 10 >= 35 -> stop.
         // The raw `elapsed < budget` check would have admitted a fourth
         // tile at 30 s and finished near 40 s — one tile past budget.
         let net = net();

@@ -275,7 +275,7 @@ impl Conv2d {
             );
         } else {
             let mut col = ws.take(k_dim * n);
-            self.im2col(input, rows, &mut col, n, 0);
+            self.im2col(input, rows, &mut col);
             gemm_bias(
                 &self.weight,
                 &col,
@@ -291,11 +291,10 @@ impl Conv2d {
 
     /// Output rows per band for a `width`-pixel-wide image run through
     /// [`Conv2d::forward_rows_into`] band by band: as many rows as keep
-    /// one band's im2col matrix inside the batch column budget (64 Ki
-    /// `f32`, the same L2 budget that groups
-    /// [`Conv2d::forward_batch_with`]), and at least one.
+    /// one band's im2col matrix inside the column budget (64 Ki `f32`, an
+    /// L2-resident working set), and at least one.
     pub fn band_rows(&self, width: usize) -> usize {
-        ((BATCH_COL_BUDGET / self.k_dim()).max(1) / width.max(1)).max(1)
+        ((BAND_COL_BUDGET / self.k_dim()).max(1) / width.max(1)).max(1)
     }
 
     /// Reduction depth of the lowered GEMM: one im2col row per
@@ -304,127 +303,12 @@ impl Conv2d {
         self.in_channels * self.kernel * self.kernel
     }
 
-    /// Batched forward pass: lowers a run of inputs into one
-    /// column-concatenated im2col matrix and runs a **single** GEMM over
-    /// it, so a batch of candidate crops pays the kernel's fixed costs
-    /// (weight traversal, tile dispatch, remainder handling) once instead
-    /// of once per crop. Inputs may have different spatial sizes; they
-    /// only share the channel count.
-    ///
-    /// The batch is processed in consecutive **cache-budgeted groups**
-    /// (64 Ki `f32` of im2col matrix per group): stacking is a win only while the stacked
-    /// im2col matrix stays cache-resident — past that the three passes
-    /// over it (zero, lower, multiply) start streaming through the outer
-    /// cache levels and the batched GEMM loses to per-crop GEMMs. Small
-    /// crops therefore share wide GEMMs while large crops degrade
-    /// gracefully to one GEMM each, and a singleton group writes its
-    /// output tensor directly (no unstack copy).
-    ///
-    /// Because every output element accumulates its reduction over `k` in
-    /// the same strict order regardless of which column of the stacked
-    /// matrix it lives in, each returned tensor is **bit-identical** to
-    /// `forward_with` on the corresponding input (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input does not have [`Conv2d::in_channels`] channels.
-    pub fn forward_batch_with(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Vec<Tensor> {
-        for input in inputs {
-            assert_eq!(
-                input.channels(),
-                self.in_channels,
-                "Conv2d expected {} input channels, got {}",
-                self.in_channels,
-                input.channels()
-            );
-        }
-        let k_dim = self.k_dim();
-        let col_budget = (BATCH_COL_BUDGET / k_dim).max(1);
-        let mut outs = Vec::with_capacity(inputs.len());
-        let mut group_start = 0usize;
-        while group_start < inputs.len() {
-            // Grow the group while it fits the column budget (always at
-            // least one input).
-            let mut group_end = group_start + 1;
-            let mut n_total = {
-                let t = inputs[group_start];
-                t.height() * t.width()
-            };
-            while group_end < inputs.len() {
-                let hw = inputs[group_end].height() * inputs[group_end].width();
-                if n_total + hw > col_budget {
-                    break;
-                }
-                n_total += hw;
-                group_end += 1;
-            }
-            let group = &inputs[group_start..group_end];
-            let mut col = ws.take(k_dim * n_total);
-            let mut off = 0usize;
-            for input in group {
-                self.im2col(input, 0..input.height(), &mut col, n_total, off);
-                off += input.height() * input.width();
-            }
-            let mut out = ws.take(self.out_channels * n_total);
-            gemm_bias(
-                &self.weight,
-                &col,
-                &self.bias,
-                &mut out,
-                self.out_channels,
-                k_dim,
-                n_total,
-            );
-            ws.give(col);
-            if group.len() == 1 {
-                // Singleton group: the GEMM output is the tensor.
-                let (h, w) = (group[0].height(), group[0].width());
-                outs.push(
-                    Tensor::from_vec(self.out_channels, h, w, out)
-                        .expect("workspace buffer sized to the output shape"),
-                );
-            } else {
-                // Unstack the output columns into per-input tensors.
-                let mut off = 0usize;
-                for input in group {
-                    let (h, w) = (input.height(), input.width());
-                    let hw = h * w;
-                    let mut t = ws.take(self.out_channels * hw);
-                    for o in 0..self.out_channels {
-                        t[o * hw..(o + 1) * hw]
-                            .copy_from_slice(&out[o * n_total + off..o * n_total + off + hw]);
-                    }
-                    outs.push(
-                        Tensor::from_vec(self.out_channels, h, w, t)
-                            .expect("workspace buffer sized to the output shape"),
-                    );
-                    off += hw;
-                }
-                ws.give(out);
-            }
-            group_start = group_end;
-        }
-        outs
-    }
-
     /// Lowers output rows `rows` of `input` into the im2col matrix `col`:
     /// one matrix row per kernel tap, ordered `(in, ky, kx)` — the same
     /// order the reference loop accumulates in — holding
     /// `rows.len() * w` columns. Every column element is written;
     /// out-of-image taps are zero ("same" padding).
-    ///
-    /// The matrix rows have stride `row_stride` and this input's columns
-    /// start at `col_off`, so a batch of inputs can lower side by side
-    /// into one matrix (`rows = 0..h, row_stride = h*w, col_off = 0`
-    /// recovers the single-input layout).
-    fn im2col(
-        &self,
-        input: &Tensor,
-        rows: Range<usize>,
-        col: &mut [f32],
-        row_stride: usize,
-        col_off: usize,
-    ) {
+    fn im2col(&self, input: &Tensor, rows: Range<usize>, col: &mut [f32]) {
         let (h, w) = (input.height(), input.width());
         let pad = (self.dilation * (self.kernel - 1)) / 2;
         let n = rows.len() * w;
@@ -438,7 +322,7 @@ impl Conv2d {
                 let dy = (ky * self.dilation) as isize - pad as isize;
                 for kx in 0..self.kernel {
                     let dx = (kx * self.dilation) as isize - pad as isize;
-                    let row = &mut col[k * row_stride + col_off..][..n];
+                    let row = &mut col[k * n..][..n];
                     k += 1;
                     // Valid output columns for this tap (may be empty
                     // when the receptive field exceeds the image).
@@ -463,12 +347,11 @@ impl Conv2d {
     }
 }
 
-/// Element budget (`k_dim x columns`) of one batched im2col group in
-/// [`Conv2d::forward_batch_with`] and of one row band
+/// Element budget (`k_dim x columns`) of one row band's im2col matrix
 /// ([`Conv2d::band_rows`]) — 64 Ki f32 = 256 KB, an L2-resident working
-/// set on every deployment target. Grouping and banding are pure
-/// performance choices: any partition produces bit-identical results.
-const BATCH_COL_BUDGET: usize = 64 * 1024;
+/// set on every deployment target. Banding is a pure performance choice:
+/// any row partition produces bit-identical results.
+const BAND_COL_BUDGET: usize = 64 * 1024;
 
 /// `out[m][n] = bias[m] + sum_k a[m][k] * b[k][n]`, all matrices row-major.
 ///
@@ -476,13 +359,13 @@ const BATCH_COL_BUDGET: usize = 64 * 1024;
 /// each `b` column tile (a few KB for this workload's reduction depths)
 /// is swept once per row quad *from L1*, instead of the whole `b` matrix
 /// being re-streamed from memory for every quad. That ordering is what
-/// lets the batched engine stack many crops' columns into one wide GEMM
-/// without falling off the cache: the working set per step is one column
-/// tile plus the (small) weight matrix, independent of `n`. Four output
-/// rows accumulate in registers with `k` as the innermost loop, so no
-/// partial sums round-trip through memory and each output element still
-/// accumulates over `k` strictly in order, matching the naive tap loop's
-/// f32 rounding.
+/// lets one GEMM cover a whole crop's or audit tile's prefix (thousands
+/// of columns) without falling off the cache: the working set per step
+/// is one column tile plus the (small) weight matrix, independent of
+/// `n`. Four output rows accumulate in registers with `k` as the
+/// innermost loop, so no partial sums round-trip through memory and each
+/// output element still accumulates over `k` strictly in order, matching
+/// the naive tap loop's f32 rounding.
 ///
 /// The per-ISA variants (portable → AVX2 → AVX-512F on x86_64,
 /// NEON on aarch64 — separate multiply and add instructions, never FMA,
@@ -506,22 +389,6 @@ impl Layer for Conv2d {
         let mut ws = std::mem::take(&mut self.scratch);
         let out = self.forward_with(input, &mut ws);
         self.scratch = ws;
-        self.cached_input = if phase == Phase::Train {
-            Some(input.clone())
-        } else {
-            None
-        };
-        out
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        _rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let out = self.forward_with(input, ws);
         self.cached_input = if phase == Phase::Train {
             Some(input.clone())
         } else {
@@ -736,36 +603,6 @@ mod tests {
                 "conv {ci}->{co} k{k} d{d} on {h}x{w} diverged"
             );
         }
-    }
-
-    #[test]
-    fn batched_matches_per_input_bitwise() {
-        let mut r = rng();
-        for (ci, co, k, d) in [(3, 8, 3, 2), (2, 5, 1, 1), (3, 4, 5, 1)] {
-            let conv = Conv2d::new(ci, co, k, d, &mut r);
-            // Mixed spatial sizes in one batch.
-            let inputs: Vec<Tensor> = [(9usize, 7usize), (5, 5), (12, 4), (3, 3)]
-                .iter()
-                .enumerate()
-                .map(|(i, &(h, w))| {
-                    Tensor::from_fn(ci, h, w, move |c, y, x| {
-                        ((i * 53 + c * 31 + y * 7 + x) as f32 * 0.17).sin()
-                    })
-                })
-                .collect();
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let mut ws = Workspace::new();
-            let batched = conv.forward_batch_with(&refs, &mut ws);
-            assert_eq!(batched.len(), inputs.len());
-            for (input, out) in inputs.iter().zip(&batched) {
-                let single = conv.forward_with(input, &mut ws);
-                assert_eq!(&single, out, "batched conv diverges on {:?}", input.shape());
-            }
-        }
-        let conv = Conv2d::new(1, 1, 3, 1, &mut r);
-        assert!(conv
-            .forward_batch_with(&[], &mut Workspace::new())
-            .is_empty());
     }
 
     #[test]

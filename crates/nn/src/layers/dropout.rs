@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Layer, Phase};
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
 
 /// Inverted dropout with rate `p`.
 ///
@@ -77,44 +76,13 @@ impl Dropout {
         self.rate = rate;
     }
 
-    /// Writes `src` with a freshly sampled Monte-Carlo mask into `dst`
-    /// without touching layer state.
-    ///
-    /// This is the stateless `&self` path the parallel Bayesian monitor
-    /// builds on: it draws exactly the same RNG stream as a
-    /// [`Phase::Stochastic`] [`Layer::forward`] (one `f32` per element;
-    /// none when the rate is zero), so both routes produce identical
-    /// samples from identical generator states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` and `dst` lengths differ.
-    pub fn apply_mc<R: RngCore + ?Sized>(&self, src: &[f32], dst: &mut [f32], rng: &mut R) {
-        assert_eq!(src.len(), dst.len(), "dropout buffer length mismatch");
-        if self.rate == 0.0 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let scale = 1.0 / (1.0 - self.rate);
-        let mut raw = [0u32; MC_DRAW_BATCH];
-        for (d_chunk, s_chunk) in dst.chunks_mut(MC_DRAW_BATCH).zip(src.chunks(MC_DRAW_BATCH)) {
-            let raw = &mut raw[..d_chunk.len()];
-            rng.fill_u32(raw);
-            for ((d, &s), &r) in d_chunk.iter_mut().zip(s_chunk).zip(raw.iter()) {
-                // Branchless select: a 50/50 data-dependent branch would
-                // mispredict half the time, and this form vectorises.
-                let keep = (unit_f32(r) >= self.rate) as u32 as f32;
-                *d = s * scale * keep;
-            }
-        }
-    }
-
     /// Writes `src` (a contiguous `channels x h x w` activation block)
     /// with a **coordinate-keyed** Monte-Carlo mask into the same layout
-    /// at the front of `dst`.
+    /// at the front of `dst`, without touching layer state.
     ///
-    /// Unlike [`Dropout::apply_mc`], which consumes a sequential RNG
-    /// stream, each element's mask bit is a pure hash of
+    /// This is the stateless `&self` path the parallel Bayesian monitor
+    /// builds on. Unlike [`Layer::forward`], which consumes a sequential
+    /// RNG stream, each element's mask bit is a pure hash of
     /// `(sample_seed, layer, chan0 + c, origin.0 + y, origin.1 + x)`
     /// ([`keyed_row_seed`] + [`keyed_mask_word`]). The mask therefore
     /// depends only on the element's **global** coordinates, never on the
@@ -194,15 +162,10 @@ impl Dropout {
     }
 }
 
-/// Words drawn per bulk batch in the Monte-Carlo appliers (a stack
-/// buffer; sized to a few keystream blocks).
-const MC_DRAW_BATCH: usize = 512;
-
 // The coordinate-keyed hash pair lives in `el_kernels` (its per-row
 // evaluation is SIMD-dispatched alongside the GEMM micro-kernel; see
 // `el_kernels::mask`), re-exported here so the mask contract stays
 // addressable as `el_nn::layers::{keyed_row_seed, keyed_mask_word}`.
-use el_kernels::unit_f32;
 pub use el_kernels::{keyed_mask_word, keyed_row_seed};
 
 impl Layer for Dropout {
@@ -231,29 +194,6 @@ impl Layer for Dropout {
         } else {
             None
         };
-        out
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        if phase == Phase::Train && self.rate != 0.0 {
-            // Training still caches the mask for backward; the allocating
-            // path is fine off the inference hot loop.
-            return self.forward(input, phase, rng);
-        }
-        let (c, h, w) = input.shape();
-        let mut out = ws.take_tensor(c, h, w);
-        if phase.dropout_active() && self.rate != 0.0 {
-            self.apply_mc(input.as_slice(), out.as_mut_slice(), rng);
-        } else {
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-        self.cached_mask = None;
         out
     }
 

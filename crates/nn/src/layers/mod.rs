@@ -24,7 +24,6 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
 
 /// The execution phase of a forward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,24 +65,6 @@ pub struct ParamRef<'a> {
 pub trait Layer {
     /// Runs the layer forward.
     fn forward(&mut self, input: &Tensor, phase: Phase, rng: &mut dyn RngCore) -> Tensor;
-
-    /// Runs the layer forward, drawing the output buffer (and any internal
-    /// scratch) from `ws` instead of the heap.
-    ///
-    /// Semantically identical to [`Layer::forward`] — same values, same
-    /// RNG consumption — but a warm workspace makes repeated passes
-    /// allocation-free. Callers should [`Workspace::recycle`] tensors they
-    /// are done with so later layers and passes can reuse the buffers.
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let _ = ws;
-        self.forward(input, phase, rng)
-    }
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients and returning the gradient w.r.t.

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Layer, Phase};
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
 
 /// Element-wise `max(0, x)`.
 ///
@@ -33,9 +32,9 @@ impl Relu {
         Self::apply_slice(x.as_mut_slice());
     }
 
-    /// Slice variant of [`Relu::apply`] for raw (e.g. column-stacked)
-    /// activation buffers; same element-wise operation, hence the same
-    /// bits.
+    /// Slice variant of [`Relu::apply`] for raw activation buffers (e.g.
+    /// one channel slab of a fused prefix); same element-wise operation,
+    /// hence the same bits.
     pub fn apply_slice(xs: &mut [f32]) {
         for v in xs {
             *v = v.max(0.0);
@@ -46,26 +45,6 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, phase: Phase, _rng: &mut dyn RngCore) -> Tensor {
         let out = input.map(|v| v.max(0.0));
-        self.cached_mask = if phase == Phase::Train {
-            Some(input.as_slice().iter().map(|&v| v > 0.0).collect())
-        } else {
-            None
-        };
-        out
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        _rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let (c, h, w) = input.shape();
-        let mut out = ws.take_tensor(c, h, w);
-        for (d, &s) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *d = s.max(0.0);
-        }
         self.cached_mask = if phase == Phase::Train {
             Some(input.as_slice().iter().map(|&v| v > 0.0).collect())
         } else {

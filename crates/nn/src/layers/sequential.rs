@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Conv2d, Dropout, Layer, ParamRef, Phase, Relu};
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
 
 /// A layer variant for heterogeneous containers.
 ///
@@ -43,20 +42,6 @@ impl Layer for LayerKind {
             LayerKind::Conv2d(l) => l.forward(input, phase, rng),
             LayerKind::Relu(l) => l.forward(input, phase, rng),
             LayerKind::Dropout(l) => l.forward(input, phase, rng),
-        }
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        match self {
-            LayerKind::Conv2d(l) => l.forward_ws(input, phase, rng, ws),
-            LayerKind::Relu(l) => l.forward_ws(input, phase, rng, ws),
-            LayerKind::Dropout(l) => l.forward_ws(input, phase, rng, ws),
         }
     }
 
@@ -163,26 +148,6 @@ impl Layer for Sequential {
         let mut cur = input.clone();
         for l in &mut self.layers {
             cur = l.forward(&cur, phase, rng);
-        }
-        cur
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let mut layers = self.layers.iter_mut();
-        let Some(first) = layers.next() else {
-            return input.clone();
-        };
-        let mut cur = first.forward_ws(input, phase, rng, ws);
-        for l in layers {
-            let next = l.forward_ws(&cur, phase, rng, ws);
-            ws.recycle(cur);
-            cur = next;
         }
         cur
     }

@@ -24,30 +24,35 @@
 //!
 //! # The fast inference engine
 //!
-//! Inference hot paths avoid the allocating [`Layer::forward`] route:
+//! [`Layer::forward`] is the training route (and the reference the
+//! engine is tested against): it takes `&mut self`, caches activations in
+//! [`Phase::Train`] and allocates its outputs. Inference runs through
+//! stateless `&self` entry points instead, so Monte-Carlo-dropout samples
+//! can run concurrently over one shared network:
 //!
-//! - [`Workspace`] is a reusable scratch-buffer arena. Every layer offers
-//!   [`Layer::forward_ws`], which takes its output buffer (and internal
-//!   scratch such as the convolution's im2col matrix) from the workspace,
-//!   so a warm workspace services entire forward passes with **zero heap
-//!   allocations** — buffers recycle between layers and between passes.
-//! - [`layers::Conv2d`] lowers the dilated convolution to an im2col
-//!   matrix (one row per kernel tap, rows are contiguous `h*w` planes)
-//!   followed by a register-blocked row-major micro-kernel that computes
-//!   four output channels per sweep. The micro-kernel (like the
-//!   keyed-mask rows and the ChaCha8 refill) dispatches through the
-//!   `el_kernels` tier ladder — portable → AVX2 → AVX-512F on
-//!   x86_64, NEON on aarch64, `EL_FORCE_KERNEL` pins a tier — and per
-//!   output element the reduction runs in the same `(in, ky, kx)` order
-//!   as the naive tap loop on every tier, so the optimized kernel
-//!   reproduces [`layers::Conv2d::forward_reference`] exactly (asserted
-//!   by property tests on each tier); the reference implementation is
-//!   retained for those tests and for benchmark baselines.
-//! - Stochastic layers expose stateless, `&self` application paths
-//!   ([`layers::Dropout::apply_mc`], [`layers::Relu::apply`]) so
-//!   Monte-Carlo-dropout samples can run concurrently over one shared
-//!   network — the `el-monitor` crate builds its parallel Bayesian
-//!   monitor on exactly these entry points.
+//! - [`Workspace`] is a reusable scratch-buffer arena. The engine entry
+//!   points take their output buffer and internal scratch (the
+//!   convolution's im2col matrix) from it, so a warm workspace services
+//!   entire forward passes with **zero heap allocations**.
+//! - [`layers::Conv2d::forward_with`] and its row-range form
+//!   [`layers::Conv2d::forward_rows_into`] lower the dilated convolution
+//!   to an im2col matrix (one row per kernel tap) followed by one
+//!   register-blocked GEMM that computes four output channels per sweep.
+//!   The GEMM micro-kernel (like the keyed-mask rows and the ChaCha8
+//!   refill) dispatches through the `el_kernels` tier ladder — portable →
+//!   AVX2 → AVX-512F on x86_64, NEON on aarch64, `EL_FORCE_KERNEL` pins a
+//!   tier — and per output element the reduction runs in the same
+//!   `(in, ky, kx)` order as the naive tap loop on every tier, so the
+//!   optimized kernel reproduces [`layers::Conv2d::forward_reference`]
+//!   exactly whatever the row range (asserted by property tests on each
+//!   tier); the reference implementation is retained for those tests and
+//!   for benchmark baselines.
+//! - [`layers::Dropout::apply_mc_keyed`] applies a **coordinate-keyed**
+//!   Monte-Carlo mask (a pure hash of the sample seed and each element's
+//!   global coordinates, no RNG stream), and [`layers::Relu::apply_slice`]
+//!   clamps a raw buffer in place. The `el-seg` network composes these
+//!   into its Monte-Carlo prefix and sample passes, on which the
+//!   `el-monitor` crate builds its parallel Bayesian monitor.
 //!
 //! # Example
 //!

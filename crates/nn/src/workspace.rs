@@ -1,11 +1,14 @@
 //! A reusable scratch-buffer arena for allocation-free forward passes.
 //!
-//! Every layer's [`Layer::forward_ws`](crate::layers::Layer::forward_ws)
-//! obtains its output buffer (and any internal scratch, e.g. the conv
-//! im2col matrix) from a [`Workspace`] and returns intermediates to it, so
-//! a warm workspace services an entire forward pass — of any network built
-//! from this crate's layers — with **zero heap allocations**: buffers are
-//! recycled between layers and between passes.
+//! The inference engine's `&self` entry points —
+//! [`Conv2d::forward_with`](crate::layers::Conv2d::forward_with) and
+//! [`Conv2d::forward_rows_into`](crate::layers::Conv2d::forward_rows_into)
+//! here, and the network-level prefix, Monte-Carlo sample and banded Eval
+//! passes built on them in `el-seg` — draw their output buffers and
+//! internal scratch (the conv im2col matrix) from a [`Workspace`] and
+//! return intermediates to it, so a warm workspace services whole
+//! forward passes with **zero heap allocations**: buffers are recycled
+//! between layers and between passes.
 //!
 //! The pool is a simple size-agnostic free list with best-fit reuse:
 //! [`Workspace::take`] returns the smallest pooled buffer whose capacity
@@ -16,18 +19,18 @@
 //! # Example
 //!
 //! ```
-//! use el_nn::{layers::{Conv2d, Layer}, Phase, Tensor, Workspace};
+//! use el_nn::{layers::Conv2d, Tensor, Workspace};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
-//! let mut conv = Conv2d::new(3, 8, 3, 1, &mut rng);
+//! let conv = Conv2d::new(3, 8, 3, 1, &mut rng);
 //! let mut ws = Workspace::new();
 //! let x = Tensor::zeros(3, 16, 16);
-//! let y = conv.forward_ws(&x, Phase::Eval, &mut rng, &mut ws);
+//! let y = conv.forward_with(&x, &mut ws);
 //! ws.recycle(y); // hand the output back so the next pass reuses it
 //! let allocs_before = ws.takes_missed();
-//! let y = conv.forward_ws(&x, Phase::Eval, &mut rng, &mut ws);
+//! let y = conv.forward_with(&x, &mut ws);
 //! assert_eq!(ws.takes_missed(), allocs_before, "warm pass allocates nothing");
 //! assert_eq!(y.shape(), (8, 16, 16));
 //! ```

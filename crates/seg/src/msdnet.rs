@@ -204,22 +204,23 @@ impl MsdNet {
     ///
     /// No dropout layer precedes this computation, so the result is
     /// identical across all Monte-Carlo-dropout samples — the monitor
-    /// computes it **once** per verified crop and replays only the
-    /// stochastic suffix ([`MsdNet::mc_sample_at`]) per sample. Immutable on
-    /// `self` and allocation-free with a warm workspace.
+    /// computes it **once** per verified crop or audit tile and replays
+    /// only the stochastic suffix ([`MsdNet::mc_sample_at`]) per sample.
+    /// Each branch is one GEMM over the whole input
+    /// ([`Conv2d::forward_rows_into`] on rows `0..h`) written straight
+    /// into its channel slab of the fused buffer, the lowering
+    /// [`MsdNet::eval_bands`] runs per band. Immutable on `self` and
+    /// allocation-free with a warm workspace.
     pub fn mc_prefix(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
-        let hw = h * w;
-        let bc = self.config.branch_channels;
-        let mut fused = ws.take(bc * self.branches.len() * hw);
+        let slab = self.config.branch_channels * h * w;
+        let mut fused = ws.take_tensor(self.config.branch_channels * self.branches.len(), h, w);
         for (bi, b) in self.branches.iter().enumerate() {
-            let mut y = b.conv.forward_with(input, ws);
-            Relu::apply(&mut y);
-            fused[bi * bc * hw..(bi + 1) * bc * hw].copy_from_slice(y.as_slice());
-            ws.recycle(y);
+            let out = &mut fused.as_mut_slice()[bi * slab..(bi + 1) * slab];
+            b.conv.forward_rows_into(input, 0..h, out, ws);
+            Relu::apply_slice(out);
         }
-        Tensor::from_vec(bc * self.branches.len(), h, w, fused)
-            .expect("fused buffer sized to the branch outputs")
+        fused
     }
 
     /// The network's receptive radius: how far (in pixels) an output can
@@ -233,37 +234,6 @@ impl MsdNet {
             .map(|b| b.conv.receptive_field() / 2)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Batched [`MsdNet::mc_prefix`]: computes every crop's
-    /// Monte-Carlo-invariant prefix with each branch convolution lowered
-    /// into a **single** column-stacked im2col GEMM across the whole
-    /// batch ([`Conv2d::forward_batch_with`]). Each returned tensor is
-    /// bit-identical to `mc_prefix` on the corresponding input.
-    pub fn mc_prefix_batch(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Vec<Tensor> {
-        let bc = self.config.branch_channels;
-        let nb = self.branches.len();
-        let mut fused: Vec<Vec<f32>> = inputs
-            .iter()
-            .map(|t| ws.take(bc * nb * t.height() * t.width()))
-            .collect();
-        for (bi, b) in self.branches.iter().enumerate() {
-            let outs = b.conv.forward_batch_with(inputs, ws);
-            for (i, mut y) in outs.into_iter().enumerate() {
-                Relu::apply(&mut y);
-                let hw = y.height() * y.width();
-                fused[i][bi * bc * hw..(bi + 1) * bc * hw].copy_from_slice(y.as_slice());
-                ws.recycle(y);
-            }
-        }
-        fused
-            .into_iter()
-            .zip(inputs)
-            .map(|(buf, t)| {
-                Tensor::from_vec(bc * nb, t.height(), t.width(), buf)
-                    .expect("fused buffer sized to the branch outputs")
-            })
-            .collect()
     }
 
     /// One Monte-Carlo-dropout sample with **coordinate-keyed** masks
@@ -402,39 +372,6 @@ impl Layer for MsdNet {
         let y = self.head_relu.forward(&y, phase, rng);
         let y = self.head_drop.forward(&y, phase, rng);
         self.head2.forward(&y, phase, rng)
-    }
-
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let (h, w) = (input.height(), input.width());
-        let hw = h * w;
-        let bc = self.config.branch_channels;
-        let mut fused = ws.take(bc * self.branches.len() * hw);
-        for (bi, b) in self.branches.iter_mut().enumerate() {
-            let conv = b.conv.forward_ws(input, phase, rng, ws);
-            let relu = b.relu.forward_ws(&conv, phase, rng, ws);
-            ws.recycle(conv);
-            let drop = b.drop.forward_ws(&relu, phase, rng, ws);
-            ws.recycle(relu);
-            fused[bi * bc * hw..(bi + 1) * bc * hw].copy_from_slice(drop.as_slice());
-            ws.recycle(drop);
-        }
-        let fused = Tensor::from_vec(bc * self.branches.len(), h, w, fused)
-            .expect("fused buffer sized to the branch outputs");
-        let y1 = self.head1.forward_ws(&fused, phase, rng, ws);
-        ws.recycle(fused);
-        let y2 = self.head_relu.forward_ws(&y1, phase, rng, ws);
-        ws.recycle(y1);
-        let y3 = self.head_drop.forward_ws(&y2, phase, rng, ws);
-        ws.recycle(y2);
-        let out = self.head2.forward_ws(&y3, phase, rng, ws);
-        ws.recycle(y3);
-        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -617,7 +554,7 @@ mod tests {
         let mut ws = Workspace::new();
         assert_eq!(net.branches[0].conv.band_rows(300), 8);
 
-        // Eval: banded engine path == Layer::forward == forward_ws.
+        // Eval: banded engine path == Layer::forward.
         let eval_fwd = net.forward(&x, Phase::Eval, &mut r.clone());
         let mut banded = Vec::new();
         net.eval_bands(&x, &mut ws, |logits| banded.push(logits.to_vec()));
@@ -636,8 +573,6 @@ mod tests {
             off += bn;
         }
         assert_eq!(off, h * w, "bands cover the frame");
-        let eval_ws = net.forward_ws(&x, Phase::Eval, &mut r.clone(), &mut ws);
-        assert_eq!(eval_fwd, eval_ws, "forward_ws diverges from forward");
     }
 
     #[test]
@@ -656,44 +591,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_prefix_matches_single_crop() {
-        let mut r = rng();
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let inputs: Vec<Tensor> = [(9usize, 7usize), (5, 5), (12, 4)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(h, w))| {
-                Tensor::from_fn(3, h, w, move |c, y, x| {
-                    ((i * 41 + c * 13 + y * 5 + x) as f32 * 0.19).sin()
-                })
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut ws = Workspace::new();
-        let batched = net.mc_prefix_batch(&refs, &mut ws);
-        for (input, fused) in inputs.iter().zip(&batched) {
-            let single = net.mc_prefix(input, &mut ws);
-            assert_eq!(
-                &single,
-                fused,
-                "batched prefix diverges on {:?}",
-                input.shape()
-            );
-        }
-    }
-
-    #[test]
     fn keyed_sample_with_zero_dropout_matches_eval() {
         // With dropout 0 a Monte-Carlo sample is the deterministic head
-        // pass, so it must agree exactly with Eval inference.
+        // pass, so it must agree exactly with Eval inference. This pins
+        // the slab-writing prefix against `Layer::forward` on every shape
+        // a clipped audit prefix can take: square, 1x1, 1xN, Nx1 and
+        // smaller than the receptive radius (tiny: radius 2) on a stale
+        // workspace.
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
         net.set_dropout(0.0);
-        let x = Tensor::from_fn(3, 6, 6, |c, y, x| ((c + y * 2 + x) as f32 * 0.31).sin());
         let mut ws = Workspace::new();
-        let fused = net.mc_prefix(&x, &mut ws);
-        let keyed = net.mc_sample_at(&fused, 9, (0, 0), &mut ws);
-        assert_eq!(keyed, net.forward(&x, Phase::Eval, &mut r));
+        ws.give(vec![f32::NAN; 3 * 4 * 64]);
+        for (h, w) in [
+            (6, 6),
+            (1, 1),
+            (1, 7),
+            (9, 1),
+            (2, 1),
+            (1, 2),
+            (2, 2),
+            (3, 5),
+        ] {
+            let x = Tensor::from_fn(3, h, w, |c, y, x| ((c + y * 2 + x) as f32 * 0.31).sin());
+            let fused = net.mc_prefix(&x, &mut ws);
+            let keyed = net.mc_sample_at(&fused, 9, (0, 0), &mut ws);
+            assert_eq!(
+                keyed,
+                net.forward(&x, Phase::Eval, &mut r),
+                "prefix + keyed sample diverges from Eval on {h}x{w}"
+            );
+            ws.recycle(fused);
+            ws.recycle(keyed);
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   frames that would blow the tick budget are refused *up front*,
 //!   and refusals are logged outcomes, never silent drops.
 //! - **Cross-stream batch coalescing.** All admitted frames' candidate
-//!   crops go through **one** [`el_core::stages::verify_frames`] call
-//!   per tick — the verify stage a solo pipeline runs for its one
+//!   crops go through **one** [`el_monitor::Monitor::verify_frames`]
+//!   call per tick — the verify stage a solo pipeline runs for its one
 //!   frame. Coordinate-keyed MC-dropout masks make each crop's
 //!   statistics independent of its batch neighbours, so the coalesced
 //!   result is bit-identical to running every stream solo — property-

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use el_core::pipeline::PipelineConfig;
-use el_core::stages::{audit_frame, plan_frame, verify_frames, FramePlan};
+use el_core::stages::{audit_frame, plan_frame, FramePlan};
 use el_core::{replay_decisions, RiskConfig};
 use el_geom::{Point, Rect};
 use el_monitor::{AuditPrecision, Monitor};
@@ -228,12 +228,13 @@ impl ElService {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] if the configuration fails
-    /// validation, or if an enabled audit's margin is below `net`'s
-    /// receptive radius.
+    /// validation, or if the pipeline cannot run `net`
+    /// ([`PipelineConfig::validate_for`]: its classes, its input channels
+    /// or an enabled audit's margin).
     pub fn try_new(net: Arc<MsdNet>, config: ServeConfig) -> Result<Self, ServeError> {
         config
             .validate()
-            .and_then(|()| config.pipeline.audit.validate_for(&net))
+            .and_then(|()| config.pipeline.validate_for(&net))
             .map_err(ServeError::InvalidConfig)?;
         let monitor = Monitor::new(config.pipeline.monitor);
         let admission = AdmissionControl::new(config.admission);
@@ -489,7 +490,7 @@ impl ElService {
         let reports = if report.crops == 0 {
             planned.iter().map(|_| Vec::new()).collect()
         } else {
-            verify_frames(&self.net, &self.monitor, &frames)
+            self.monitor.verify_frames(&self.net, &frames)
         };
 
         // Audit stage, in parallel: each audit reads only the shared
@@ -657,6 +658,28 @@ mod tests {
         let tiny = net(&MsdNetConfig::tiny());
         assert_eq!(tiny.receptive_radius(), 2);
         assert!(ElService::try_new(tiny, with_audit(AuditConfig::fast_test())).is_ok());
+    }
+
+    #[test]
+    fn nets_the_pipeline_cannot_run_are_config_errors() {
+        // Valid `MsdNetConfig`s whose shape the pipeline cannot run: the
+        // first tick would panic inside its parallel plan stage and take
+        // every stream down with it.
+        let mut four_classes = MsdNetConfig::tiny();
+        four_classes.classes = 4;
+        let mut four_channels = MsdNetConfig::tiny();
+        four_channels.in_channels = 4;
+        for (cfg, expect) in [
+            (four_classes, "4 output classes, expected 8"),
+            (four_channels, "4 input channels, expected 3"),
+        ] {
+            match ElService::try_new(net(&cfg), ServeConfig::fast_test()) {
+                Err(ServeError::InvalidConfig(detail)) => {
+                    assert!(detail.contains(expect), "got: {detail}")
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! These tests pin the PR's two headline guarantees:
 //!
 //! 1. **Batching is free of semantic drift**: `Monitor::verify_batch`
-//!    (one shared rayon work queue, cache-budgeted column-stacked prefix
-//!    GEMMs, pooled scratch arenas) is bit-identical to N sequential
+//!    (one prefix per crop, one shared rayon work queue, pooled scratch
+//!    arenas) is bit-identical to N sequential
 //!    `Monitor::verify` calls with the same per-crop seeds.
 //! 2. **Tiling is exact, not approximate**: `bayesian_segment_tiled`
 //!    with an unexpired budget equals untiled `bayesian_segment` bit for
@@ -99,9 +99,8 @@ fn verify_batch_matches_sequential_verifies() {
         }
     }
     // Production-shaped case: the paper-config network with
-    // candidate-zone-sized crops crosses the engine's stacked-suffix
-    // cache budget, so this covers the per-crop work-queue branch that
-    // real pipeline batches take.
+    // candidate-zone-sized crops, the shapes real pipeline batches
+    // verify.
     let mut r2 = ChaCha8Rng::seed_from_u64(9);
     let paper_net = MsdNet::new(&MsdNetConfig::default_uavid(), &mut r2);
     let crops: Vec<el_scene::Image> = (0..2).map(|i| scene_image(900 + i, 48, 48)).collect();

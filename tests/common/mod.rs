@@ -20,14 +20,13 @@ pub fn with_thread_count<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// Mirrors the tiled Bayesian sweep's documented predictive-admission
-/// policy for a fake clock that ticks +1.0 per admission poll: admission
-/// bootstraps on the raw `elapsed < budget` check until a prefix group
-/// has been processed between two polls, then stops when
-/// `elapsed + (pending + 1) · avg >= budget`, with `avg` an EWMA
-/// (alpha 0.5) of `poll_delta / tiles_processed` and prefix groups
-/// capped at two tiles. The sweep's own clock polls are the single
-/// source of time, so the expected admitted-tile count is an exact
-/// function of the budget and the plan size.
+/// policy for a fake clock that ticks +1.0 per admission poll: one tile
+/// is admitted per poll, so each poll-to-poll delta is one tile's cost.
+/// Admission bootstraps on the raw `elapsed < budget` check until the
+/// first delta exists, then stops when `elapsed + avg >= budget`, with
+/// `avg` an EWMA (alpha 0.5) of those deltas. The sweep's own clock polls
+/// are the single source of time, so the expected admitted-tile count is
+/// an exact function of the budget and the plan size.
 ///
 /// Kept in lockstep with `el_monitor::tiledbayes` — a change to the
 /// admission policy must change this simulator, which is the point: the
@@ -40,31 +39,22 @@ pub fn expected_admitted(budget_s: f64, tiles_total: usize) -> usize {
         t
     };
     let mut avg: Option<f64> = None;
-    let mut last_poll: Option<(f64, usize)> = None;
-    let (mut admitted, mut processed, mut pending) = (0usize, 0usize, 0usize);
+    let mut last_poll: Option<f64> = None;
+    let mut admitted = 0usize;
     while admitted < tiles_total {
         let now = clock();
-        if let Some((prev_t, prev_done)) = last_poll {
-            let done = processed - prev_done;
-            if done > 0 {
-                let cost = ((now - prev_t) / done as f64).max(0.0);
-                avg = Some(match avg {
-                    None => cost,
-                    Some(a) => a + 0.5 * (cost - a),
-                });
-            }
+        if let Some(prev) = last_poll {
+            let cost = (now - prev).max(0.0);
+            avg = Some(match avg {
+                None => cost,
+                Some(a) => a + 0.5 * (cost - a),
+            });
         }
-        last_poll = Some((now, processed));
-        let predicted = avg.map_or(0.0, |a| (pending + 1) as f64 * a);
-        if now + predicted >= budget_s {
+        last_poll = Some(now);
+        if now + avg.unwrap_or(0.0) >= budget_s {
             break;
         }
         admitted += 1;
-        pending += 1;
-        if pending == 2 || admitted == tiles_total {
-            processed += pending;
-            pending = 0;
-        }
     }
     admitted
 }

@@ -135,44 +135,6 @@ fn conv_optimized_matches_naive_reference() {
     }
 }
 
-/// The batched conv (one column-stacked im2col GEMM over N inputs of
-/// mixed shapes) reproduces the per-input optimized path exactly — which
-/// the previous property anchors to the naive reference.
-#[test]
-fn conv_batched_matches_per_input() {
-    let mut r = rng();
-    let mut ws = Workspace::new();
-    for case in 0..CASES {
-        let in_c = r.gen_range(1usize..4);
-        let out_c = r.gen_range(1usize..6);
-        let kernel = [1usize, 3, 5][r.gen_range(0usize..3)];
-        let dilation = r.gen_range(1usize..4);
-        let conv = Conv2d::new(in_c, out_c, kernel, dilation, &mut r);
-        let n = r.gen_range(1usize..5);
-        let mut vals = ChaCha8Rng::seed_from_u64(1000 + case as u64);
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|_| {
-                let h = vals.gen_range(1usize..11);
-                let w = vals.gen_range(1usize..11);
-                Tensor::from_fn(in_c, h, w, |_, _, _| vals.gen_range(-2.0f32..2.0))
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = conv.forward_batch_with(&refs, &mut ws);
-        for (input, out) in inputs.iter().zip(batched) {
-            let single = conv.forward_with(input, &mut ws);
-            assert_eq!(
-                single,
-                out,
-                "case {case}: batched conv {in_c}->{out_c} k{kernel} d{dilation} diverged on {:?}",
-                input.shape()
-            );
-            ws.recycle(single);
-            ws.recycle(out);
-        }
-    }
-}
-
 /// The one Monte-Carlo engine is bit-identical across worker-thread
 /// counts: a batch of crops at several sample counts (fixed chunk
 /// partition, fixed merge order), and an unbudgeted tiled sweep, give the

@@ -4,8 +4,8 @@
 //! AVX-512F on x86_64, NEON on aarch64 — on the exact GEMM
 //! shapes the trained paper-config MSDnet lowers to (branch im2col,
 //! fusion head, classifier head; 48x48 verification crops and 128x128
-//! audit tiles), plus the coordinate-keyed mask rows and the ChaCha8
-//! refill. All tiers produce bit-identical outputs (property-tested in
+//! audit tiles), plus the coordinate-keyed mask rows, the ChaCha8
+//! refill and one Monte-Carlo sample's softmax. All tiers produce bit-identical outputs (property-tested in
 //! `tests/kernel_tiers.rs` and asserted again here), so the tables are
 //! pure latency comparisons: this is the data BENCH tracks per tier.
 //!
@@ -14,7 +14,7 @@
 //! `Kernels::for_tier`.
 
 use el_kernels::chacha::REFILL_WORDS;
-use el_kernels::{chacha, gemm, KernelTier, Kernels};
+use el_kernels::{chacha, gemm, softmax, KernelTier, Kernels};
 use el_seg::MsdNetConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -160,6 +160,43 @@ fn print_chacha_tiers(tiers: &[&'static Kernels]) {
     }
 }
 
+fn print_softmax_tiers(tiers: &[&'static Kernels]) {
+    eprintln!("\n===== P4d: softmax per tier (one MC sample over an 86x86 kept tile) =====");
+    // The paper-scale audit keeps an 86x86 interior of each 128px tile;
+    // every Monte-Carlo sample ends in a softmax over its 8 class planes.
+    let (classes, pixels) = (MsdNetConfig::default_uavid().classes, 86 * 86);
+    let logits: Vec<f32> = fill(11, classes * pixels)
+        .iter()
+        .map(|v| v * 12.0)
+        .collect();
+    let mut expect = logits.clone();
+    softmax::softmax_portable(&mut expect, classes, pixels);
+    let mut data = logits.clone();
+    // The kernel works in place, so each rep restores the logits first;
+    // the restore's own best time is subtracted.
+    let copy_t = best_of(9, || data.copy_from_slice(black_box(&logits)));
+    for kernels in tiers {
+        data.copy_from_slice(&logits);
+        kernels.softmax(&mut data, classes, pixels);
+        assert!(
+            data.iter()
+                .zip(&expect)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{} softmax diverged — the comparison is meaningless",
+            kernels.tier().name()
+        );
+        let t = best_of(9, || {
+            data.copy_from_slice(black_box(&logits));
+            kernels.softmax(black_box(&mut data), classes, pixels);
+        });
+        eprintln!(
+            "{:>10}: {:>8.3} ms",
+            kernels.tier().name(),
+            (t - copy_t).max(0.0) * 1e3
+        );
+    }
+}
+
 fn main() {
     let tiers: Vec<&'static Kernels> = KernelTier::supported()
         .into_iter()
@@ -177,4 +214,5 @@ fn main() {
     print_gemm_tiers(&tiers);
     print_mask_tiers(&tiers);
     print_chacha_tiers(&tiers);
+    print_softmax_tiers(&tiers);
 }

@@ -2,14 +2,17 @@
 //!
 //! Every SIMD hot path of the workspace — the register-blocked GEMM
 //! micro-kernel behind the convolutions, the coordinate-keyed
-//! Monte-Carlo mask hash and the vendored ChaCha8 block function —
-//! lowers through one dispatch table defined here. The table exists at
-//! four **tiers**:
+//! Monte-Carlo mask hash, the vendored ChaCha8 block function and the
+//! planar softmax that ends every Monte-Carlo sample — lowers through
+//! one dispatch table defined here. The softmax's exponential is the
+//! in-crate [`expf`], a port of glibc's table-driven `expf` that returns
+//! its x86_64 FMA variant's bits on every target, so no decision-path
+//! bit depends on the host libm. The table exists at four **tiers**:
 //!
 //! | tier       | ISA                | availability                     |
 //! |------------|--------------------|----------------------------------|
 //! | `portable` | scalar / autovec   | every target (the ground truth)  |
-//! | `avx2`     | AVX2               | runtime-detected on x86_64       |
+//! | `avx2`     | AVX2 + FMA         | runtime-detected on x86_64       |
 //! | `avx512`   | AVX-512F           | runtime-detected on x86_64       |
 //! | `neon`     | NEON               | aarch64 baseline                 |
 //!
@@ -31,10 +34,13 @@
 //!   identical `x * scale * keep` float expression lane-wise.
 //! - The ChaCha8 kernels emit the identical keystream (blocks in counter
 //!   order).
+//! - The softmax kernels run the identical per-pixel sequence (max fold,
+//!   [`expf`] and sum in class order, divide) with pixels as lanes.
 //!
 //! The contract is property-tested across random shapes — including
-//! k-tails, column tails and single-column edge cases — for every tier
-//! the host supports (`tests/kernel_tiers.rs` at the workspace root).
+//! k-tails, column tails, single-column edge cases and non-finite
+//! logits — for every tier the host supports (`tests/kernel_tiers.rs`
+//! at the workspace root).
 //! CI pins `portable` and `avx2` in a matrix job, runs `avx512` wherever
 //! the runner detects it and `neon` under qemu, so "works on whatever
 //! the runner detects" becomes "proven on every rung". See
@@ -46,10 +52,12 @@
 pub mod chacha;
 pub mod gemm;
 pub mod mask;
+pub mod softmax;
 
 use std::sync::OnceLock;
 
 pub use mask::{keyed_mask_word, keyed_row_seed, unit_f32};
+pub use softmax::expf;
 
 /// The environment variable that pins the kernel tier.
 pub const FORCE_ENV: &str = "EL_FORCE_KERNEL";
@@ -60,7 +68,7 @@ pub enum KernelTier {
     /// Scalar / autovectorised Rust — compiled everywhere, the reference
     /// implementation every other tier must reproduce bit for bit.
     Portable,
-    /// AVX2 intrinsics (runtime-detected).
+    /// AVX2 and FMA intrinsics (runtime-detected; both required).
     Avx2,
     /// AVX-512F intrinsics (runtime-detected).
     Avx512,
@@ -146,7 +154,11 @@ impl KernelTier {
         match self {
             KernelTier::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            KernelTier::Avx2 => {
+                // The AVX2 softmax evaluates `expf` with fused multiply-adds.
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(target_arch = "aarch64")]
@@ -184,6 +196,7 @@ pub struct Kernels {
     mask_scale_row: MaskScaleRowFn,
     mask_scale_row_in_place: MaskScaleRowInPlaceFn,
     chacha_blocks: ChaChaBlocksFn,
+    softmax: SoftmaxFn,
 }
 
 /// `gemm_bias(a, b, bias, out, m, k_dim, n)` — see [`Kernels::gemm_bias`].
@@ -196,6 +209,8 @@ pub type MaskScaleRowFn = fn(u32, usize, f32, f32, &[f32], &mut [f32]);
 pub type MaskScaleRowInPlaceFn = fn(u32, usize, f32, f32, &mut [f32]);
 /// `chacha_blocks(key, counter, out)` — see [`Kernels::chacha_blocks`].
 pub type ChaChaBlocksFn = fn(&[u32; 8], u64, &mut [u32; chacha::REFILL_WORDS]);
+/// `softmax(data, classes, pixels)` — see [`Kernels::softmax`].
+pub type SoftmaxFn = fn(&mut [f32], usize, usize);
 
 static PORTABLE: Kernels = Kernels {
     tier: KernelTier::Portable,
@@ -203,6 +218,7 @@ static PORTABLE: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_portable,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_portable,
     chacha_blocks: chacha::chacha_blocks_portable,
+    softmax: softmax::softmax_portable,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -212,6 +228,7 @@ static AVX2: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_avx2,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_avx2,
     chacha_blocks: chacha::chacha_blocks_avx2,
+    softmax: softmax::softmax_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -221,6 +238,7 @@ static AVX512: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_avx512,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_avx512,
     chacha_blocks: chacha::chacha_blocks_avx512,
+    softmax: softmax::softmax_avx512,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -230,6 +248,7 @@ static NEON: Kernels = Kernels {
     mask_scale_row: mask::mask_scale_row_neon,
     mask_scale_row_in_place: mask::mask_scale_row_in_place_neon,
     chacha_blocks: chacha::chacha_blocks_neon,
+    softmax: softmax::softmax_neon,
 };
 
 fn table(tier: KernelTier) -> Option<&'static Kernels> {
@@ -384,6 +403,28 @@ impl Kernels {
     ) {
         (self.chacha_blocks)(key, counter, out)
     }
+
+    /// Per-pixel softmax over a `[class][pixel]` block of `classes`
+    /// planes of `pixels` values each, in place: for every pixel, an
+    /// `f32::max` fold from −∞, `e = expf(l − max)` and a running sum in
+    /// class order (with the in-crate [`expf`]), then `e / sum`. Every
+    /// tier agrees bit for bit with [`softmax::softmax_portable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data` holds exactly `classes * pixels` elements,
+    /// in release builds too: the SIMD tiers load and store through raw
+    /// pointers.
+    #[inline]
+    pub fn softmax(&self, data: &mut [f32], classes: usize, pixels: usize) {
+        // `checked_mul`: a wrapped product must not pass the check.
+        assert_eq!(
+            Some(data.len()),
+            classes.checked_mul(pixels),
+            "softmax: block shape"
+        );
+        (self.softmax)(data, classes, pixels)
+    }
 }
 
 /// Shorthand for [`Kernels::active`].
@@ -433,7 +474,9 @@ mod tests {
         {
             let expected = if std::arch::is_x86_feature_detected!("avx512f") {
                 KernelTier::Avx512
-            } else if std::arch::is_x86_feature_detected!("avx2") {
+            } else if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 KernelTier::Avx2
             } else {
                 KernelTier::Portable

@@ -24,26 +24,12 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 
 /// Converts logits to per-pixel softmax probabilities in place —
 /// the allocation-free variant of [`softmax`] used by the inference
-/// engine (identical arithmetic, identical results).
+/// engine (identical arithmetic, identical results). Runs the active
+/// tier's [`Kernels::softmax`](el_kernels::Kernels::softmax), so the
+/// probabilities are the same bits on every tier and every libm.
 pub fn softmax_in_place(logits: &mut Tensor) {
     let (c, h, w) = logits.shape();
-    let hw = h * w;
-    let data = logits.as_mut_slice();
-    for i in 0..hw {
-        let mut max = f32::NEG_INFINITY;
-        for k in 0..c {
-            max = max.max(data[k * hw + i]);
-        }
-        let mut sum = 0.0;
-        for k in 0..c {
-            let e = (data[k * hw + i] - max).exp();
-            data[k * hw + i] = e;
-            sum += e;
-        }
-        for k in 0..c {
-            data[k * hw + i] /= sum;
-        }
-    }
+    el_kernels::active().softmax(logits.as_mut_slice(), c, h * w);
 }
 
 /// Per-pixel softmax cross-entropy loss with optional class weights and an
@@ -106,7 +92,11 @@ pub fn softmax_cross_entropy(
         }
         let wgt = class_weights.map_or(1.0, |cw| cw[t]);
         total_weight += wgt as f64;
-        let p = probs.as_slice()[t * hw + i].max(1e-12);
+        // Clamp only a finite underflow: `f32::max` would turn a NaN
+        // probability into 1e-12 and hide a diverged step behind a
+        // finite loss.
+        let p = probs.as_slice()[t * hw + i];
+        let p = if p < 1e-12 { 1e-12 } else { p };
         loss += -(p.ln() as f64) * wgt as f64;
         for k in 0..c {
             let y = if k == t { 1.0 } else { 0.0 };
@@ -197,6 +187,17 @@ mod tests {
         let g0 = weighted.grad[(0, 0, 0)].abs();
         let g1 = weighted.grad[(0, 0, 1)].abs();
         assert!(g1 > 2.9 * g0);
+    }
+
+    #[test]
+    fn non_finite_logits_give_a_non_finite_loss() {
+        let logits = Tensor::from_vec(2, 1, 2, vec![0.5, f32::NAN, -0.5, 0.25]).unwrap();
+        let out = softmax_cross_entropy(&logits, &[0, 1], None, None).unwrap();
+        assert!(out.loss.is_nan(), "a NaN logit must surface: {}", out.loss);
+        // A finite underflow is still clamped.
+        let logits = Tensor::from_vec(2, 1, 1, vec![0.0, 200.0]).unwrap();
+        let out = softmax_cross_entropy(&logits, &[0], None, None).unwrap();
+        assert!((out.loss - -(1e-12f32.ln())).abs() < 1e-3, "{}", out.loss);
     }
 
     #[test]

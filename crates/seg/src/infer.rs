@@ -76,9 +76,13 @@ pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult 
 /// softmax's `e_j = expf(0)` is exactly 1, every other
 /// `e = expf(l - m) <= expf(-2⁻⁸) < 0.9962`, and dividing both by the
 /// same sum in `[1, classes]` keeps every other probability more than a
-/// rounding step below `p_j`. Any other pixel — a near tie, an exact tie
-/// or a non-finite logit — takes the softmax's own per-pixel sequence
-/// ([`softmax_argmax`]).
+/// rounding step below `p_j`. `expf` is the in-crate
+/// [`el_kernels::expf`], not a libm call: its `expf(-2⁻⁸) < 0.9962` and
+/// `expf(-2⁻²⁵) == 1` are pinned by el-kernels'
+/// `expf_bounds_the_softmax_skip_guard`, and its monotonicity over every
+/// non-positive input by the exhaustive `expf_exhaustive_hash`. Any
+/// other pixel — a near tie, an exact tie or a non-finite logit — takes
+/// the softmax kernel itself ([`softmax_argmax`]).
 fn pixel_label(logits: &[f32], n: usize, i: usize) -> SemanticClass {
     let mut z = [0.0f32; SemanticClass::COUNT];
     for (k, v) in z.iter_mut().enumerate() {
@@ -98,19 +102,13 @@ fn pixel_label(logits: &[f32], n: usize, i: usize) -> SemanticClass {
     SemanticClass::from_index(class).expect("class index below SemanticClass::COUNT")
 }
 
-/// One pixel of `argmax_labels(softmax_in_place(logits))`, operation for
-/// operation: fold the maximum, `exp` and sum in class order, divide,
-/// and take the first maximal probability.
+/// One pixel of `argmax_labels(softmax_in_place(logits))`: the active
+/// tier's softmax kernel on the pixel's logits, then the first maximal
+/// probability.
 fn softmax_argmax(z: &mut [f32]) -> usize {
-    let max = z.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let mut sum = 0.0;
-    for v in z.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
+    el_kernels::active().softmax(z, z.len(), 1);
     let (mut best, mut best_p) = (0, f32::NEG_INFINITY);
-    for (k, &e) in z.iter().enumerate() {
-        let p = e / sum;
+    for (k, &p) in z.iter().enumerate() {
         if p > best_p {
             (best, best_p) = (k, p);
         }

@@ -1,18 +1,22 @@
 //! Cross-tier bit-identity: the kernel-dispatch contract, fuzzed.
 //!
 //! For **every kernel tier the host CPU supports**, the dispatched hot
-//! paths — the GEMM micro-kernel, the coordinate-keyed mask rows and the
-//! ChaCha8 block function — must reproduce the portable reference **bit
-//! for bit** over hundreds of random shapes, deliberately skewed toward
-//! the remainder paths (k-tails, column tails, odd widths, single-column
-//! outputs). CI pins `portable` and `avx2` with `EL_FORCE_KERNEL` in a
-//! matrix job, runs `avx512` wherever the runner detects it and executes
-//! the NEON tier under qemu, so these properties execute on every rung
-//! of the ladder — not just whichever tier the runner detects.
+//! paths — the GEMM micro-kernel, the coordinate-keyed mask rows, the
+//! ChaCha8 block function and the planar softmax (with the in-crate
+//! `expf`) — must reproduce the portable reference **bit for bit** over
+//! hundreds of random shapes, deliberately skewed toward the remainder
+//! paths (k-tails, column tails, odd widths, single-column outputs,
+//! pixel counts off the lane width) and, for the softmax, toward NaN,
+//! infinite, extreme and exactly tied logits. CI pins `portable` and
+//! `avx2` with `EL_FORCE_KERNEL` in a matrix job, runs `avx512` wherever
+//! the runner detects it and executes the NEON tier under qemu, so these
+//! properties execute on every rung of the ladder — not just whichever
+//! tier the runner detects.
 //!
 //! Shape checks are contract as well: the SIMD tiers load and store
-//! through raw pointers, so a mis-sized GEMM buffer must panic on every
-//! tier in release builds, never write past the slice.
+//! through raw pointers, so a mis-sized GEMM buffer or softmax block
+//! must panic on every tier in release builds, never write past the
+//! slice.
 //!
 //! The override itself is contract too: an unknown or unsupported tier
 //! must be **rejected with a clear error**, never silently downgraded.
@@ -185,6 +189,90 @@ fn chacha_every_tier_matches_portable_over_random_streams() {
                 kernels.tier().name()
             );
         }
+    }
+}
+
+#[test]
+fn softmax_every_tier_matches_portable_over_random_blocks() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x50F7_3A01);
+    let tiers = simd_tiers();
+    let specials = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+        0.0,
+        -0.0,
+    ];
+    // Every class count up to 9 at every pixel count up to 40 (each
+    // rung's lane tails), plus one 86²-pixel block (a kept audit tile).
+    let mut shapes: Vec<(usize, usize)> = (1..=9)
+        .flat_map(|c| (0..=40).map(move |p| (c, p)))
+        .collect();
+    shapes.push((8, 86 * 86));
+    for (case, &(classes, pixels)) in shapes.iter().enumerate() {
+        let mut logits: Vec<f32> = (0..classes * pixels)
+            .map(|_| rng.gen::<f32>() * 40.0 - 20.0)
+            .collect();
+        for i in 0..pixels {
+            let first = logits[i];
+            for k in 0..classes {
+                let v = &mut logits[k * pixels + i];
+                match case % 3 {
+                    // Non-finite and extreme logits.
+                    1 if rng.gen_bool(0.15) => *v = specials[rng.gen_range(0..specials.len())],
+                    // Exact ties with the pixel's first class.
+                    2 if rng.gen_bool(0.3) => *v = first,
+                    _ => {}
+                }
+            }
+        }
+        let mut expect = logits.clone();
+        el_kernels::softmax::softmax_portable(&mut expect, classes, pixels);
+        for kernels in &tiers {
+            let mut out = logits.clone();
+            kernels.softmax(&mut out, classes, pixels);
+            assert_eq!(
+                bits(&out),
+                bits(&expect),
+                "{} softmax diverges from portable on {classes}x{pixels} (case {case})",
+                kernels.tier().name()
+            );
+        }
+    }
+}
+
+#[test]
+fn softmax_rejects_mis_sized_blocks_on_every_tier() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const SENTINEL: f32 = 1234.5;
+    // Two classes of 32 pixels: full vectors on every SIMD tier, so an
+    // unchecked kernel stores all 64 values.
+    let (classes, pixels) = (2usize, 32usize);
+    for tier in KernelTier::supported() {
+        let kernels = Kernels::for_tier(tier).unwrap();
+        // `data` is the first half of one allocation; the second half is
+        // a sentinel tail an out-of-bounds store would overwrite.
+        let mut buf = vec![SENTINEL; classes * pixels];
+        let (data, tail) = buf.split_at_mut(classes * pixels / 2);
+        let short = catch_unwind(AssertUnwindSafe(|| kernels.softmax(data, classes, pixels)));
+        assert!(short.is_err(), "{}: undersized block accepted", tier.name());
+        assert!(
+            tail.iter().all(|v| v.to_bits() == SENTINEL.to_bits()),
+            "{}: softmax wrote past the end of the block",
+            tier.name()
+        );
+        let mut long = vec![0.0f32; classes * pixels + 1];
+        let long = catch_unwind(AssertUnwindSafe(|| {
+            kernels.softmax(&mut long, classes, pixels)
+        }));
+        assert!(long.is_err(), "{}: oversized block accepted", tier.name());
+        // A shape whose product wraps to the slice length must not pass.
+        let wrapping = catch_unwind(AssertUnwindSafe(|| {
+            kernels.softmax(&mut [], 1 << (usize::BITS - 1), 2)
+        }));
+        assert!(wrapping.is_err(), "{}: wrapped shape accepted", tier.name());
     }
 }
 

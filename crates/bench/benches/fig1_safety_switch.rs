@@ -1,24 +1,22 @@
 //! Experiment F1: the Figure 1 safety-switch architecture under
-//! Monte-Carlo failure injection.
+//! Monte-Carlo failure injection — the simulator's cost per mission.
 //!
-//! Regenerates the maneuver-routing distribution (which hazard ends in
-//! which maneuver) and the outcome comparison across EL policies — the
-//! closed-loop justification for installing EL at all.
+//! Times one MEDI DELIVERY mission and one failure-stream draw. The
+//! campaign tables themselves (the maneuver-engagement distribution and
+//! the with/without-EL outcome comparison) are printed by
+//! `cargo run --release --example failure_campaign`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use el_scene::SceneParams;
-use el_uavsim::{
-    Campaign, CampaignConfig, FailureRates, Mission, MissionConfig, NoEl, NoisyEl, PerfectEl, Wind,
-};
+use el_uavsim::{FailureRates, Mission, MissionConfig, PerfectEl, Wind};
 use std::hint::black_box;
 
-fn campaign_config(missions: usize) -> CampaignConfig {
-    let mut config = CampaignConfig::small_test(missions);
-    config.mission = MissionConfig::medi_delivery(1);
-    config.mission.scene_params = SceneParams::default_urban();
-    config.mission.duration_s = 240.0;
-    config.mission.view_radius_m = 80.0;
-    config.mission.wind = Wind {
+fn mission_config() -> MissionConfig {
+    let mut config = MissionConfig::medi_delivery(1);
+    config.scene_params = SceneParams::default_urban();
+    config.duration_s = 240.0;
+    config.view_radius_m = 80.0;
+    config.wind = Wind {
         mean_speed_mps: 1.5,
         direction_rad: 0.7,
         gust_std_mps: 0.5,
@@ -26,78 +24,9 @@ fn campaign_config(missions: usize) -> CampaignConfig {
     config
 }
 
-fn print_tables() {
-    eprintln!("\n===== F1: safety-switch campaign (400 missions per policy) =====");
-    let config = campaign_config(400);
-    let clearance_m = 16.2; // from the drift model at 1.5 m/s (see examples/failure_campaign)
-
-    let mut no_el_cfg = config.clone();
-    no_el_cfg.mission.el_installed = false;
-    let mut degraded = NoisyEl::degraded();
-    degraded.inner.clearance_m = clearance_m;
-
-    let runs = [
-        (
-            "no-EL",
-            Campaign::try_new(no_el_cfg)
-                .expect("valid config")
-                .run(&mut NoEl),
-        ),
-        (
-            "unmonitored-degraded-EL",
-            Campaign::try_new(config.clone())
-                .expect("valid config")
-                .run(&mut degraded),
-        ),
-        (
-            "oracle-EL",
-            Campaign::try_new(config)
-                .expect("valid config")
-                .run(&mut PerfectEl { clearance_m }),
-        ),
-    ];
-    eprintln!(
-        "{:<26} {:>5} {:>5} {:>7} {:>5} | severity 1..5 | fatal% cat%",
-        "policy", "done", "RTB", "EL-land", "FT"
-    );
-    for (name, r) in &runs {
-        eprintln!(
-            "{:<26} {:>5} {:>5} {:>7} {:>5} | {:>3} {:>3} {:>3} {:>3} {:>3} | {:>5.2} {:>5.2}",
-            name,
-            r.completed,
-            r.returned_to_base,
-            r.landed_el,
-            r.terminated,
-            r.severity_histogram[0],
-            r.severity_histogram[1],
-            r.severity_histogram[2],
-            r.severity_histogram[3],
-            r.severity_histogram[4],
-            100.0 * r.fatal_fraction(),
-            100.0 * r.catastrophic_fraction(),
-        );
-    }
-    eprintln!("maneuver engagement fractions (H/RB/EL/FT):");
-    for (name, r) in &runs {
-        let f = r.maneuver_fractions();
-        eprintln!(
-            "{:<26} {:.2} / {:.2} / {:.2} / {:.2}",
-            name, f[0], f[1], f[2], f[3]
-        );
-    }
-    let no_el = &runs[0].1;
-    let oracle = &runs[2].1;
-    eprintln!(
-        "shape check: oracle-EL catastrophic {:.2}% <= no-EL {:.2}% (paper: EL reduces people at risk)",
-        100.0 * oracle.catastrophic_fraction(),
-        100.0 * no_el.catastrophic_fraction()
-    );
-}
-
 fn bench(c: &mut Criterion) {
-    print_tables();
-    let config = campaign_config(1);
-    let mission = Mission::new(config.mission.clone());
+    let mission = Mission::new(mission_config());
+    // The drift-model clearance at 1.5 m/s (see examples/failure_campaign).
     let mut el = PerfectEl { clearance_m: 16.2 };
     let mut seed = 0u64;
     c.bench_function("uavsim/single_mission", |b| {

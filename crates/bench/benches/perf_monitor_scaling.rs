@@ -1,5 +1,4 @@
-//! Experiment P1: the Section V-B timing argument, plus the engine
-//! speedup that motivates the fast-path inference engine.
+//! Experiment P1: the Section V-B timing argument.
 //!
 //! The paper: "the monitor verifies a 1024x1024 image in less than 5
 //! seconds, whereas it takes over a minute for the full [3840x2160]
@@ -8,20 +7,11 @@
 //! pixels x samples, which is why the Figure 2 architecture verifies
 //! small candidate crops instead of whole frames — is what this
 //! experiment reproduces on CPU.
-//!
-//! On top of the scaling table, this bench anchors the engine against the
-//! pre-optimization baseline (naive scalar convolution, one sequential
-//! RNG stream, a full forward pass per sample): `Monitor::verify` at the
-//! paper configuration (10 samples) must be **≥ 4x** faster than that
-//! baseline. The engine's levers are the cached Monte-Carlo-invariant
-//! prefix, the im2col/GEMM convolution kernel, workspace buffer reuse,
-//! and the rayon-parallel sample chunks (see `el_monitor::bayes`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use el_bench::trained_model;
-use el_monitor::{bayesian_segment, bayesian_segment_tensor_reference};
+use el_monitor::bayesian_segment;
 use el_scene::{Conditions, Scene, SceneParams};
-use el_seg::data::image_to_tensor;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -83,68 +73,17 @@ fn print_scaling_table() {
     );
 }
 
-/// The tentpole measurement: engine vs pre-optimization baseline at the
-/// paper configuration (10 Monte-Carlo samples).
-fn print_engine_speedup() {
-    let mut net = trained_model();
-    eprintln!("\n===== engine speedup: Monitor::verify at paper config (10 samples) =====");
-    eprintln!(
-        "{:>6} {:>14} {:>14} {:>9}",
-        "size", "baseline (s)", "engine (s)", "speedup"
-    );
-    for size in [64usize, 128] {
-        let image = crop(size);
-        let input = image_to_tensor(&image);
-        // Warm both paths once so neither pays first-touch costs.
-        let _ = bayesian_segment_tensor_reference(&mut net, &input, 1, 42);
-        let _ = bayesian_segment(&net, &image, 1, 42);
-        // Interleave the two paths and keep each side's best rep: noise
-        // on a shared box hits both alike, and minima are the stable
-        // estimator of each path's actual cost.
-        let reps = 5;
-        let mut base = f64::INFINITY;
-        let mut engine = f64::INFINITY;
-        for r in 0..reps {
-            let t0 = Instant::now();
-            black_box(bayesian_segment_tensor_reference(
-                &mut net,
-                &input,
-                10,
-                42 + r,
-            ));
-            base = base.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            black_box(bayesian_segment(&net, &image, 10, 42 + r));
-            engine = engine.min(t0.elapsed().as_secs_f64());
-        }
-        eprintln!(
-            "{:>6} {:>14.3} {:>14.3} {:>8.2}x",
-            size,
-            base,
-            engine,
-            base / engine
-        );
-    }
-}
-
 fn bench(c: &mut Criterion) {
     print_scaling_table();
-    print_engine_speedup();
-    let mut net = trained_model();
+    let net = trained_model();
     let mut group = c.benchmark_group("monitor_scaling");
     group.sample_size(10);
     for size in [64usize, 128] {
         let image = crop(size);
-        let input = image_to_tensor(&image);
         group.bench_with_input(
             BenchmarkId::new("verify_10_samples", size),
             &image,
             |b, img| b.iter(|| black_box(bayesian_segment(&net, img, 10, 42))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("verify_10_samples_baseline", size),
-            &input,
-            |b, inp| b.iter(|| black_box(bayesian_segment_tensor_reference(&mut net, inp, 10, 42))),
         );
     }
     group.finish();

@@ -339,8 +339,8 @@ pub struct HistogramSnapshot {
 }
 
 /// Number of hazard-event counters (mirrors
-/// `HazardCategory::ALL.len()` in `el-uavsim`; the campaign runner
-/// indexes these by that array's order).
+/// `HazardCategory::ALL.len()` in `el-uavsim`; the one campaign runner,
+/// `Scenario::run_with`, indexes these by that array's order).
 pub const HAZARD_SLOTS: usize = 6;
 
 /// Every metric the emergency-landing stack records, preallocated.
@@ -622,7 +622,7 @@ pub struct PipelineMetrics {
     pub trials: u64,
 }
 
-/// Campaign-runner metrics, frozen.
+/// Scenario campaign-runner metrics, frozen.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignMetrics {
     /// Per-mission wall time.
@@ -680,7 +680,7 @@ pub struct MetricsSnapshot {
     pub audit: AuditMetrics,
     /// Pipeline-stage metrics.
     pub pipeline: PipelineMetrics,
-    /// Campaign-runner metrics.
+    /// Scenario campaign-runner metrics.
     pub campaign: CampaignMetrics,
     /// Multi-stream service metrics.
     pub serve: ServeMetrics,

@@ -54,18 +54,16 @@
 //!    and scratch arenas are pooled across the whole invocation instead
 //!    of re-warmed per crop.
 //!
-//! The pre-optimization path — naive scalar convolution, one RNG stream,
-//! strictly sequential — survives as [`bayesian_segment_tensor_reference`]
-//! for the equivalence tests and the `perf_monitor_scaling` benchmark.
+//! One Monte-Carlo sample is therefore the keyed pair
+//! [`el_seg::MsdNet::mc_prefix`] + [`el_seg::MsdNet::mc_sample_at`]: that
+//! *is* the paper's Bayesian MSDnet, and this engine is its only
+//! implementation.
 
-use el_nn::layers::Phase;
-use el_nn::loss::{softmax, softmax_in_place};
+use el_nn::loss::softmax_in_place;
 use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 use el_seg::data::image_to_tensor;
 use el_seg::MsdNet;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 /// Maximum number of Monte-Carlo work chunks.
@@ -391,38 +389,6 @@ pub fn bayesian_segment_batch(
     mc_stats_prefixed(net, &fused, samples, seeds, origins, &WsPool::new())
 }
 
-/// The pre-optimization baseline: naive scalar convolution
-/// ([`MsdNet::forward_reference`]), one sequential RNG stream, full
-/// forward pass per sample.
-///
-/// Retained to anchor the engine's speedup in `perf_monitor_scaling` and
-/// as a semantic reference — it produces the same *distribution* of
-/// statistics, though not the same bits (its single RNG stream makes
-/// sample `k` depend on all earlier samples, which is exactly what the
-/// seed-splitting scheme removed).
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn bayesian_segment_tensor_reference(
-    net: &mut MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-) -> BayesStats {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut acc: Option<Welford> = None;
-    for _ in 0..samples {
-        let logits = net.forward_reference(input, Phase::Stochastic, &mut rng);
-        let probs = softmax(&logits);
-        acc.get_or_insert_with(|| Welford::new(probs.len()))
-            .push(probs.as_slice());
-    }
-    let shape = (net.classes(), input.height(), input.width());
-    stats_from(vec![acc.expect("samples > 0")], samples, shape)
-}
-
 /// Runs Monte-Carlo-dropout inference on a rendered image: a one-crop
 /// [`bayesian_segment_batch`] at frame origin `(0, 0)`.
 ///
@@ -442,8 +408,10 @@ pub fn bayesian_segment(net: &MsdNet, image: &Image, samples: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use el_nn::loss::softmax;
     use el_seg::MsdNetConfig;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn setup() -> (MsdNet, Tensor) {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -481,19 +449,6 @@ mod tests {
         assert_eq!(a.std, b.std);
         let c = stats(&net, &input, 5, 2);
         assert_ne!(a.mean, c.mean, "different seeds draw different masks");
-    }
-
-    #[test]
-    fn engine_matches_reference_distribution() {
-        // The engine and the naive baseline draw different (but equally
-        // valid) mask streams; their statistics must agree in expectation.
-        // With dropout 0 both are deterministic and must agree exactly.
-        let (mut net, input) = setup();
-        net.set_dropout(0.0);
-        let a = stats(&net, &input, 4, 7);
-        let b = bayesian_segment_tensor_reference(&mut net, &input, 4, 7);
-        assert_eq!(a.mean, b.mean, "dropout-0 means must agree exactly");
-        assert!(a.std.max_abs() < 1e-6 && b.std.max_abs() < 1e-6);
     }
 
     #[test]

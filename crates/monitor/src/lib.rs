@@ -77,9 +77,7 @@ pub mod monitor;
 pub mod rule;
 pub mod tiledbayes;
 
-pub use bayes::{
-    bayesian_segment, bayesian_segment_batch, bayesian_segment_tensor_reference, BayesStats,
-};
+pub use bayes::{bayesian_segment, bayesian_segment_batch, BayesStats};
 pub use calibration::{evaluate_rule, select_tau, sweep_tau, CalibrationCase, OperatingPoint};
 pub use metrics::MonitorQuality;
 pub use monitor::{batch_seed, Monitor, MonitorConfig, MonitorReport, Verdict, BATCH_SEED_STRIDE};

@@ -6,9 +6,10 @@
 //!   layer caches whatever it needs for [`Layer::backward`].
 //! - [`Phase::Eval`]: deterministic inference — dropout is the identity
 //!   (inverted-dropout convention).
-//! - [`Phase::Stochastic`]: Monte-Carlo-dropout inference — dropout stays
-//!   active, exactly as the paper's Bayesian MSDnet requires, but no
-//!   gradients will be requested.
+//!
+//! Monte-Carlo-dropout inference does not go through [`Layer::forward`]:
+//! its masks are coordinate-keyed ([`Dropout::apply_mc_keyed`]), not drawn
+//! from an RNG stream.
 
 mod conv;
 mod dropout;
@@ -32,16 +33,6 @@ pub enum Phase {
     Train,
     /// Deterministic inference: dropout disabled.
     Eval,
-    /// Monte-Carlo-dropout inference: dropout active, no backward expected.
-    Stochastic,
-}
-
-impl Phase {
-    /// `true` if dropout masks should be sampled in this phase.
-    #[inline]
-    pub fn dropout_active(self) -> bool {
-        matches!(self, Phase::Train | Phase::Stochastic)
-    }
 }
 
 /// A mutable view of one parameter tensor and its gradient accumulator.
@@ -88,17 +79,5 @@ pub trait Layer {
     /// Total number of learnable scalar parameters.
     fn param_count(&self) -> usize {
         0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn phase_dropout_active() {
-        assert!(Phase::Train.dropout_active());
-        assert!(Phase::Stochastic.dropout_active());
-        assert!(!Phase::Eval.dropout_active());
     }
 }

@@ -17,10 +17,11 @@
 //! - [`gradcheck`]: finite-difference gradient checking used by the test
 //!   suite to validate every backward pass.
 //!
-//! The key design point for the monitor is [`Phase`]: layers behave
-//! differently in [`Phase::Train`], deterministic [`Phase::Eval`] and
-//! [`Phase::Stochastic`] — the last keeps dropout live without gradient
-//! bookkeeping, which is exactly Monte-Carlo-dropout Bayesian inference.
+//! [`Layer::forward`] takes a [`Phase`]: [`Phase::Train`] samples dropout
+//! masks from the RNG stream and caches for backward, [`Phase::Eval`] is
+//! deterministic inference. Monte-Carlo-dropout Bayesian inference is not
+//! a phase: it is the engine's coordinate-keyed sample below, the only
+//! definition of one Bayesian-MSDnet pass.
 //!
 //! # The fast inference engine
 //!

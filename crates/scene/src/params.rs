@@ -105,6 +105,21 @@ impl SceneParams {
         if self.width == 0 || self.height == 0 {
             return Err("scene dimensions must be positive".into());
         }
+        for (name, v) in [
+            ("meters_per_pixel", self.meters_per_pixel),
+            ("road_spacing", self.road_spacing),
+            ("road_half_width", self.road_half_width),
+            ("building_margin", self.building_margin),
+            ("park_fraction", self.park_fraction),
+            ("car_density", self.car_density),
+            ("static_car_fraction", self.static_car_fraction),
+            ("tree_density", self.tree_density),
+            ("human_density", self.human_density),
+        ] {
+            if !v.is_finite() {
+                return Err(format!("{name} must be finite (got {v})"));
+            }
+        }
         if self.meters_per_pixel <= 0.0 {
             return Err("meters_per_pixel must be positive".into());
         }

@@ -107,9 +107,11 @@ struct Branch {
 ///        └─ conv3x3 d=4 ─ relu ─ drop ─┘
 /// ```
 ///
-/// Dropout appears after every stage, so running the network in
-/// [`Phase::Stochastic`] is exactly the paper's Bayesian MSDnet
-/// (Monte-Carlo dropout with rate 0.5).
+/// Dropout appears after every stage, so one Monte-Carlo sample with
+/// dropout live is exactly one pass of the paper's Bayesian MSDnet
+/// (Monte-Carlo dropout with rate 0.5). That sample has one definition:
+/// [`MsdNet::mc_prefix`] (once per crop) followed by
+/// [`MsdNet::mc_sample_at`] under coordinate-keyed masks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsdNet {
     config: MsdNetConfig,
@@ -333,29 +335,6 @@ impl MsdNet {
             y0 = rows.end;
         }
     }
-
-    /// Reference forward pass using the naive scalar convolution — the
-    /// pre-optimization baseline retained for equivalence tests and the
-    /// `perf_monitor_scaling` benchmark's before/after comparison.
-    pub fn forward_reference(
-        &mut self,
-        input: &Tensor,
-        phase: Phase,
-        rng: &mut dyn RngCore,
-    ) -> Tensor {
-        let mut outs = Vec::with_capacity(self.branches.len());
-        for b in &mut self.branches {
-            let mut y = b.conv.forward_reference(input);
-            Relu::apply(&mut y);
-            outs.push(b.drop.forward(&y, phase, rng));
-        }
-        let refs: Vec<&Tensor> = outs.iter().collect();
-        let fused = Tensor::concat_channels(&refs).expect("branch outputs share shapes");
-        let mut y = self.head1.forward_reference(&fused);
-        Relu::apply(&mut y);
-        let y = self.head_drop.forward(&y, phase, rng);
-        self.head2.forward_reference(&y)
-    }
 }
 
 impl Layer for MsdNet {
@@ -448,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_is_deterministic_stochastic_is_not() {
+    fn eval_is_deterministic() {
         let mut r = rng();
         let cfg = MsdNetConfig::tiny();
         let mut net = MsdNet::new(&cfg, &mut r);
@@ -456,9 +435,6 @@ mod tests {
         let a = net.forward(&x, Phase::Eval, &mut r);
         let b = net.forward(&x, Phase::Eval, &mut r);
         assert_eq!(a, b);
-        let s1 = net.forward(&x, Phase::Stochastic, &mut r);
-        let s2 = net.forward(&x, Phase::Stochastic, &mut r);
-        assert_ne!(s1, s2, "MC-dropout passes must differ");
     }
 
     #[test]
@@ -536,8 +512,8 @@ mod tests {
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
         net.set_dropout(0.0);
         let x = Tensor::from_fn(3, 8, 8, |_, y, x| ((y + x) as f32 * 0.1).cos());
-        // With dropout 0, stochastic == eval.
-        let a = net.forward(&x, Phase::Stochastic, &mut r);
+        // With dropout 0, train == eval.
+        let a = net.forward(&x, Phase::Train, &mut r);
         let b = net.forward(&x, Phase::Eval, &mut r);
         assert_eq!(a, b);
     }
@@ -580,14 +556,23 @@ mod tests {
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
         let x = Tensor::from_fn(3, 8, 8, |c, y, x| ((c + 2 * y + 3 * x) as f32 * 0.11).cos());
-        let a = net.forward(&x, Phase::Eval, &mut r.clone());
-        let b = net.forward_reference(&x, Phase::Eval, &mut r.clone());
+        let a = net.forward(&x, Phase::Eval, &mut r);
+        // The Eval network spelled out over the naive convolution oracle.
+        let outs: Vec<Tensor> = net
+            .branches
+            .iter()
+            .map(|b| {
+                let mut y = b.conv.forward_reference(&x);
+                Relu::apply(&mut y);
+                y
+            })
+            .collect();
+        let refs: Vec<&Tensor> = outs.iter().collect();
+        let fused = Tensor::concat_channels(&refs).unwrap();
+        let mut y = net.head1.forward_reference(&fused);
+        Relu::apply(&mut y);
+        let b = net.head2.forward_reference(&y);
         assert_eq!(a, b, "naive reference and optimized forward diverge");
-        let mut r1 = ChaCha8Rng::seed_from_u64(13);
-        let s1 = net.forward(&x, Phase::Stochastic, &mut r1);
-        let mut r2 = ChaCha8Rng::seed_from_u64(13);
-        let s2 = net.forward_reference(&x, Phase::Stochastic, &mut r2);
-        assert_eq!(s1, s2, "stochastic reference and optimized forward diverge");
     }
 
     #[test]

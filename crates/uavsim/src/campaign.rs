@@ -1,6 +1,7 @@
-//! Monte-Carlo failure-injection campaigns.
+//! Monte-Carlo failure-injection campaign reports.
 //!
-//! A campaign runs many missions under stochastic failure injection and
+//! A campaign — run by [`Scenario::run_with`](crate::scenario::Scenario::run_with)
+//! — flies many missions under stochastic failure injection and
 //! aggregates (a) the distribution of engaged maneuvers — the Figure 1
 //! experiment — and (b) the distribution of outcome severities on the
 //! Table I scale — the Table II cross-validation, with and without the EL
@@ -16,73 +17,9 @@
 use el_sora::hazard::{HazardCategory, Severity};
 use serde::{Deserialize, Serialize};
 
-use crate::elsys::ElSystem;
 use crate::failure::FailureRates;
-use crate::mission::{Mission, MissionConfig, MissionOutcome, TerminalState};
+use crate::mission::{MissionOutcome, TerminalState};
 use crate::safety::Maneuver;
-
-/// Campaign configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignConfig {
-    /// Number of missions.
-    pub missions: usize,
-    /// The mission template; each run varies the scene seed and the
-    /// stochastic seed.
-    pub mission: MissionConfig,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Vary the terrain per mission (otherwise all missions share the
-    /// template's scene).
-    pub vary_scenes: bool,
-}
-
-impl CampaignConfig {
-    /// A small campaign for tests.
-    pub fn small_test(missions: usize) -> Self {
-        CampaignConfig {
-            missions,
-            mission: MissionConfig::small_test(),
-            base_seed: 11,
-            vary_scenes: true,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.missions == 0 {
-            return Err("missions must be positive".into());
-        }
-        self.mission.validate()
-    }
-}
-
-/// An invalid [`CampaignConfig`], rejected by [`Campaign::try_new`].
-///
-/// Carries the first violated constraint; the [`std::fmt::Display`] form
-/// is `invalid campaign configuration: <constraint>`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignConfigError {
-    detail: String,
-}
-
-impl CampaignConfigError {
-    /// The violated constraint, e.g. `missions must be positive`.
-    pub fn detail(&self) -> &str {
-        &self.detail
-    }
-}
-
-impl std::fmt::Display for CampaignConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid campaign configuration: {}", self.detail)
-    }
-}
-
-impl std::error::Error for CampaignConfigError {}
 
 /// Index of a hazard category in [`HazardCategory::ALL`] order — the
 /// layout of [`CampaignReport::hazard_events`].
@@ -186,62 +123,6 @@ impl CampaignReport {
             self.maneuver_engagements[2] as f64 / n,
             self.maneuver_engagements[3] as f64 / n,
         ]
-    }
-}
-
-/// A Monte-Carlo campaign.
-#[derive(Debug, Clone)]
-pub struct Campaign {
-    config: CampaignConfig,
-}
-
-impl Campaign {
-    /// Creates a campaign.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignConfigError`] when the configuration fails
-    /// [`CampaignConfig::validate`] — campaigns follow the scenario
-    /// subsystem's "never a panic" contract.
-    pub fn try_new(config: CampaignConfig) -> Result<Self, CampaignConfigError> {
-        if let Err(detail) = config.validate() {
-            return Err(CampaignConfigError { detail });
-        }
-        Ok(Campaign { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Runs the campaign with the given EL system.
-    pub fn run(&self, el: &mut dyn ElSystem) -> CampaignReport {
-        let mut report = CampaignReport::empty(self.config.missions);
-        for i in 0..self.config.missions {
-            let mut mc = self.config.mission.clone();
-            if self.config.vary_scenes {
-                mc.scene_seed = self.config.base_seed.wrapping_add(i as u64 * 131 + 17);
-            }
-            let seed = self.config.base_seed.wrapping_add(i as u64 * 7919 + 3);
-            let sw = el_metrics::Stopwatch::start();
-            let outcome = Mission::new(mc).run(el, seed);
-            let metrics = el_metrics::registry();
-            metrics.mission_wall.record(sw);
-            metrics.missions_run.add(1);
-            for &h in &outcome.hazards {
-                metrics.hazard_events[hazard_index(h)].add(1);
-            }
-            report.tally(&outcome);
-        }
-        report.power = Some(PowerReport::compute(
-            &report,
-            &self.config.mission.rates,
-            self.config.mission.duration_s,
-            &[0; 6],
-            &PowerConfig::default(),
-        ));
-        report
     }
 }
 
@@ -566,14 +447,34 @@ pub fn severity_labels() -> [&'static str; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elsys::{NoEl, PerfectEl};
-    use crate::failure::FailureRates;
+    use crate::scenario::{ElPolicy, MissionProfile, MissionSpec, RatesBase, RatesSpec, Scenario};
+
+    /// A stress-rate campaign over the fast test profile, flown by the
+    /// default [`ElPolicy`] (a [`crate::PerfectEl`] with 8 m clearance).
+    fn stress_campaign(missions: usize) -> Scenario {
+        Scenario {
+            name: "campaign-test".into(),
+            description: String::new(),
+            missions,
+            base_seed: 11,
+            vary_scenes: None,
+            mission: MissionSpec {
+                profile: Some(MissionProfile::SmallTest),
+                ..MissionSpec::default()
+            },
+            faults: Vec::new(),
+            power: None,
+            el: None,
+        }
+    }
+
+    fn report(scenario: &Scenario) -> CampaignReport {
+        scenario.run().expect("valid test scenario").report
+    }
 
     #[test]
     fn counts_are_consistent() {
-        let campaign =
-            Campaign::try_new(CampaignConfig::small_test(20)).expect("valid test config");
-        let r = campaign.run(&mut PerfectEl::default());
+        let r = report(&stress_campaign(20));
         assert_eq!(
             r.completed + r.returned_to_base + r.landed_el + r.terminated,
             r.missions
@@ -582,27 +483,18 @@ mod tests {
     }
 
     #[test]
-    fn deterministic() {
-        let campaign =
-            Campaign::try_new(CampaignConfig::small_test(10)).expect("valid test config");
-        let a = campaign.run(&mut PerfectEl::default());
-        let b = campaign.run(&mut PerfectEl::default());
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn el_reduces_terminations_vs_no_el() {
-        let mut cfg = CampaignConfig::small_test(30);
-        cfg.mission.rates = FailureRates::none();
-        cfg.mission.rates.lost_navigation = 60.0;
-        let campaign = Campaign::try_new(cfg.clone()).expect("valid test config");
-        let with_el = campaign.run(&mut PerfectEl { clearance_m: 3.0 });
-
-        let mut no_el_cfg = cfg;
-        no_el_cfg.mission.el_installed = false;
-        let without_el = Campaign::try_new(no_el_cfg)
-            .expect("valid test config")
-            .run(&mut NoEl);
+        let mut with_el = stress_campaign(30);
+        with_el.mission.rates = Some(RatesSpec {
+            base: Some(RatesBase::Zero),
+            lost_navigation: Some(60.0),
+            ..RatesSpec::default()
+        });
+        let mut without_el = with_el.clone();
+        with_el.el = Some(ElPolicy::Perfect { clearance_m: 3.0 });
+        without_el.el = Some(ElPolicy::NoEl);
+        without_el.mission.el_installed = Some(false);
+        let (with_el, without_el) = (report(&with_el), report(&without_el));
 
         assert!(with_el.landed_el > 0, "EL should land sometimes");
         assert!(
@@ -617,9 +509,7 @@ mod tests {
 
     #[test]
     fn stress_rates_engage_every_maneuver() {
-        let campaign =
-            Campaign::try_new(CampaignConfig::small_test(60)).expect("valid test config");
-        let r = campaign.run(&mut PerfectEl::default());
+        let r = report(&stress_campaign(60));
         for (i, &n) in r.maneuver_engagements.iter().enumerate() {
             assert!(n > 0, "maneuver index {i} never engaged in 60 missions");
         }
@@ -627,25 +517,12 @@ mod tests {
 
     #[test]
     fn fractions_bounded() {
-        let campaign =
-            Campaign::try_new(CampaignConfig::small_test(15)).expect("valid test config");
-        let r = campaign.run(&mut PerfectEl::default());
+        let r = report(&stress_campaign(15));
         assert!(r.fatal_fraction() >= 0.0 && r.fatal_fraction() <= 1.0);
         assert!(r.catastrophic_fraction() <= r.fatal_fraction());
         for f in r.maneuver_fractions() {
             assert!((0.0..=1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn zero_missions_rejected_with_actionable_error() {
-        let err = Campaign::try_new(CampaignConfig::small_test(0))
-            .expect_err("zero missions must be rejected");
-        assert_eq!(
-            err.to_string(),
-            "invalid campaign configuration: missions must be positive"
-        );
-        assert_eq!(err.detail(), "missions must be positive");
     }
 
     #[test]
@@ -719,36 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn underpowered_campaign_is_flagged() {
-        // The PR 2 failure mode: a campaign so small that the
-        // FT-prescribing hazards (loss-of-control, fly-away) expect fewer
-        // than `min_events_per_hazard` events must be flagged rather than
-        // silently reporting rates. 5 missions × 120 s at stress rates
-        // expects only 4/3600·120·5 ≈ 0.67 loss-of-control events.
-        let campaign = Campaign::try_new(CampaignConfig::small_test(5)).expect("valid test config");
-        let r = campaign.run(&mut PerfectEl::default());
-        let power = r.power.as_ref().expect("run() always computes power");
-        assert!(
-            power.underpowered,
-            "5-mission stress campaign must be flagged"
-        );
-        let fly_away = power
-            .hazards
-            .iter()
-            .find(|h| h.hazard == el_sora::hazard::HazardCategory::FlyAway)
-            .expect("fly_away is active under stress rates");
-        assert!(fly_away.underpowered);
-        assert!(fly_away.expected_events < power.min_events_floor);
-    }
-
-    #[test]
     fn well_powered_campaign_is_not_flagged() {
         // 400 missions × 120 s at stress rates: the weakest class
         // (fly-away / degraded propulsion at 2 per hour) expects
         // 2/3600·120·400 ≈ 26.7 events — comfortably over the floor.
-        let campaign =
-            Campaign::try_new(CampaignConfig::small_test(400)).expect("valid test config");
-        let r = campaign.run(&mut PerfectEl::default());
+        let r = report(&stress_campaign(400));
         let power = r.power.as_ref().unwrap();
         assert!(
             !power.underpowered,

@@ -19,6 +19,14 @@
 //! Monte-Carlo campaigns that grade outcomes on the paper's Table I
 //! severity scale.
 //!
+//! Every campaign runs through one runner, [`Scenario::run_with`]: a
+//! declarative [`Scenario`] fans its missions out over the thread pool,
+//! building a fresh [`ElSystem`] per mission, and returns a
+//! [`CampaignReport`] plus per-mission event logs and a replay
+//! fingerprint. [`Scenario::run`] flies the scenario's own [`ElPolicy`];
+//! `run_with` takes a factory for any other system, such as the `certel`
+//! crate's adapter around the real Figure 2 pipeline.
+//!
 //! # Example
 //!
 //! ```
@@ -42,10 +50,7 @@ pub mod scenario;
 pub mod seedchain;
 pub mod wind;
 
-pub use campaign::{
-    BinomialInterval, Campaign, CampaignConfig, CampaignConfigError, CampaignReport, HazardPower,
-    PowerConfig, PowerReport,
-};
+pub use campaign::{BinomialInterval, CampaignReport, HazardPower, PowerConfig, PowerReport};
 pub use elsys::{ElSystem, NoEl, NoisyEl, PerfectEl};
 pub use failure::{FailureEvent, FailureInjector, FailureRates};
 pub use mission::{Mission, MissionConfig, MissionEvent, MissionOutcome, TerminalState};

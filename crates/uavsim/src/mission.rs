@@ -114,6 +114,18 @@ impl MissionConfig {
         self.scene_params.validate()?;
         self.wind.validate()?;
         self.rates.validate()?;
+        for (name, v) in [
+            ("cruise_speed_mps", self.cruise_speed_mps),
+            ("altitude_m", self.altitude_m),
+            ("duration_s", self.duration_s),
+            ("view_radius_m", self.view_radius_m),
+            ("el_deploy_altitude_m", self.el_deploy_altitude_m),
+            ("max_hover_s", self.max_hover_s),
+        ] {
+            if !v.is_finite() {
+                return Err(format!("{name} must be finite (got {v})"));
+            }
+        }
         if self.cruise_speed_mps <= 0.0 || self.altitude_m <= 0.0 {
             return Err("speed and altitude must be positive".into());
         }

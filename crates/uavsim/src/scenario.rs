@@ -8,6 +8,8 @@
 //! fanning missions out over a thread pool, and produces a
 //! [`CampaignReport`] (with its [`PowerReport`]
 //! section) plus one machine-readable event log per mission.
+//! [`Scenario::run_with`] flies the same campaign under an EL system the
+//! file cannot name (the real Figure 2 pipeline), one per mission.
 //!
 //! # Determinism contract
 //!
@@ -653,18 +655,36 @@ impl Scenario {
             .collect()
     }
 
-    /// Runs the campaign, fanning missions out over the thread pool and
-    /// merging results in mission-index order.
+    /// Runs the campaign under the scenario's own [`ElPolicy`]: one call
+    /// into [`Scenario::run_with`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::run_with`].
+    pub fn run(&self) -> Result<ScenarioOutcome, ScenarioError> {
+        self.run_with(|| self.el_policy().build())
+    }
+
+    /// Runs the campaign under EL systems from `el`, fanning missions out
+    /// over the thread pool and merging results in mission-index order.
+    ///
+    /// `el` is called once per mission, on the worker that flies it, so
+    /// no EL state is shared between missions; the scenario's `el` field
+    /// is not consulted (it is still validated). This is how a system
+    /// that a scenario file cannot describe — the real Figure 2 pipeline
+    /// — flies a campaign under the same seeds, logs and fingerprint.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Invalid`] when the scenario fails
     /// [`Scenario::validate`] — running never panics on bad input files.
-    pub fn run(&self) -> Result<ScenarioOutcome, ScenarioError> {
+    pub fn run_with(
+        &self,
+        el: impl Fn() -> Box<dyn ElSystem> + Sync,
+    ) -> Result<ScenarioOutcome, ScenarioError> {
         self.validate()?;
         let template = self.mission_config()?;
         let vary_scenes = self.vary_scenes.unwrap_or(true);
-        let el_policy = self.el_policy();
         let records: Vec<MissionRecord> = (0..self.missions)
             .into_par_iter()
             .map(|index| {
@@ -675,7 +695,7 @@ impl Scenario {
                 }
                 let scene_seed = config.scene_seed;
                 let scheduled = self.scheduled_for(index);
-                let mut el = el_policy.build();
+                let mut el = el();
                 let mut log = Vec::new();
                 let sw = el_metrics::Stopwatch::start();
                 let outcome = Mission::new(config).run_with(
@@ -1034,6 +1054,14 @@ mod tests {
 
     #[test]
     fn invalid_scenarios_rejected_with_context() {
+        // The vendored JSON parser reads an out-of-range literal such as
+        // `1e400` as +inf; validation must reject it, not run it.
+        let parsed = |mission: &str| -> Scenario {
+            serde_json::from_str(&format!(
+                r#"{{"name": "x", "missions": 2, "base_seed": 0, "mission": {mission}}}"#
+            ))
+            .expect("well-formed scenario JSON")
+        };
         let cases: Vec<(Scenario, &str)> = vec![
             (small_scenario(0), "zero missions"),
             (
@@ -1133,6 +1161,14 @@ mod tests {
                     s
                 },
                 "exceed 1",
+            ),
+            (
+                parsed(r#"{"profile": "SmallTest", "duration_s": 1e400}"#),
+                "duration_s must be finite",
+            ),
+            (
+                parsed(r#"{"profile": "SmallTest", "scene": {"car_density": 1e400}}"#),
+                "car_density must be finite",
             ),
         ];
         for (scenario, needle) in cases {

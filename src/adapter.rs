@@ -62,7 +62,11 @@ impl ElSystem for PipelineElSystem {
         seed: u64,
     ) -> Option<Vec2> {
         let mpp = scene.params.meters_per_pixel;
-        let view_px = (view_radius_m / mpp).round() as i64;
+        // From anywhere over the scene, width + height pixels reach every
+        // scene pixel; clamping there keeps `2 * view_px + 1` from
+        // overflowing on huge radii without changing the clipped window.
+        let reach = (scene.width() + scene.height()) as i64;
+        let view_px = ((view_radius_m / mpp).round() as i64).min(reach);
         let cx = (uav_xy_m.x / mpp).round() as i64;
         let cy = (uav_xy_m.y / mpp).round() as i64;
         let window = Rect::new(cx - view_px, cy - view_px, 2 * view_px + 1, 2 * view_px + 1)
@@ -108,13 +112,17 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn adapter() -> PipelineElSystem {
+    fn adapter_with(config: PipelineConfig) -> PipelineElSystem {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = MsdNet::new(&MsdNetConfig::tiny(), &mut rng);
         PipelineElSystem::new(
-            ElPipeline::try_new(net, PipelineConfig::fast_test()).expect("valid config"),
+            ElPipeline::try_new(net, config).expect("valid config"),
             Conditions::nominal(),
         )
+    }
+
+    fn adapter() -> PipelineElSystem {
+        adapter_with(PipelineConfig::fast_test())
     }
 
     #[test]
@@ -144,13 +152,8 @@ mod tests {
 
     #[test]
     fn audit_mode_surfaces_advisory() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut rng);
-        let config =
-            PipelineConfig::fast_test().with_audit(el_core::audit::AuditConfig::fast_test());
-        let mut el = PipelineElSystem::new(
-            ElPipeline::try_new(net, config).expect("valid config"),
-            Conditions::nominal(),
+        let mut el = adapter_with(
+            PipelineConfig::fast_test().with_audit(el_core::audit::AuditConfig::fast_test()),
         );
         // Before any run there is no audit and the advisory defaults Clear.
         assert!(el.last_audit().is_none());
@@ -166,6 +169,26 @@ mod tests {
             el.audit_advisory(),
             AuditAdvisory::classify(audit.coverage(), audit.warning_fraction)
         );
+    }
+
+    #[test]
+    fn huge_view_radius_selects_as_whole_scene_radius() {
+        // Unmonitored, so the untrained net's first candidate lands and
+        // the comparison is between two landing points, not two aborts.
+        let landing = |radius_m: f64| {
+            let scene = Scene::generate(&SceneParams::small(), 5);
+            adapter_with(PipelineConfig::fast_test().unmonitored()).select_landing(
+                &scene,
+                Vec2::new(24.0, 24.0),
+                radius_m,
+                3,
+            )
+        };
+        // 96 m is 192 px = width + height of the small scene: it already
+        // covers the whole scene from any point over it.
+        let covering = landing(96.0);
+        assert!(covering.is_some());
+        assert_eq!(landing(1e300), covering);
     }
 
     #[test]

@@ -94,9 +94,9 @@ pub mod prelude {
         medi_delivery, Arc, ElMitigation, Mitigation, Robustness, Sail, Severity, SoraAssessment,
     };
     pub use el_uavsim::{
-        AuditAdvisory, BinomialInterval, Campaign, CampaignConfig, CampaignConfigError,
-        CampaignReport, ElPolicy, ElSystem, FailureRates, HazardPower, Maneuver, Mission,
-        MissionConfig, MissionEvent, MissionRecord, NoEl, NoisyEl, PerfectEl, PowerConfig,
-        PowerReport, Scenario, ScenarioError, ScenarioOutcome, ScheduledFault, TerminalState, Wind,
+        AuditAdvisory, BinomialInterval, CampaignReport, ElPolicy, ElSystem, FailureRates,
+        HazardPower, Maneuver, Mission, MissionConfig, MissionEvent, MissionRecord, NoEl, NoisyEl,
+        PerfectEl, PowerConfig, PowerReport, Scenario, ScenarioError, ScenarioOutcome,
+        ScheduledFault, TerminalState, Wind,
     };
 }

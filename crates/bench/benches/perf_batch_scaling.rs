@@ -6,9 +6,8 @@
 //! 1. **Batch-size scaling**: `Monitor::verify_batch` over N candidate
 //!    crops versus N sequential `Monitor::verify` calls (the per-crop
 //!    results are bit-identical — `tests/batch_bayes.rs` — so this is a
-//!    pure latency comparison). The batch path pools its scratch arenas
-//!    and drains all crops' Monte-Carlo chunks through one rayon work
-//!    queue.
+//!    pure latency comparison). The batch path drains all crops'
+//!    Monte-Carlo chunks through one rayon work queue.
 //! 2. **Tile-count scaling**: `bayesian_segment_tiled` over a full frame,
 //!    with per-tile cost and the coverage a given latency budget buys —
 //!    the paper's §V-B argument made incremental.

@@ -107,13 +107,14 @@ pub fn mask_scale_row_in_place_portable(
 }
 
 /// Scalar masking of elements `x0..len` through raw pointers — the
-/// shared vector-width remainder of every SIMD row kernel (`src` and
-/// `dst` may alias for the in-place kernels).
+/// NEON row kernel's vector-width remainder (`src` and `dst` may alias
+/// for the in-place kernel). The x86 rungs finish a row with one masked
+/// vector iteration instead.
 ///
 /// # Safety
 ///
 /// `src` and `dst` must be valid for `len` reads/writes.
-#[allow(dead_code)] // unused on targets with no SIMD tier
+#[cfg(target_arch = "aarch64")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn mask_tail_scalar(
     row_seed: u32,
@@ -196,7 +197,9 @@ simd_entry_pair!(
     "NEON"
 );
 
-/// AVX2 row kernel: 8 mask words per step.
+/// AVX2 row kernel: 8 mask words per step; a row's last partial vector
+/// goes through `vmaskmovps`, so no element past `len` is read or
+/// written.
 ///
 /// # Safety
 ///
@@ -225,7 +228,7 @@ unsafe fn mask_rows_avx2(
     let one = _mm256_set1_ps(1.0);
     let to_unit = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
     let mut x = 0usize;
-    while x + W <= len {
+    while x < len {
         let base = (gx0 as u32).wrapping_add(x as u32);
         let idx = _mm256_add_epi32(_mm256_set1_epi32(base as i32), lanes);
         let mut h = _mm256_xor_si256(seed_v, _mm256_mullo_epi32(idx, golden));
@@ -236,14 +239,23 @@ unsafe fn mask_rows_avx2(
         h = _mm256_xor_si256(h, _mm256_srli_epi32::<16>(h));
         let f = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32::<8>(h)), to_unit);
         let keep = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(f, rate_v), one);
-        let t = _mm256_mul_ps(_mm256_loadu_ps(src.add(x)), scale_v);
-        _mm256_storeu_ps(dst.add(x), _mm256_mul_ps(t, keep));
+        if x + W <= len {
+            let t = _mm256_mul_ps(_mm256_loadu_ps(src.add(x)), scale_v);
+            _mm256_storeu_ps(dst.add(x), _mm256_mul_ps(t, keep));
+        } else {
+            // Lanes `0..len - x` live: masked-off lanes load 0.0 and are
+            // never stored.
+            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((len - x) as i32), lanes);
+            let t = _mm256_mul_ps(_mm256_maskload_ps(src.add(x), live), scale_v);
+            _mm256_maskstore_ps(dst.add(x), live, _mm256_mul_ps(t, keep));
+        }
         x += W;
     }
-    mask_tail_scalar(row_seed, gx0, rate, scale, src, dst, x, len);
 }
 
-/// AVX-512F row kernel: 16 mask words per step.
+/// AVX-512F row kernel: 16 mask words per step under a `k` mask that
+/// covers the row's last partial vector too, so no element past `len`
+/// is read or written.
 ///
 /// # Safety
 ///
@@ -272,7 +284,12 @@ unsafe fn mask_rows_avx512(
     let one = _mm512_set1_ps(1.0);
     let to_unit = _mm512_set1_ps(1.0 / (1u32 << 24) as f32);
     let mut x = 0usize;
-    while x + W <= len {
+    while x < len {
+        let live: __mmask16 = if len - x >= W {
+            !0
+        } else {
+            (1 << (len - x)) - 1
+        };
         let base = (gx0 as u32).wrapping_add(x as u32);
         let idx = _mm512_add_epi32(_mm512_set1_epi32(base as i32), lanes);
         let mut h = _mm512_xor_si512(seed_v, _mm512_mullo_epi32(idx, golden));
@@ -283,11 +300,10 @@ unsafe fn mask_rows_avx512(
         h = _mm512_xor_si512(h, _mm512_srli_epi32::<16>(h));
         let f = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_srli_epi32::<8>(h)), to_unit);
         let keep = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(f, rate_v), one);
-        let t = _mm512_mul_ps(_mm512_loadu_ps(src.add(x)), scale_v);
-        _mm512_storeu_ps(dst.add(x), _mm512_mul_ps(t, keep));
+        let t = _mm512_mul_ps(_mm512_maskz_loadu_ps(live, src.add(x)), scale_v);
+        _mm512_mask_storeu_ps(dst.add(x), live, _mm512_mul_ps(t, keep));
         x += W;
     }
-    mask_tail_scalar(row_seed, gx0, rate, scale, src, dst, x, len);
 }
 
 /// NEON row kernel: 4 mask words per step.

@@ -151,11 +151,36 @@ fn softmax_pixel(data: &mut [f32], classes: usize, pixels: usize, i: usize) {
 
 /// Portable softmax kernel over a `[class][pixel]` block — the
 /// reference every SIMD tier must reproduce bit for bit.
+///
+/// On an x86_64 CPU with FMA the same body runs from a copy compiled
+/// with it, so [`expf`]'s `f64::mul_add` is one instruction rather than
+/// a libm `fma` call. Both are correctly rounded: the bits are the same.
 pub fn softmax_portable(data: &mut [f32], classes: usize, pixels: usize) {
     debug_assert_eq!(data.len(), classes * pixels);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: FMA has just been detected.
+        return unsafe { softmax_pixels_fma(data, classes, pixels) };
+    }
+    softmax_pixels(data, classes, pixels);
+}
+
+#[inline(always)]
+fn softmax_pixels(data: &mut [f32], classes: usize, pixels: usize) {
     for i in 0..pixels {
         softmax_pixel(data, classes, pixels, i);
     }
+}
+
+/// [`softmax_portable`]'s body compiled with FMA.
+///
+/// # Safety
+///
+/// FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn softmax_pixels_fma(data: &mut [f32], classes: usize, pixels: usize) {
+    softmax_pixels(data, classes, pixels);
 }
 
 macro_rules! simd_entry {
@@ -458,8 +483,11 @@ unsafe fn softmax_rows_neon(data: &mut [f32], classes: usize, pixels: usize) {
 mod lanes {
     use crate::KernelTier;
 
+    /// An in-place, lane-wise `expf` over a slice.
+    pub(super) type ExpfLanes = fn(&mut [f32]);
+
     /// The in-place lane-wise `expf` of a supported `tier`.
-    pub(super) fn expf_lanes(tier: KernelTier) -> fn(&mut [f32]) {
+    pub(super) fn expf_lanes(tier: KernelTier) -> ExpfLanes {
         // SAFETY (each arm below): the assert has just checked that the
         // CPU supports the tier whose target features the hook enables.
         assert!(tier.is_supported());
@@ -471,6 +499,33 @@ mod lanes {
             #[cfg(target_arch = "aarch64")]
             KernelTier::Neon => |xs| unsafe { neon(xs) },
             _ => |xs| xs.iter_mut().for_each(|x| *x = super::expf(*x)),
+        }
+    }
+
+    /// Every `expf` build the softmax kernels run, by name: each
+    /// supported tier's lanes, plus the scalar `expf` compiled with FMA
+    /// (the portable softmax's body on an FMA CPU) where the CPU has it.
+    pub(super) fn expf_builds() -> Vec<(&'static str, ExpfLanes)> {
+        let mut builds: Vec<(&'static str, ExpfLanes)> = KernelTier::supported()
+            .into_iter()
+            .map(|tier| (tier.name(), expf_lanes(tier)))
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: FMA has just been detected.
+            builds.push(("portable+fma", |xs| unsafe { scalar_fma(xs) }));
+        }
+        builds
+    }
+
+    /// # Safety
+    ///
+    /// FMA must be available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    unsafe fn scalar_fma(xs: &mut [f32]) {
+        for x in xs {
+            *x = super::expf(*x);
         }
     }
 
@@ -529,20 +584,18 @@ mod lanes {
 
 #[cfg(test)]
 mod tests {
-    use super::lanes::expf_lanes;
+    use super::lanes::{expf_builds, ExpfLanes};
     use super::*;
-    use crate::KernelTier;
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// FNV-1a-64 of `expf(x).to_bits()` (each folded as one word) over
     /// `x = from_bits(b)` for `b` in `0x8000_0000..=0xFF80_0000` (−0 to
-    /// −∞) stepping by `step`, in increasing order, through `tier`'s
-    /// lanes — and whether the outputs never increase along the way
-    /// (`expf` is monotone over the inputs it saw).
-    fn expf_hash(tier: KernelTier, step: usize) -> (u64, bool) {
-        let exp = expf_lanes(tier);
+    /// −∞) stepping by `step`, in increasing order, through `exp` — and
+    /// whether the outputs never increase along the way (`expf` is
+    /// monotone over the inputs it saw).
+    fn expf_hash(exp: ExpfLanes, step: usize) -> (u64, bool) {
         let (mut hash, mut monotone, mut prev) = (FNV_OFFSET, true, f32::INFINITY);
         let mut block = Vec::with_capacity(1 << 16);
         let mut inputs = (0x8000_0000u32..=0xFF80_0000).step_by(step).peekable();
@@ -559,34 +612,32 @@ mod tests {
         (hash, monotone)
     }
 
-    /// All 2³¹ non-positive inputs on every supported tier, against the
-    /// hash of glibc's x86_64 FMA `expf` — the bits every golden was
+    /// All 2³¹ non-positive inputs on every `expf` build (each supported
+    /// tier, and the scalar one compiled with and without FMA), against
+    /// the hash of glibc's x86_64 FMA `expf` — the bits every golden was
     /// recorded with — plus monotonicity, which the seg path's softmax
-    /// skip relies on. About a minute in release:
+    /// skip relies on. A minute or two in release:
     /// `cargo test --release -p el-kernels -- --ignored`.
     #[test]
     #[ignore = "exhaustive over 2^31 inputs per tier; run in release"]
     fn expf_exhaustive_hash() {
-        for tier in KernelTier::supported() {
-            let (hash, monotone) = expf_hash(tier, 1);
+        for (name, exp) in expf_builds() {
+            let (hash, monotone) = expf_hash(exp, 1);
             assert_eq!(
-                hash,
-                0x28e4_80b4_54d1_b098,
-                "{} expf diverges from the pinned oracle",
-                tier.name()
+                hash, 0x28e4_80b4_54d1_b098,
+                "{name} expf diverges from the pinned oracle"
             );
-            assert!(monotone, "{} expf is not monotone", tier.name());
+            assert!(monotone, "{name} expf is not monotone");
         }
     }
 
     #[test]
     fn expf_strided_hash_and_edges() {
-        for tier in KernelTier::supported() {
+        for (name, exp) in expf_builds() {
             assert_eq!(
-                expf_hash(tier, 4099),
+                expf_hash(exp, 4099),
                 (0x44ed_d279_a6cc_f384, true),
-                "{} expf diverges on the strided subset",
-                tier.name()
+                "{name} expf diverges on the strided subset"
             );
             // (input bits, pinned output bits)
             let cases: &[(u32, u32)] = &[
@@ -610,19 +661,18 @@ mod tests {
                 (0x3f80_0000, 0x402d_f854), // +1
             ];
             let mut xs: Vec<f32> = cases.iter().map(|&(x, _)| f32::from_bits(x)).collect();
-            expf_lanes(tier)(&mut xs);
+            exp(&mut xs);
             for (&(x, want), y) in cases.iter().zip(&xs) {
                 assert_eq!(
                     y.to_bits(),
                     want,
-                    "{} expf({:e} = {x:#010x})",
-                    tier.name(),
+                    "{name} expf({:e} = {x:#010x})",
                     f32::from_bits(x)
                 );
             }
             let mut nans = [f32::NAN, -f32::NAN];
-            expf_lanes(tier)(&mut nans);
-            assert!(nans.iter().all(|y| y.is_nan()), "{} expf(NaN)", tier.name());
+            exp(&mut nans);
+            assert!(nans.iter().all(|y| y.is_nan()), "{name} expf(NaN)");
         }
     }
 

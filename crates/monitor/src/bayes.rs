@@ -15,10 +15,12 @@
 //!    it once per crop (one GEMM per branch, written straight into the
 //!    crop's fused buffer); each sample replays only the stochastic
 //!    suffix (branch dropout → fusion head → head dropout → classifier,
-//!    [`el_seg::MsdNet::mc_sample_at`]). The suffix is pointwise, so it
-//!    runs over any window of a prefix: the tiled sweep computes each
+//!    [`el_seg::MsdNet::mc_sample_blocks`]). The suffix is pointwise, so
+//!    it runs over any window of a prefix: the tiled sweep computes each
 //!    tile's prefix over its kept interior grown by the receptive radius
-//!    and samples the kept interior only.
+//!    and samples the kept interior only. A sample walks its crop in
+//!    L1-resident blocks of at most 64 pixels: mask rows, head GEMMs,
+//!    softmax and Welford fold, with no crop-sized intermediate.
 //! 2. **Coordinate-keyed masks.** Sample `k`'s per-sample seed is
 //!    `splitmix64(seed + (k+1)·φ)` (`φ` the 64-bit golden-ratio
 //!    constant), and each activation's mask bit is a pure hash of that
@@ -42,24 +44,23 @@
 //!    the merge order are fixed, the statistics are bit-identical for any
 //!    number of rayon workers. The fold itself is one portable pair of
 //!    loops, **elementwise across pixels, sequential across samples**
-//!    (one sample per step, never FMA): it costs well under 1% of a
-//!    frame, so unlike the GEMM and mask rows it does not dispatch
-//!    through the `el_kernels` tier ladder, and its bits are the same on
-//!    every ISA by construction.
+//!    (one sample per step, never FMA), run per pixel block: it costs well
+//!    under 1% of a frame, so unlike the GEMM, mask rows and softmax it
+//!    does not dispatch through the `el_kernels` tier ladder, and its
+//!    bits are the same on every ISA and every block split.
 //! 4. **One crop × chunk work queue.** A batch of crops becomes
 //!    `crops x chunks` independent tasks drained by a single rayon
 //!    `par_iter` — no per-crop join barriers, so workers stay busy while
 //!    any crop still has samples left. Each task stays on one crop (its
-//!    prefix, activations and Welford partials remain cache-resident),
-//!    and scratch arenas are pooled across the whole invocation instead
-//!    of re-warmed per crop.
+//!    prefix, block activations and Welford partials remain
+//!    cache-resident); its only scratch is one 22 KB block buffer, so
+//!    tasks need no shared arena pool.
 //!
 //! One Monte-Carlo sample is therefore the keyed pair
-//! [`el_seg::MsdNet::mc_prefix`] + [`el_seg::MsdNet::mc_sample_at`]: that
-//! *is* the paper's Bayesian MSDnet, and this engine is its only
+//! [`el_seg::MsdNet::mc_prefix`] + [`el_seg::MsdNet::mc_sample_blocks`]:
+//! that *is* the paper's Bayesian MSDnet, and this engine is its only
 //! implementation.
 
-use el_nn::loss::softmax_in_place;
 use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 use el_seg::data::image_to_tensor;
@@ -163,21 +164,19 @@ impl Welford {
         }
     }
 
-    /// Folds one sample in: with `inv_n = 1 / n` rounded once per slab
-    /// (`n` the post-increment count), per element `delta = x - mean`,
-    /// `mean += delta * inv_n`, `m2 += delta * (x - mean')`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` differs in length from the accumulator.
-    fn push(&mut self, xs: &[f32]) {
-        assert_eq!(xs.len(), self.mean.len(), "welford push length mismatch");
-        self.count += 1;
-        let inv_n = 1.0 / self.count as f32;
-        for ((m, s2), &x) in self.mean.iter_mut().zip(self.m2.iter_mut()).zip(xs) {
-            let delta = x - *m;
-            *m += delta * inv_n;
-            *s2 += delta * (x - *m);
+    /// Folds pixels `p0..p0 + n` of the current sample in, `block` laid
+    /// out `[class][n]`: with `inv_n = 1 / count` rounded once per
+    /// sample, per element `delta = x - mean`, `mean += delta * inv_n`,
+    /// `m2 += delta * (x - mean')`.
+    fn push_block(&mut self, block: &[f32], classes: usize, p0: usize, inv_n: f32) {
+        let (n, hw) = (block.len() / classes, self.mean.len() / classes);
+        let planes = self.mean.chunks_mut(hw).zip(self.m2.chunks_mut(hw));
+        for ((mean, m2), xs) in planes.zip(block.chunks(n)) {
+            for ((m, s2), &x) in mean[p0..p0 + n].iter_mut().zip(&mut m2[p0..p0 + n]).zip(xs) {
+                let delta = x - *m;
+                *m += delta * inv_n;
+                *s2 += delta * (x - *m);
+            }
         }
     }
 
@@ -222,8 +221,9 @@ impl Welford {
 }
 
 /// Runs one chunk of Monte-Carlo samples against a shared network and
-/// prefix, folding each sample's softmax scores into a Welford partial.
-#[allow(clippy::too_many_arguments)]
+/// prefix, folding each sample's softmax scores into a Welford partial
+/// block by block, while the block's logits are still in L1. The
+/// chunk's only scratch is the suffix's one block buffer.
 fn run_chunk(
     net: &MsdNet,
     fused: &Tensor,
@@ -231,44 +231,23 @@ fn run_chunk(
     origin: (usize, usize),
     start: usize,
     len: usize,
-    stat_len: usize,
-    ws: &mut Workspace,
 ) -> Welford {
-    let mut acc = Welford::new(stat_len);
+    let classes = net.classes();
+    let kernels = el_kernels::active();
+    let mut ws = Workspace::new();
+    let mut acc = Welford::new(classes * fused.height() * fused.width());
     for k in start..start + len {
         let sw = el_metrics::Stopwatch::start();
-        let mut probs = net.mc_sample_at(fused, sample_seed(seed, k), origin, ws);
-        softmax_in_place(&mut probs);
-        acc.push(probs.as_slice());
-        ws.recycle(probs);
+        acc.count += 1;
+        let inv_n = 1.0 / acc.count as f32;
+        let seed_k = sample_seed(seed, k);
+        net.mc_sample_blocks(fused, seed_k, origin, &mut ws, |p0, logits| {
+            kernels.softmax(logits, classes, logits.len() / classes);
+            acc.push_block(logits, classes, p0, inv_n);
+        });
         el_metrics::registry().sample_fold.record(sw);
     }
     acc
-}
-
-/// A lock-protected stack of scratch arenas shared by every task of one
-/// batch invocation: a worker pops an arena (or starts a fresh one),
-/// runs its chunk, and pushes the arena back. The number of arenas ever
-/// warmed therefore equals the peak worker concurrency — not the task
-/// count, and not the crop count as in `N` sequential engine calls.
-pub(crate) struct WsPool(std::sync::Mutex<Vec<Workspace>>);
-
-impl WsPool {
-    pub(crate) fn new() -> Self {
-        WsPool(std::sync::Mutex::new(Vec::new()))
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut Workspace) -> R) -> R {
-        let mut ws = self
-            .0
-            .lock()
-            .expect("workspace pool lock")
-            .pop()
-            .unwrap_or_default();
-        let out = f(&mut ws);
-        self.0.lock().expect("workspace pool lock").push(ws);
-        out
-    }
 }
 
 fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usize)) -> BayesStats {
@@ -293,8 +272,8 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
 
 /// The Monte-Carlo chunk machinery over **precomputed** invariant
 /// prefixes — the engine behind [`bayesian_segment_batch`], split out so
-/// the tiled sweep can keep its prefix workspace and chunk `pool` warm
-/// across tiles. Crop `i` uses seed `seeds[i]` and frame origin
+/// the tiled sweep can keep its prefix workspace warm across tiles.
+/// Crop `i` uses seed `seeds[i]` and frame origin
 /// `origins[i]`; all crops' `(crop, chunk)` tasks drain one rayon queue.
 pub(crate) fn mc_stats_prefixed(
     net: &MsdNet,
@@ -302,7 +281,6 @@ pub(crate) fn mc_stats_prefixed(
     samples: usize,
     seeds: &[u64],
     origins: &[(usize, usize)],
-    pool: &WsPool,
 ) -> Vec<BayesStats> {
     assert!(samples > 0, "at least one Monte-Carlo sample is required");
     el_metrics::registry()
@@ -317,9 +295,7 @@ pub(crate) fn mc_stats_prefixed(
     let partials: Vec<Welford> = tasks
         .into_par_iter()
         .map(|(crop, start, len)| {
-            let f = &fused[crop];
-            let stat_len = net.classes() * f.height() * f.width();
-            pool.with(|ws| run_chunk(net, f, seeds[crop], origins[crop], start, len, stat_len, ws))
+            run_chunk(net, &fused[crop], seeds[crop], origins[crop], start, len)
         })
         .collect();
     let mut partials = partials.into_iter();
@@ -356,8 +332,8 @@ pub(crate) fn mc_stats_prefixed(
 ///   `par_iter`, so workers never idle at a per-crop join barrier while
 ///   another crop still has work;
 /// - each task stays on one crop, keeping its working set (prefix,
-///   masked activations, Welford partials) cache-resident, and scratch
-///   arenas are pooled across the whole invocation.
+///   one 64-pixel block of activations, Welford partials)
+///   cache-resident.
 ///
 /// Element `i` of the result depends only on `(net, inputs[i], samples,
 /// seeds[i], origins[i])` — never on the rest of the batch or on the
@@ -386,7 +362,7 @@ pub fn bayesian_segment_batch(
     }
     let mut ws = Workspace::new();
     let fused: Vec<Tensor> = inputs.iter().map(|t| net.mc_prefix(t, &mut ws)).collect();
-    mc_stats_prefixed(net, &fused, samples, seeds, origins, &WsPool::new())
+    mc_stats_prefixed(net, &fused, samples, seeds, origins)
 }
 
 /// Runs Monte-Carlo-dropout inference on a rendered image: a one-crop
@@ -502,9 +478,16 @@ mod tests {
         // sample's keyed masks from its split seed.
         let mut ws = Workspace::new();
         let fused = net.mc_prefix(&input, &mut ws);
+        let hw = input.height() * input.width();
         let mut all: Vec<Tensor> = Vec::new();
         for k in 0..samples {
-            let logits = net.mc_sample_at(&fused, sample_seed(9, k), (0, 0), &mut ws);
+            let mut logits = Tensor::zeros(8, input.height(), input.width());
+            net.mc_sample_blocks(&fused, sample_seed(9, k), (0, 0), &mut ws, |p0, z| {
+                let n = z.len() / 8;
+                for (c, plane) in z.chunks_exact(n).enumerate() {
+                    logits.as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
+                }
+            });
             all.push(softmax(&logits));
         }
         let n = all[0].len();
@@ -520,8 +503,10 @@ mod tests {
     #[test]
     fn portable_push_matches_naive_two_loop_fold() {
         // The scalar reference fold, spelled out independently of
-        // `Welford::push` (guards against editing both in lockstep).
-        let (samples, len) = (9, 33);
+        // `Welford::push_block` (guards against editing both in
+        // lockstep), over 3 planes of 11 pixels folded in uneven blocks.
+        let (samples, classes, hw) = (9, 3, 11);
+        let len = classes * hw;
         let slabs: Vec<Vec<f32>> = (0..samples)
             .map(|k| {
                 (0..len)
@@ -539,8 +524,15 @@ mod tests {
             }
         }
         let mut acc = Welford::new(len);
-        for xs in &slabs {
-            acc.push(xs);
+        for (k, xs) in slabs.iter().enumerate() {
+            acc.count += 1;
+            let inv_n = 1.0 / (k + 1) as f32;
+            for (p0, n) in [(0, 4), (4, 1), (5, 6)] {
+                let block: Vec<f32> = (0..classes)
+                    .flat_map(|c| xs[c * hw + p0..][..n].iter().copied())
+                    .collect();
+                acc.push_block(&block, classes, p0, inv_n);
+            }
         }
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(acc.count, samples);

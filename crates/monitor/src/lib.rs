@@ -47,8 +47,8 @@
 //!   fixed chunk order (Chan's formula) — O(1) memory in the sample
 //!   count, and bit-identical for any number of worker threads. The fold
 //!   is one safe, portable pair of loops (one sample per step, never
-//!   FMA); only the GEMMs and mask rows under it dispatch through the
-//!   `el_kernels` tier ladder.
+//!   FMA) over each L1-resident pixel block of a sample; only the GEMMs,
+//!   mask rows and softmax under it dispatch through the tier ladder.
 //!
 //! # Example
 //!

@@ -166,8 +166,7 @@ impl Monitor {
     /// The batch shares one machine: each crop's Monte-Carlo-invariant
     /// prefix is computed once, all crops' Monte-Carlo chunks drain one
     /// shared rayon work queue instead of `N` sequential pools with a
-    /// join barrier per crop, and scratch arenas are pooled across the
-    /// whole batch (see [`bayesian_segment_batch`]). Records one
+    /// join barrier per crop (see [`bayesian_segment_batch`]). Records one
     /// `verify_batch_latency` sample per call, however many frames it
     /// coalesces.
     pub fn verify_frames(

@@ -42,7 +42,7 @@ use el_scene::Image;
 use el_seg::data::image_to_tensor;
 use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
 
-use crate::bayes::{mc_stats_prefixed, BayesStats, WsPool};
+use crate::bayes::{mc_stats_prefixed, BayesStats};
 
 /// The result of a (possibly budget-truncated) tiled Bayesian pass.
 #[derive(Debug, Clone)]
@@ -120,8 +120,7 @@ fn crop_tensor(t: &Tensor, keep: Rect, at: Rect, ws: &mut Workspace) -> Tensor {
 /// Monte-Carlo chunks then run on the engine behind
 /// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch) at
 /// the kept interior's frame origin — no discarded pixel is sampled.
-/// One prefix workspace and one chunk-task pool stay warm across the
-/// whole sweep.
+/// One prefix workspace stays warm across the whole sweep.
 ///
 /// `elapsed_s` returns seconds since the pass began and is polled once
 /// **before each tile**, at its admission; production passes wall-clock
@@ -179,10 +178,9 @@ pub fn bayesian_segment_tiled(
     let mut std = Tensor::zeros(classes, h, w);
     let mut covered = Grid::new(w, h, false);
     let mut verified: Vec<usize> = Vec::new();
-    // One scratch arena (prefix/im2col) and one chunk-task pool warm up
-    // on the first tile and serve every subsequent tile.
+    // One scratch arena (prefix/im2col) warms up on the first tile and
+    // serves every subsequent tile.
     let mut ws = Workspace::new();
-    let pool = WsPool::new();
     // The clock value at the previous admission poll, and the EWMA
     // per-tile cost measured from the deltas between polls. Until one
     // tile has run between two polls there is no cost sample and
@@ -221,7 +219,6 @@ pub fn bayesian_segment_tiled(
             samples,
             &[seed],
             &[origin],
-            &pool,
         )
         .pop()
         .expect("one result per tile");

@@ -8,7 +8,8 @@
 //!   (inverted-dropout convention).
 //!
 //! Monte-Carlo-dropout inference does not go through [`Layer::forward`]:
-//! its masks are coordinate-keyed ([`Dropout::apply_mc_keyed`]), not drawn
+//! its masks are coordinate-keyed ([`keyed_row_seed`] +
+//! [`keyed_mask_word`], applied at each [`Dropout::rate`]), not drawn
 //! from an RNG stream.
 
 mod conv;

@@ -48,12 +48,14 @@
 //!   exactly whatever the row range (asserted by property tests on each
 //!   tier); the reference implementation is retained for those tests and
 //!   for benchmark baselines.
-//! - [`layers::Dropout::apply_mc_keyed`] applies a **coordinate-keyed**
-//!   Monte-Carlo mask (a pure hash of the sample seed and each element's
-//!   global coordinates, no RNG stream), and [`layers::Relu::apply_slice`]
-//!   clamps a raw buffer in place. The `el-seg` network composes these
-//!   into its Monte-Carlo prefix and sample passes, on which the
-//!   `el-monitor` crate builds its parallel Bayesian monitor.
+//! - [`layers::keyed_row_seed`] and [`layers::keyed_mask_word`] define
+//!   the **coordinate-keyed** Monte-Carlo dropout mask (a pure hash of
+//!   the sample seed and each element's global coordinates, no RNG
+//!   stream), and [`layers::Relu::apply_slice`] clamps a raw buffer in
+//!   place. The `el-seg` network composes these with the `el_kernels`
+//!   mask rows and GEMM into its Monte-Carlo prefix and block-wise
+//!   sample passes, on which the `el-monitor` crate builds its parallel
+//!   Bayesian monitor.
 //!
 //! # Example
 //!

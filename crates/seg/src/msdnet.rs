@@ -1,6 +1,6 @@
 //! The Multi-Scale-Dilation segmentation network.
 
-use el_nn::layers::{Conv2d, Dropout, Layer, ParamRef, Phase, Relu};
+use el_nn::layers::{keyed_row_seed, Conv2d, Dropout, Layer, ParamRef, Phase, Relu};
 use el_nn::{Tensor, Workspace};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -111,7 +111,7 @@ struct Branch {
 /// dropout live is exactly one pass of the paper's Bayesian MSDnet
 /// (Monte-Carlo dropout with rate 0.5). That sample has one definition:
 /// [`MsdNet::mc_prefix`] (once per crop) followed by
-/// [`MsdNet::mc_sample_at`] under coordinate-keyed masks.
+/// [`MsdNet::mc_sample_blocks`] under coordinate-keyed masks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsdNet {
     config: MsdNetConfig,
@@ -127,6 +127,8 @@ pub struct MsdNet {
 const MC_LAYER_BRANCH: u32 = 0;
 /// Mask-key layer id of the fusion-head dropout stage.
 const MC_LAYER_HEAD: u32 = 1;
+/// Pixels per [`MsdNet::mc_sample_blocks`] block: `(48 + 32 + 8) · 64` floats, 22 KB of L1.
+const MC_BLOCK: usize = 64;
 
 impl MsdNet {
     /// Builds a network with freshly initialised weights.
@@ -207,7 +209,7 @@ impl MsdNet {
     /// No dropout layer precedes this computation, so the result is
     /// identical across all Monte-Carlo-dropout samples — the monitor
     /// computes it **once** per verified crop or audit tile and replays
-    /// only the stochastic suffix ([`MsdNet::mc_sample_at`]) per sample.
+    /// only the stochastic suffix ([`MsdNet::mc_sample_blocks`]) per sample.
     /// Each branch is one GEMM over the whole input
     /// ([`Conv2d::forward_rows_into`] on rows `0..h`) written straight
     /// into its channel slab of the fused buffer, the lowering
@@ -238,55 +240,67 @@ impl MsdNet {
             .unwrap_or(0)
     }
 
-    /// One Monte-Carlo-dropout sample with **coordinate-keyed** masks
-    /// (see [`el_nn::layers::keyed_mask_word`]): each activation's mask
-    /// bit is a pure hash of the per-sample seed and the activation's
-    /// *global* frame coordinates (`origin` locates the crop in the
-    /// frame; pass `(0, 0)` when the crop is its own frame).
-    ///
-    /// Because the mask no longer depends on the crop's shape or
-    /// traversal order, a tile computed at its frame origin draws exactly
-    /// the masks the whole frame would — the invariant behind
-    /// `bayesian_segment_tiled` and the batched monitor. Immutable on
-    /// `self`, allocation-free warm, no RNG handle needed.
-    pub fn mc_sample_at(
+    /// One Monte-Carlo-dropout sample of the suffix over a prefix from
+    /// [`MsdNet::mc_prefix`]: calls `visit(p0, logits)` for consecutive
+    /// pixel blocks `p0..p0 + n` (`n <= 64`, logits `[class][n]`), each run
+    /// through branch masks, head1, ReLU, head mask and head2 in one
+    /// L1-resident scratch buffer. Masks are **coordinate-keyed**
+    /// ([`el_nn::layers::keyed_mask_word`] of the sample seed and the
+    /// *global* frame coordinates; `origin` locates the crop), so a block,
+    /// crop or tile draws exactly the whole frame's masks, and each logit
+    /// is a GEMM column in strict `k` order whatever the block.
+    /// Immutable on `self`, allocation-free warm.
+    pub fn mc_sample_blocks(
         &self,
         fused: &Tensor,
         sample_seed: u64,
         origin: (usize, usize),
         ws: &mut Workspace,
-    ) -> Tensor {
+        mut visit: impl FnMut(usize, &mut [f32]),
+    ) {
         let (c, h, w) = fused.shape();
-        let hw = h * w;
-        let bc = self.config.branch_channels;
-        let mut x = ws.take_tensor(c, h, w);
-        for (bi, b) in self.branches.iter().enumerate() {
-            b.drop.apply_mc_keyed(
-                &fused.as_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                h,
-                w,
-                &mut x.as_mut_slice()[bi * bc * hw..],
-                sample_seed,
-                MC_LAYER_BRANCH,
-                bi * bc,
-                origin,
-            );
+        let (hw, hid, classes) = (h * w, self.config.head_hidden, self.config.classes);
+        let (head1, head2, kernels) = (&self.head1, &self.head2, el_kernels::active());
+        let mut scratch = ws.take((c + hid + classes) * MC_BLOCK);
+        for p0 in (0..hw).step_by(MC_BLOCK) {
+            let n = MC_BLOCK.min(hw - p0);
+            let (x, rest) = scratch.split_at_mut(c * n);
+            let (y, z) = rest.split_at_mut(hid * n);
+            // The block's row segments: (range in the block, global y, x).
+            let segments = (p0 / w..=(p0 + n - 1) / w).map(move |r| {
+                let (a, b) = ((r * w).max(p0), ((r + 1) * w).min(p0 + n));
+                (a - p0..b - p0, origin.0 + r, origin.1 + a - r * w)
+            });
+            for (ch, row) in x.chunks_exact_mut(n).enumerate() {
+                let src = &fused.channel(ch)[p0..p0 + n];
+                let rate = self.branches[ch / self.config.branch_channels].drop.rate();
+                if rate == 0.0 {
+                    row.copy_from_slice(src);
+                    continue;
+                }
+                let scale = 1.0 / (1.0 - rate);
+                for (seg, gy, gx) in segments.clone() {
+                    let rs = keyed_row_seed(sample_seed, MC_LAYER_BRANCH, ch, gy);
+                    kernels.mask_scale_row(rs, gx, rate, scale, &src[seg.clone()], &mut row[seg]);
+                }
+            }
+            kernels.gemm_bias(head1.weight(), x, head1.bias(), y, hid, c, n);
+            Relu::apply_slice(y);
+            let rate = self.head_drop.rate();
+            if rate > 0.0 {
+                let scale = 1.0 / (1.0 - rate);
+                for (ch, row) in y.chunks_exact_mut(n).enumerate() {
+                    for (seg, gy, gx) in segments.clone() {
+                        let rs = keyed_row_seed(sample_seed, MC_LAYER_HEAD, ch, gy);
+                        kernels.mask_scale_row_in_place(rs, gx, rate, scale, &mut row[seg]);
+                    }
+                }
+            }
+            let z = &mut z[..classes * n];
+            kernels.gemm_bias(head2.weight(), y, head2.bias(), z, classes, hid, n);
+            visit(p0, z);
         }
-        let mut y = self.head1.forward_with(&x, ws);
-        ws.recycle(x);
-        Relu::apply(&mut y);
-        self.head_drop.apply_mc_keyed_in_place(
-            y.as_mut_slice(),
-            h,
-            w,
-            sample_seed,
-            MC_LAYER_HEAD,
-            0,
-            origin,
-        );
-        let out = self.head2.forward_with(&y, ws);
-        ws.recycle(y);
-        out
+        ws.give(scratch);
     }
 
     /// Deterministic (Eval-phase) inference in row bands: calls
@@ -579,9 +593,10 @@ mod tests {
     fn keyed_sample_with_zero_dropout_matches_eval() {
         // With dropout 0 a Monte-Carlo sample is the deterministic head
         // pass, so it must agree exactly with Eval inference. This pins
-        // the slab-writing prefix against `Layer::forward` on every shape
-        // a clipped audit prefix can take: square, 1x1, 1xN, Nx1 and
-        // smaller than the receptive radius (tiny: radius 2) on a stale
+        // the slab-writing prefix and the block walk against
+        // `Layer::forward` on every shape a clipped audit prefix can
+        // take: square, 1x1, 1xN, Nx1, smaller than the receptive radius
+        // (tiny: radius 2) and more than one 64-pixel block, on a stale
         // workspace.
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
@@ -597,17 +612,29 @@ mod tests {
             (1, 2),
             (2, 2),
             (3, 5),
+            (8, 9),
+            (1, 65),
         ] {
             let x = Tensor::from_fn(3, h, w, |c, y, x| ((c + y * 2 + x) as f32 * 0.31).sin());
             let fused = net.mc_prefix(&x, &mut ws);
-            let keyed = net.mc_sample_at(&fused, 9, (0, 0), &mut ws);
+            let hw = h * w;
+            let mut keyed = Tensor::full(net.classes(), h, w, f32::NAN);
+            let mut next = 0;
+            net.mc_sample_blocks(&fused, 9, (0, 0), &mut ws, |p0, logits| {
+                assert_eq!(p0, next, "blocks arrive in order");
+                let n = logits.len() / net.classes();
+                for (k, plane) in logits.chunks_exact(n).enumerate() {
+                    keyed.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
+                }
+                next += n;
+            });
+            assert_eq!(next, hw, "blocks cover the crop");
             assert_eq!(
                 keyed,
                 net.forward(&x, Phase::Eval, &mut r),
                 "prefix + keyed sample diverges from Eval on {h}x{w}"
             );
             ws.recycle(fused);
-            ws.recycle(keyed);
         }
     }
 

@@ -1,16 +1,20 @@
 //! Integration properties of the batched and tiled Bayesian paths.
 //!
-//! These tests pin the PR's two headline guarantees:
+//! These tests pin three guarantees:
 //!
 //! 1. **Batching is free of semantic drift**: `Monitor::verify_batch`
-//!    (one prefix per crop, one shared rayon work queue, pooled scratch
-//!    arenas) is bit-identical to N sequential
-//!    `Monitor::verify` calls with the same per-crop seeds.
+//!    (one prefix per crop, one shared rayon work queue) is
+//!    bit-identical to N sequential `Monitor::verify` calls with the
+//!    same per-crop seeds.
 //! 2. **Tiling is exact, not approximate**: `bayesian_segment_tiled`
 //!    with an unexpired budget equals untiled `bayesian_segment` bit for
 //!    bit, and a budget-truncated pass returns a well-formed prefix of
 //!    that exact answer (consistent coverage mask, no NaNs, coverage
 //!    monotone in the budget).
+//! 3. **Blocking is invisible**: the 64-pixel block suffix
+//!    (`MsdNet::mc_sample_blocks`) equals a staged whole-plane reference
+//!    bit for bit, and a crop's blocks equal the frame's at the same
+//!    global pixels.
 //!
 //! As in `tests/properties.rs`, properties run as seeded-RNG loops
 //! (no proptest in the build environment).
@@ -23,7 +27,9 @@ use common::expected_admitted;
 use el_monitor::{
     bayesian_segment, bayesian_segment_batch, bayesian_segment_tiled, BayesStats, BATCH_SEED_STRIDE,
 };
-use el_nn::Tensor;
+use el_nn::layers::{keyed_mask_word, keyed_row_seed, Conv2d, Layer, Relu};
+use el_nn::loss::softmax_in_place;
+use el_nn::{Tensor, Workspace};
 use el_seg::data::image_to_tensor;
 use el_seg::TileConfig;
 use rand::{Rng, SeedableRng};
@@ -352,4 +358,211 @@ fn crop_at_origin_agrees_with_frame_interior() {
         }
     }
     assert!(interior_pixels > 0);
+}
+
+/// The staged Monte-Carlo suffix, spelled out from public pieces: masks
+/// drawn per whole plane and row from `keyed_row_seed`/`keyed_mask_word`,
+/// the two heads as `Conv2d::forward_with`, ReLU, and `softmax_in_place`
+/// over the whole crop. Mask-key layer 0 is the branch dropout (keyed by
+/// fused channel), layer 1 the head dropout.
+struct StagedSuffix {
+    head1: Conv2d,
+    head2: Conv2d,
+    branch_channels: usize,
+    rate: f32,
+}
+
+impl StagedSuffix {
+    fn of(net: &MsdNet) -> Self {
+        let cfg = net.config().clone();
+        let fused = cfg.branch_channels * cfg.dilations.len();
+        let mut r = ChaCha8Rng::seed_from_u64(0);
+        let mut head1 = Conv2d::new(fused, cfg.head_hidden, 1, 1, &mut r);
+        let mut head2 = Conv2d::new(cfg.head_hidden, cfg.classes, 1, 1, &mut r);
+        // `Layer::params` lists the heads' weight and bias last.
+        let mut net = net.clone();
+        let params = net.params();
+        let n = params.len();
+        for (head, theirs) in [
+            (&mut head1, &params[n - 4..n - 2]),
+            (&mut head2, &params[n - 2..]),
+        ] {
+            for (mine, theirs) in head.params().into_iter().zip(theirs) {
+                mine.value.copy_from_slice(theirs.value);
+            }
+        }
+        StagedSuffix {
+            head1,
+            head2,
+            branch_channels: cfg.branch_channels,
+            rate: cfg.dropout,
+        }
+    }
+
+    /// Keyed inverted dropout over whole `h x w` planes, channel `c` of
+    /// `x` keyed as channel `c` of mask layer `layer`.
+    fn mask(&self, x: &mut Tensor, seed: u64, layer: u32, origin: (usize, usize)) {
+        if self.rate == 0.0 {
+            return;
+        }
+        let (channels, h, w) = x.shape();
+        let scale = 1.0 / (1.0 - self.rate);
+        for c in 0..channels {
+            for y in 0..h {
+                let row_seed = keyed_row_seed(seed, layer, c, origin.0 + y);
+                for x_ in 0..w {
+                    let word = keyed_mask_word(row_seed, origin.1 + x_);
+                    let keep = (el_kernels::unit_f32(word) >= self.rate) as u32 as f32;
+                    let v = &mut x.as_mut_slice()[(c * h + y) * w + x_];
+                    *v = *v * scale * keep;
+                }
+            }
+        }
+    }
+
+    /// `(logits, probabilities)` of one sample.
+    fn sample(
+        &self,
+        fused: &Tensor,
+        seed: u64,
+        origin: (usize, usize),
+        ws: &mut Workspace,
+    ) -> (Tensor, Tensor) {
+        assert_eq!(fused.channels() % self.branch_channels, 0);
+        let mut x = fused.clone();
+        self.mask(&mut x, seed, 0, origin);
+        let mut y = self.head1.forward_with(&x, ws);
+        Relu::apply(&mut y);
+        self.mask(&mut y, seed, 1, origin);
+        let logits = self.head2.forward_with(&y, ws);
+        let mut probs = logits.clone();
+        softmax_in_place(&mut probs);
+        (logits, probs)
+    }
+}
+
+/// `(logits, probabilities)` of one sample through the block suffix,
+/// each block softmaxed as the monitor does, reassembled `[class][hw]`.
+fn block_sample(
+    net: &MsdNet,
+    fused: &Tensor,
+    seed: u64,
+    origin: (usize, usize),
+    ws: &mut Workspace,
+) -> (Tensor, Tensor) {
+    let (_, h, w) = fused.shape();
+    let (classes, hw) = (net.classes(), h * w);
+    let mut logits = Tensor::full(classes, h, w, f32::NAN);
+    let mut probs = logits.clone();
+    let mut next = 0;
+    net.mc_sample_blocks(fused, seed, origin, ws, |p0, block| {
+        assert_eq!(p0, next, "blocks arrive in pixel order");
+        let n = block.len() / classes;
+        assert!((1..=64).contains(&n), "block of {n} pixels");
+        for (k, plane) in block.chunks_exact(n).enumerate() {
+            logits.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
+        }
+        el_kernels::active().softmax(block, classes, n);
+        for (k, plane) in block.chunks_exact(n).enumerate() {
+            probs.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
+        }
+        next += n;
+    });
+    assert_eq!(next, hw, "blocks cover the crop");
+    (logits, probs)
+}
+
+fn tensor_bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A paper-geometry network (48 fused channels, 32 hidden, 8 classes)
+/// with random weights.
+fn paper_net(seed: u64, dropout: f32) -> MsdNet {
+    let mut cfg = MsdNetConfig::default_uavid();
+    cfg.dropout = dropout;
+    MsdNet::new(&cfg, &mut ChaCha8Rng::seed_from_u64(seed))
+}
+
+fn random_fused(r: &mut ChaCha8Rng, h: usize, w: usize) -> Tensor {
+    // Negatives too, so dropped lanes must give -0.0 on both paths.
+    Tensor::from_fn(48, h, w, |_, _, _| r.gen_range(-1.5..2.0f32))
+}
+
+#[test]
+fn block_suffix_matches_staged_oracle() {
+    let mut r = rng();
+    // 1x1, 1xw, hx1; hw = 63, 64, 65 and 128; rows of 29 and 86 that
+    // straddle the 64-pixel blocks.
+    let shapes = [
+        (1, 1),
+        (1, 29),
+        (29, 1),
+        (7, 9),
+        (8, 8),
+        (5, 13),
+        (8, 16),
+        (1, 128),
+        (11, 29),
+        (4, 86),
+    ];
+    for dropout in [0.0, 0.5] {
+        let net = paper_net(41, dropout);
+        let oracle = StagedSuffix::of(&net);
+        let mut ws = Workspace::new();
+        for (i, &(h, w)) in shapes.iter().enumerate() {
+            // Stale NaN buffers of assorted sizes: every value the block
+            // suffix hands out must be written this sample.
+            for len in [1, 64, 88 * 64, 48 * h * w, 4096] {
+                ws.give(vec![f32::NAN; len]);
+            }
+            let fused = random_fused(&mut r, h, w);
+            for origin in [(0, 0), (3 + i, 40 + 7 * i), (1000, 2)] {
+                let seed = r.gen::<u64>();
+                let (logits, probs) = block_sample(&net, &fused, seed, origin, &mut ws);
+                let (want_logits, want_probs) = oracle.sample(&fused, seed, origin, &mut ws);
+                assert_eq!(
+                    tensor_bits(&logits),
+                    tensor_bits(&want_logits),
+                    "logits diverge on {h}x{w} at {origin:?}, dropout {dropout}"
+                );
+                assert_eq!(
+                    tensor_bits(&probs),
+                    tensor_bits(&want_probs),
+                    "probabilities diverge on {h}x{w} at {origin:?}, dropout {dropout}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn block_suffix_crop_agrees_with_frame() {
+    // The suffix is pointwise and its masks are keyed by global
+    // coordinates, so a crop of a frame's prefix sampled at its frame
+    // origin reproduces the frame's logits exactly — whatever the block
+    // boundaries of the two walks.
+    let net = paper_net(43, 0.5);
+    let mut r = rng();
+    let mut ws = Workspace::new();
+    let (fh, fw) = (23, 86);
+    let frame = random_fused(&mut r, fh, fw);
+    let (whole, _) = block_sample(&net, &frame, 77, (0, 0), &mut ws);
+    for (oy, ox, ch, cw) in [(2, 1, 4, 7), (0, 0, 23, 29), (5, 50, 9, 36), (22, 85, 1, 1)] {
+        let crop = Tensor::from_fn(48, ch, cw, |c, y, x| {
+            frame.as_slice()[(c * fh + oy + y) * fw + ox + x]
+        });
+        let (part, _) = block_sample(&net, &crop, 77, (oy, ox), &mut ws);
+        for k in 0..net.classes() {
+            for y in 0..ch {
+                for x in 0..cw {
+                    assert_eq!(
+                        part.as_slice()[(k * ch + y) * cw + x].to_bits(),
+                        whole.as_slice()[(k * fh + oy + y) * fw + ox + x].to_bits(),
+                        "crop {ch}x{cw} at ({oy}, {ox}) diverges at class {k} ({x}, {y})"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -16,7 +16,8 @@
 //! Shape checks are contract as well: the SIMD tiers load and store
 //! through raw pointers, so a mis-sized GEMM buffer or softmax block
 //! must panic on every tier in release builds, never write past the
-//! slice.
+//! slice, and a mask row's masked last vector must leave the NaN guard
+//! bands around the row untouched.
 //!
 //! The override itself is contract too: an unknown or unsupported tier
 //! must be **rejected with a clear error**, never silently downgraded.
@@ -120,12 +121,79 @@ fn gemm_rejects_undersized_buffers_on_every_tier() {
     }
 }
 
+/// NaN guard floats on each side of a row under test: one AVX-512
+/// vector, so a masked store that ignores its mask lands in a guard.
+const GUARD: usize = 16;
+/// A NaN with a payload no kernel produces.
+const GUARD_BITS: u32 = 0x7fc0_beef;
+
+/// Runs both mask-row forms of `kernels` on `src` cut from the middle
+/// of a guard-banded buffer and checks the row against `expect` and
+/// the guards' bits against [`GUARD_BITS`]: nothing may be written past
+/// either end of the row.
+fn check_guarded_mask_row(
+    kernels: &Kernels,
+    (row_seed, gx0, rate): (u32, usize, f32),
+    src: &[f32],
+    expect: &[f32],
+) {
+    let (len, scale) = (src.len(), 1.0 / (1.0 - rate));
+    let guarded = |row: &[f32]| {
+        let mut buf = vec![f32::from_bits(GUARD_BITS); len + 2 * GUARD];
+        buf[GUARD..GUARD + len].copy_from_slice(row);
+        buf
+    };
+    let guards_hold = |buf: &[f32]| {
+        buf[..GUARD]
+            .iter()
+            .chain(&buf[GUARD + len..])
+            .all(|g| g.to_bits() == GUARD_BITS)
+    };
+    let name = kernels.tier().name();
+    let src_buf = guarded(src);
+    let mut out = guarded(&vec![f32::NAN; len]);
+    kernels.mask_scale_row(
+        row_seed,
+        gx0,
+        rate,
+        scale,
+        &src_buf[GUARD..GUARD + len],
+        &mut out[GUARD..GUARD + len],
+    );
+    assert_eq!(
+        bits(&out[GUARD..GUARD + len]),
+        bits(expect),
+        "{name} mask row diverges (len {len}, gx0 {gx0}, rate {rate})"
+    );
+    assert!(
+        guards_hold(&out),
+        "{name} mask row writes past a {len}-long row"
+    );
+    let mut in_place = src_buf;
+    kernels.mask_scale_row_in_place(
+        row_seed,
+        gx0,
+        rate,
+        scale,
+        &mut in_place[GUARD..GUARD + len],
+    );
+    assert_eq!(
+        bits(&in_place[GUARD..GUARD + len]),
+        bits(expect),
+        "{name} in-place mask row diverges (len {len})"
+    );
+    assert!(
+        guards_hold(&in_place),
+        "{name} in-place mask row writes past a {len}-long row"
+    );
+}
+
 #[test]
 fn mask_rows_every_tier_matches_portable_over_random_rows() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x3A5C);
     let tiers = simd_tiers();
     for case in 0..200 {
-        // Odd widths and sub-vector-width rows exercise the scalar tail.
+        // Odd widths and sub-vector-width rows exercise the row tails.
         let len = match case % 4 {
             0 => 1 + (rng.next_u32() % 4) as usize,
             1 => 16 * (1 + (rng.next_u32() % 8) as usize),
@@ -144,22 +212,19 @@ fn mask_rows_every_tier_matches_portable_over_random_rows() {
         let mut expect = vec![0.0f32; len];
         mask::mask_scale_row_portable(row_seed, gx0, rate, scale, &src, &mut expect);
         for kernels in &tiers {
-            let mut out = vec![f32::NAN; len];
-            kernels.mask_scale_row(row_seed, gx0, rate, scale, &src, &mut out);
-            assert_eq!(
-                bits(&out),
-                bits(&expect),
-                "{} mask row diverges (len {len}, gx0 {gx0}, rate {rate})",
-                kernels.tier().name()
-            );
-            let mut in_place = src.clone();
-            kernels.mask_scale_row_in_place(row_seed, gx0, rate, scale, &mut in_place);
-            assert_eq!(
-                bits(&in_place),
-                bits(&expect),
-                "{} in-place mask row diverges (len {len})",
-                kernels.tier().name()
-            );
+            check_guarded_mask_row(kernels, (row_seed, gx0, rate), &src, &expect);
+        }
+    }
+    // Every row length up to two AVX-512 vectors plus one, on every
+    // tier (portable included), with the guards checked.
+    for len in 0..=33 {
+        let (row_seed, gx0, rate) = (rng.next_u32(), (rng.next_u32() % 1000) as usize, 0.5);
+        let src = random_f32s(&mut rng, len);
+        let mut expect = vec![0.0f32; len];
+        mask::mask_scale_row_portable(row_seed, gx0, rate, 2.0, &src, &mut expect);
+        for tier in KernelTier::supported() {
+            let kernels = Kernels::for_tier(tier).expect("supported tier resolves");
+            check_guarded_mask_row(kernels, (row_seed, gx0, rate), &src, &expect);
         }
     }
 }

@@ -11,9 +11,12 @@
 //! - every committed scenario file loads, validates, and has a golden
 //!   fingerprint entry.
 //!
-//! Fingerprints here are *self-relative* (this build against itself):
-//! absolute golden values are pinned only in the x86_64 CI scenario step,
-//! because qemu/aarch64 libm rounding may differ across hosts.
+//! Fingerprints here are *self-relative* (this build against itself).
+//! The absolute golden values in `scenarios/goldens.json` are checked by
+//! CI's scenario replay steps. `ScenarioOutcome::fingerprint` hashes a
+//! canonical byte encoding (float bits, fixed field order), so the same
+//! goldens hold on every architecture: CI replays them natively on
+//! x86_64 and under qemu on aarch64.
 
 use certel::prelude::*;
 

@@ -28,8 +28,10 @@
 //! Every tier reproduces the portable kernel **bit for bit**:
 //!
 //! - GEMM accumulates each output element over `k` in the same strict
-//!   order with the same multiply-then-add rounding (never FMA), so the
-//!   monitor's Monte-Carlo verdicts are identical on every ISA.
+//!   order with the same multiply-then-add rounding (never FMA), reading
+//!   B through a row table, and rectifies on store with the same
+//!   [`relu`], so the monitor's Monte-Carlo verdicts are identical on
+//!   every ISA.
 //! - The keyed-mask kernels evaluate the identical integer hash and the
 //!   identical `x * scale * keep` float expression lane-wise.
 //! - The ChaCha8 kernels emit the identical keystream (blocks in counter
@@ -56,6 +58,7 @@ pub mod softmax;
 
 use std::sync::OnceLock;
 
+pub use gemm::relu;
 pub use mask::{keyed_mask_word, keyed_row_seed, unit_f32};
 pub use softmax::expf;
 
@@ -199,8 +202,9 @@ pub struct Kernels {
     softmax: SoftmaxFn,
 }
 
-/// `gemm_bias(a, b, bias, out, m, k_dim, n)` — see [`Kernels::gemm_bias`].
-pub type GemmBiasFn = fn(&[f32], &[f32], &[f32], &mut [f32], usize, usize, usize);
+/// `gemm_bias(a, b, rows, bias, out, m, n, relu)` — see
+/// [`Kernels::gemm_bias`].
+pub type GemmBiasFn = fn(&[f32], &[f32], &[usize], &[f32], &mut [f32], usize, usize, bool);
 /// `mask_scale_row(row_seed, gx0, rate, scale, src, dst)` — see
 /// [`Kernels::mask_scale_row`].
 pub type MaskScaleRowFn = fn(u32, usize, f32, f32, &[f32], &mut [f32]);
@@ -321,37 +325,55 @@ impl Kernels {
         self.tier
     }
 
-    /// `out[m][n] = bias[m] + sum_k a[m][k] * b[k][n]`, all row-major.
+    /// `out[o][j] = bias[o] + sum_k a[o][k] * b[rows[k] + j]` for `o < m`,
+    /// `j < n`, stored as [`relu`] of the sum when `relu` is set.
     ///
-    /// Each output element accumulates over `k` strictly in order with
-    /// multiply-then-add rounding, so every tier agrees bit for bit
-    /// with [`gemm::gemm_bias_portable`].
+    /// `a` (`m x k_dim`, `k_dim = rows.len()`) and `out` (`m x n`) are
+    /// row-major; row `k` of the B operand is the slice
+    /// `b[rows[k]..][..n]`. A dense row-major B is `rows[k] = k · n`; a
+    /// convolution names each tap's slice of its zero-padded input, so
+    /// rows may overlap and need not be monotone. Each output element
+    /// accumulates over `k` strictly in table order with
+    /// multiply-then-add rounding, so every tier agrees bit for bit with
+    /// [`gemm::gemm_bias_portable`], rectifier included.
     ///
     /// # Panics
     ///
-    /// Panics unless `a` is exactly `m x k_dim`, `b` exactly `k_dim x n`
-    /// and `out` exactly `m x n` elements (`bias` needs `m`, read with
-    /// bounds checks), in release builds too: the SIMD tiers load `b` and
-    /// store `out` through raw pointers, so a mis-sized buffer must stop
-    /// here rather than be accessed out of bounds.
+    /// Panics unless `a` is exactly `m x k_dim` and `out` exactly `m x n`
+    /// elements and every `rows[k] + n <= b.len()` (`bias` needs `m`,
+    /// read with bounds checks), in release builds too and before any
+    /// element is touched: the SIMD tiers load `b` and store `out`
+    /// through raw pointers, so a mis-sized buffer or a stray row offset
+    /// must stop here rather than be accessed out of bounds.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_bias(
         &self,
         a: &[f32],
         b: &[f32],
+        rows: &[usize],
         bias: &[f32],
         out: &mut [f32],
         m: usize,
-        k_dim: usize,
         n: usize,
+        relu: bool,
     ) {
-        // `checked_mul`: a wrapped product must not pass the check.
-        assert_eq!(Some(a.len()), m.checked_mul(k_dim), "gemm_bias: a shape");
-        assert_eq!(Some(b.len()), k_dim.checked_mul(n), "gemm_bias: b shape");
+        // `checked_*`: a wrapped product or sum must not pass the check.
+        assert_eq!(
+            Some(a.len()),
+            m.checked_mul(rows.len()),
+            "gemm_bias: a shape"
+        );
         assert_eq!(Some(out.len()), m.checked_mul(n), "gemm_bias: out shape");
+        if let Some(last) = rows.iter().copied().max() {
+            assert!(
+                last.checked_add(n).is_some_and(|end| end <= b.len()),
+                "gemm_bias: row offset {last} + {n} columns leaves b ({} elements)",
+                b.len()
+            );
+        }
         let sw = el_metrics::Stopwatch::start();
-        (self.gemm_bias)(a, b, bias, out, m, k_dim, n);
+        (self.gemm_bias)(a, b, rows, bias, out, m, n, relu);
         el_metrics::registry().gemm.record(sw);
     }
 

@@ -87,21 +87,6 @@ pub struct BayesStats {
 }
 
 impl BayesStats {
-    /// The upper 99.7% confidence bound `µ + k σ` for one class channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class` is out of range.
-    pub fn upper_bound(&self, class: usize, sigma_factor: f32) -> Vec<f32> {
-        assert!(class < self.mean.channels(), "class {class} out of range");
-        self.mean
-            .channel(class)
-            .iter()
-            .zip(self.std.channel(class))
-            .map(|(&m, &s)| m + sigma_factor * s)
-            .collect()
-    }
-
     /// Mean of `σ` over all pixels and classes — a scalar uncertainty
     /// summary used by the experiments (rises on out-of-distribution
     /// inputs).
@@ -538,17 +523,6 @@ mod tests {
         assert_eq!(acc.count, samples);
         assert_eq!(bits(&acc.mean), bits(&mean));
         assert_eq!(bits(&acc.m2), bits(&m2));
-    }
-
-    #[test]
-    fn upper_bound_exceeds_mean() {
-        let (net, input) = setup();
-        let stats = stats(&net, &input, 5, 6);
-        let ub = stats.upper_bound(1, 3.0);
-        for (u, &m) in ub.iter().zip(stats.mean.channel(1)) {
-            assert!(*u >= m);
-        }
-        assert!(stats.mean_uncertainty() >= 0.0);
     }
 
     #[test]

@@ -61,19 +61,6 @@ impl MonitorRule {
         Ok(())
     }
 
-    /// Evaluates the rule for a single pixel given its per-class `(µ, σ)`.
-    ///
-    /// Returns `true` when the pixel is safe (no busy-road class violates
-    /// the bound).
-    pub fn pixel_safe(&self, mean: &[f32], std: &[f32]) -> bool {
-        debug_assert_eq!(mean.len(), SemanticClass::COUNT);
-        debug_assert_eq!(std.len(), SemanticClass::COUNT);
-        SemanticClass::BUSY_ROAD.iter().all(|c| {
-            let k = c.index();
-            mean[k] + self.sigma_factor * std[k] <= self.tau
-        })
-    }
-
     /// Computes the warning map over full Bayesian statistics.
     ///
     /// `true` = warning (pixel rejected): some busy-road class's upper
@@ -210,16 +197,6 @@ mod tests {
         for (a, b) in wl.iter().zip(ws.iter()) {
             assert!(!a || *b, "strict rule must warn wherever lenient does");
         }
-    }
-
-    #[test]
-    fn pixel_safe_matches_warning_map() {
-        let r = MonitorRule::paper();
-        let stats = stats_with(0.12, 0.01);
-        let warn = r.warning_map(&stats);
-        let mean: Vec<f32> = (0..8).map(|k| stats.mean[(k, 0, 0)]).collect();
-        let std: Vec<f32> = (0..8).map(|k| stats.std[(k, 0, 0)]).collect();
-        assert_eq!(r.pixel_safe(&mean, &std), !warn[(0, 0)]);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn bayesian_segment_tiled(
     let mut std = Tensor::zeros(classes, h, w);
     let mut covered = Grid::new(w, h, false);
     let mut verified: Vec<usize> = Vec::new();
-    // One scratch arena (prefix/im2col) warms up on the first tile and
+    // One scratch arena (padded input, prefix, sample blocks) warms up on the first tile and
     // serves every subsequent tile.
     let mut ws = Workspace::new();
     // The clock value at the previous admission poll, and the EWMA

@@ -1,9 +1,13 @@
 //! 2-D convolution with arbitrary dilation ("same" padding, stride 1).
 //!
-//! The forward pass is an im2col lowering followed by a register-blocked
-//! row-major micro-kernel (see [`Conv2d::forward_with`]); the naive
-//! per-tap loop is retained as [`Conv2d::forward_reference`] for
-//! equivalence tests and benchmark baselines.
+//! The forward pass has one lowering, [`Conv2d::forward_blocks`]: the
+//! input is copied once into a zero-padded buffer, and each block of
+//! [`CONV_BLOCK`] consecutive padded positions is one register-blocked
+//! GEMM whose B rows are the taps' slices of that buffer, read through a
+//! row table (`el_kernels::Kernels::gemm_bias`). No im2col matrix is
+//! built. The naive per-tap loop is retained as
+//! [`Conv2d::forward_reference`] for equivalence tests and benchmark
+//! baselines.
 
 use std::ops::Range;
 
@@ -202,9 +206,9 @@ impl Conv2d {
         out
     }
 
-    /// Optimized, allocation-free forward pass: im2col lowering plus a
-    /// register-blocked micro-kernel, with every scratch buffer drawn from
-    /// `ws`.
+    /// Optimized, allocation-free forward pass: [`Conv2d::forward_blocks`]
+    /// on this one convolution, each block's outputs copied into their
+    /// pixels of the output tensor, every buffer drawn from `ws`.
     ///
     /// Produces exactly the same values as [`Conv2d::forward_reference`]:
     /// per output element the reduction accumulates taps in the identical
@@ -217,171 +221,252 @@ impl Conv2d {
     /// Panics if `input` does not have [`Conv2d::in_channels`] channels.
     pub fn forward_with(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
-        let mut out = ws.take(self.out_channels * h * w);
-        self.forward_rows_into(input, 0..h, &mut out, ws);
-        Tensor::from_vec(self.out_channels, h, w, out)
-            .expect("workspace buffer sized to the output shape")
+        let mut out = ws.take_tensor(self.out_channels, h, w);
+        Conv2d::forward_blocks([self], input, false, ws, |block, runs| {
+            runs.scatter(block, out.as_mut_slice());
+        });
+        out
     }
 
-    /// Row-range forward pass: writes output rows `rows` of
-    /// [`Conv2d::forward_with`]`(input)` into `out`, laid out
-    /// `[out_channel][row - rows.start][x]`, lowering only those rows'
-    /// im2col columns. Taps that reach outside `rows` read the input
-    /// directly, so a band needs no halo copy.
+    /// The implicit lowering every convolution of the engine runs:
+    /// `convs` (all reading `input`) evaluated block by block over one
+    /// zero-padded copy of `input`.
     ///
-    /// Every output element is a GEMM column that accumulates its
-    /// reduction over `k` in the same strict order whatever the band,
-    /// so any row partition reproduces the whole-image pass bit for bit.
-    /// Allocation-free with a warm workspace.
+    /// The copy pads `input` by the widest "same" padding among `convs`
+    /// on every side, so the image's pixels sit at flat positions
+    /// `(r + y) · (w + 2r) + r + x` of each padded plane. Walking those
+    /// positions from the first pixel to the last in blocks of
+    /// [`CONV_BLOCK`], every block is one GEMM per convolution: row
+    /// `(in, ky, kx)` of its B operand is the contiguous slice of the
+    /// padded plane `in` that tap reads for the block's positions, named
+    /// by a row table (`el_kernels::Kernels::gemm_bias`), so no im2col
+    /// matrix is built. The convolutions' outputs stack into one
+    /// `[out channel][CONV_BLOCK]` block (the first convolution's
+    /// channels first), rectified on store when `relu` is set, and
+    /// `visit(block, runs)` receives it with the block's [`BlockRuns`]:
+    /// columns that land in pad columns are not pixels and are left out
+    /// of the runs. The last block may reach past the last pixel; its
+    /// extra columns are dropped the same way.
+    ///
+    /// Every output element is one GEMM column that starts from the bias
+    /// and accumulates its taps strictly in `(in, ky, kx)` order, so any
+    /// block partition reproduces [`Conv2d::forward_reference`] bit for
+    /// bit. Allocation-free with a warm workspace.
     ///
     /// # Panics
     ///
-    /// Panics if `input` does not have [`Conv2d::in_channels`] channels,
-    /// if `rows` leaves the image, or if `out` is not
-    /// `out_channels * rows.len() * width` long.
-    pub fn forward_rows_into(
-        &self,
+    /// Panics if some convolution does not take `input`'s channel count.
+    pub fn forward_blocks<'a, I>(
+        convs: I,
         input: &Tensor,
-        rows: Range<usize>,
-        out: &mut [f32],
+        relu: bool,
         ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            input.channels(),
-            self.in_channels,
-            "Conv2d expected {} input channels, got {}",
-            self.in_channels,
-            input.channels()
-        );
-        let (h, w) = (input.height(), input.width());
-        assert!(
-            rows.start <= rows.end && rows.end <= h,
-            "row range {rows:?} outside a {h}-row image"
-        );
-        let n = rows.len() * w;
-        assert_eq!(out.len(), self.out_channels * n, "output buffer size");
-        let k_dim = self.k_dim();
-        if self.kernel == 1 && rows.len() == h {
-            // 1x1 convolution over the whole image: the im2col matrix
-            // *is* the input.
-            gemm_bias(
-                &self.weight,
-                input.as_slice(),
-                &self.bias,
-                out,
-                self.out_channels,
-                k_dim,
-                n,
+        mut visit: impl FnMut(&[f32], BlockRuns),
+    ) where
+        I: IntoIterator<Item = &'a Conv2d>,
+        I::IntoIter: Clone,
+    {
+        let convs = convs.into_iter();
+        let (c, h, w) = input.shape();
+        let (mut m_all, mut k_all, mut radius) = (0, 0, 0);
+        for conv in convs.clone() {
+            assert_eq!(
+                c, conv.in_channels,
+                "Conv2d expected {} input channels, got {c}",
+                conv.in_channels
             );
-        } else {
-            let mut col = ws.take(k_dim * n);
-            self.im2col(input, rows, &mut col);
-            gemm_bias(
-                &self.weight,
-                &col,
-                &self.bias,
-                out,
-                self.out_channels,
-                k_dim,
-                n,
-            );
-            ws.give(col);
+            m_all += conv.out_channels;
+            k_all += conv.k_dim();
+            radius = radius.max(conv.padding());
         }
+        let layout = PaddedLayout {
+            height: h,
+            width: w,
+            radius,
+        };
+        let wp = layout.padded_width();
+        let padded = layout.pad(input, ws);
+        let mut rows = ws.take_rows(k_all);
+        let mut k0 = 0;
+        for conv in convs.clone() {
+            conv.tap_rows(&layout, &mut rows[k0..k0 + conv.k_dim()]);
+            k0 += conv.k_dim();
+        }
+        let mut block = ws.take(m_all * CONV_BLOCK);
+        let kernels = el_kernels::active();
+        for q0 in layout.span().step_by(CONV_BLOCK) {
+            let (mut o, mut k0) = (0, 0);
+            for conv in convs.clone() {
+                let (m, k) = (conv.out_channels, conv.k_dim());
+                // The tap table is relative to the block's top-left tap.
+                let base = q0 - conv.padding() * (wp + 1);
+                kernels.gemm_bias(
+                    &conv.weight,
+                    &padded[base..],
+                    &rows[k0..k0 + k],
+                    &conv.bias,
+                    &mut block[o * CONV_BLOCK..(o + m) * CONV_BLOCK],
+                    m,
+                    CONV_BLOCK,
+                    relu,
+                );
+                (o, k0) = (o + m, k0 + k);
+            }
+            visit(&block, layout.runs(q0));
+        }
+        ws.give(block);
+        ws.give_rows(rows);
+        ws.give(padded);
     }
 
-    /// Output rows per band for a `width`-pixel-wide image run through
-    /// [`Conv2d::forward_rows_into`] band by band: as many rows as keep
-    /// one band's im2col matrix inside the column budget (64 Ki `f32`, an
-    /// L2-resident working set), and at least one.
-    pub fn band_rows(&self, width: usize) -> usize {
-        ((BAND_COL_BUDGET / self.k_dim()).max(1) / width.max(1)).max(1)
+    /// The "same" padding: how far the kernel reaches from its centre.
+    fn padding(&self) -> usize {
+        (self.dilation * (self.kernel - 1)) / 2
     }
 
-    /// Reduction depth of the lowered GEMM: one im2col row per
-    /// `(in, ky, kx)` tap.
+    /// Reduction depth of the lowered GEMM: one B row per `(in, ky, kx)`
+    /// tap.
     fn k_dim(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
 
-    /// Lowers output rows `rows` of `input` into the im2col matrix `col`:
-    /// one matrix row per kernel tap, ordered `(in, ky, kx)` — the same
-    /// order the reference loop accumulates in — holding
-    /// `rows.len() * w` columns. Every column element is written;
-    /// out-of-image taps are zero ("same" padding).
-    fn im2col(&self, input: &Tensor, rows: Range<usize>, col: &mut [f32]) {
-        let (h, w) = (input.height(), input.width());
-        let pad = (self.dilation * (self.kernel - 1)) / 2;
-        let n = rows.len() * w;
-        if n == 0 {
-            return;
-        }
-        let mut k = 0usize;
-        for i in 0..self.in_channels {
-            let plane = input.channel(i);
-            for ky in 0..self.kernel {
-                let dy = (ky * self.dilation) as isize - pad as isize;
-                for kx in 0..self.kernel {
-                    let dx = (kx * self.dilation) as isize - pad as isize;
-                    let row = &mut col[k * n..][..n];
-                    k += 1;
-                    // Valid output columns for this tap (may be empty
-                    // when the receptive field exceeds the image).
-                    let x0 = (-dx).max(0) as usize;
-                    let x1 = ((w as isize - dx).min(w as isize)).max(0) as usize;
-                    for (dst, y) in row.chunks_exact_mut(w).zip(rows.clone()) {
-                        let iy = y as isize + dy;
-                        if x0 >= x1 || iy < 0 || iy >= h as isize {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let src = &plane[iy as usize * w..][..w];
-                        dst[..x0].fill(0.0);
-                        dst[x0..x1].copy_from_slice(
-                            &src[(x0 as isize + dx) as usize..(x1 as isize + dx) as usize],
-                        );
-                        dst[x1..].fill(0.0);
-                    }
-                }
-            }
+    /// Writes this convolution's tap row table over `layout` into `rows`:
+    /// tap `(in, ky, kx)`, in the reference loop's accumulation order,
+    /// reads plane `in` at `ky · dilation` rows and `kx · dilation`
+    /// columns past the block's top-left tap.
+    fn tap_rows(&self, layout: &PaddedLayout, rows: &mut [usize]) {
+        let (wp, plane, d) = (layout.padded_width(), layout.plane(), self.dilation);
+        let taps = (0..self.in_channels).flat_map(|i| {
+            (0..self.kernel)
+                .flat_map(move |ky| (0..self.kernel).map(move |kx| i * plane + (ky * wp + kx) * d))
+        });
+        for (row, tap) in rows.iter_mut().zip(taps) {
+            *row = tap;
         }
     }
 }
 
-/// Element budget (`k_dim x columns`) of one row band's im2col matrix
-/// ([`Conv2d::band_rows`]) — 64 Ki f32 = 256 KB, an L2-resident working
-/// set on every deployment target. Banding is a pure performance choice:
-/// any row partition produces bit-identical results.
-const BAND_COL_BUDGET: usize = 64 * 1024;
+/// Padded positions per block of [`Conv2d::forward_blocks`]: 64 GEMM
+/// columns are whole column tiles on every kernel tier, and a block's
+/// outputs and tap slices stay in L1.
+pub const CONV_BLOCK: usize = 64;
 
-/// `out[m][n] = bias[m] + sum_k a[m][k] * b[k][n]`, all matrices row-major.
-///
-/// Register-tiled micro-kernel, **column-tile outer, row-quad inner**:
-/// each `b` column tile (a few KB for this workload's reduction depths)
-/// is swept once per row quad *from L1*, instead of the whole `b` matrix
-/// being re-streamed from memory for every quad. That ordering is what
-/// lets one GEMM cover a whole crop's or audit tile's prefix (thousands
-/// of columns) without falling off the cache: the working set per step
-/// is one column tile plus the (small) weight matrix, independent of
-/// `n`. Four output rows accumulate in registers with `k` as the
-/// innermost loop, so no partial sums round-trip through memory and each
-/// output element still accumulates over `k` strictly in order, matching
-/// the naive tap loop's f32 rounding.
-///
-/// The per-ISA variants (portable → AVX2 → AVX-512F on x86_64,
-/// NEON on aarch64 — separate multiply and add instructions, never FMA,
-/// which rounds differently) live in [`el_kernels::gemm`]; this resolves
-/// the runtime-detected (or `EL_FORCE_KERNEL`-pinned) tier once per
-/// process and every tier reproduces the portable kernel bit for bit.
-fn gemm_bias(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k_dim: usize,
-    n: usize,
-) {
-    el_kernels::active().gemm_bias(a, b, bias, out, m, k_dim, n);
+/// Where an `height x width` image sits inside its copy zero-padded by
+/// `radius` on every side.
+#[derive(Debug, Clone, Copy)]
+struct PaddedLayout {
+    height: usize,
+    width: usize,
+    radius: usize,
+}
+
+impl PaddedLayout {
+    fn padded_width(&self) -> usize {
+        self.width + 2 * self.radius
+    }
+
+    fn plane(&self) -> usize {
+        (self.height + 2 * self.radius) * self.padded_width()
+    }
+
+    /// Flat padded positions from the first pixel to one past the last.
+    fn span(&self) -> Range<usize> {
+        if self.height == 0 || self.width == 0 {
+            return 0..0;
+        }
+        let (r, wp) = (self.radius, self.padded_width());
+        r * wp + r..(r + self.height - 1) * wp + r + self.width
+    }
+
+    /// The pixel runs of the block starting at padded position `q0`.
+    fn runs(&self, q0: usize) -> BlockRuns {
+        BlockRuns {
+            layout: *self,
+            q0,
+            q: q0,
+            end: (q0 + CONV_BLOCK).min(self.span().end),
+        }
+    }
+
+    /// A padded copy of `input` from `ws`: every plane, then
+    /// `CONV_BLOCK - 1` zeros of slack for the last block's columns past
+    /// the last pixel. Every element is written.
+    fn pad(&self, input: &Tensor, ws: &mut Workspace) -> Vec<f32> {
+        let (r, w, plane) = (self.radius, self.width, self.plane());
+        let mut buf = ws.take(input.channels() * plane + CONV_BLOCK - 1);
+        let (planes, slack) = buf.split_at_mut(input.channels() * plane);
+        slack.fill(0.0);
+        if plane > 0 {
+            for (ch, dst) in planes.chunks_exact_mut(plane).enumerate() {
+                let src = input.channel(ch);
+                for (py, row) in dst.chunks_exact_mut(self.padded_width()).enumerate() {
+                    match py.checked_sub(r).filter(|&y| y < self.height) {
+                        Some(y) => {
+                            row[..r].fill(0.0);
+                            row[r..r + w].copy_from_slice(&src[y * w..][..w]);
+                            row[r + w..].fill(0.0);
+                        }
+                        None => row.fill(0.0),
+                    }
+                }
+            }
+        }
+        buf
+    }
+}
+
+/// The pixel runs of one [`Conv2d::forward_blocks`] block, in order:
+/// `(columns, pixel)` pairs, where `columns` is a range of the block's
+/// columns and `pixel = y · width + x` is the flat image index of its
+/// first column's pixel (the rest follow along the row).
+#[derive(Debug, Clone)]
+pub struct BlockRuns {
+    layout: PaddedLayout,
+    q0: usize,
+    q: usize,
+    end: usize,
+}
+
+impl Iterator for BlockRuns {
+    type Item = (Range<usize>, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (r, w, wp) = (
+            self.layout.radius,
+            self.layout.width,
+            self.layout.padded_width(),
+        );
+        while self.q < self.end {
+            let (py, px) = (self.q / wp, self.q % wp);
+            if px < r {
+                self.q = py * wp + r;
+            } else if px >= r + w {
+                self.q = (py + 1) * wp + r;
+            } else {
+                let stop = (py * wp + r + w).min(self.end);
+                let run = (self.q - self.q0..stop - self.q0, (py - r) * w + px - r);
+                self.q = stop;
+                return Some(run);
+            }
+        }
+        None
+    }
+}
+
+impl BlockRuns {
+    /// Copies each run of `block` (`[channel][CONV_BLOCK]`) into its
+    /// pixels of `planes` (`[channel][height · width]`).
+    pub fn scatter(self, block: &[f32], planes: &mut [f32]) {
+        let hw = self.layout.height * self.layout.width;
+        for (cols, pixel) in self {
+            for (src, dst) in block
+                .chunks_exact(CONV_BLOCK)
+                .zip(planes.chunks_exact_mut(hw))
+            {
+                dst[pixel..pixel + cols.len()].copy_from_slice(&src[cols.clone()]);
+            }
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -606,53 +691,52 @@ mod tests {
     }
 
     #[test]
-    fn row_bands_match_reference_over_stale_scratch() {
+    fn stacked_blocks_match_reference_over_stale_scratch() {
         let mut r = rng();
-        for (ci, co, k, d, h, w) in [
-            (3, 8, 3, 1, 9, 9),
-            (2, 5, 3, 4, 11, 6), // taps reach several bands away
-            (4, 3, 5, 1, 7, 11),
-            (3, 7, 3, 4, 3, 3), // receptive field larger than the image
-            (2, 6, 1, 1, 12, 4),
+        for (k0, k1, d0, d1, h, w) in [
+            (3, 3, 1, 4, 9, 9),
+            (3, 3, 2, 1, 11, 6),
+            (5, 1, 1, 1, 7, 11),
+            (3, 3, 4, 2, 3, 3), // receptive field larger than the image
+            (1, 3, 1, 2, 1, 1),
+            (3, 1, 1, 1, 1, 70), // one row spanning two blocks
+            (3, 3, 1, 1, 70, 1),
+            (3, 3, 2, 4, 5, 64),
         ] {
-            let conv = Conv2d::new(ci, co, k, d, &mut r);
-            let input = Tensor::from_fn(ci, h, w, |c, y, x| {
+            let convs = [
+                Conv2d::new(2, 3, k0, d0, &mut r),
+                Conv2d::new(2, 4, k1, d1, &mut r),
+            ];
+            let input = Tensor::from_fn(2, h, w, |c, y, x| {
                 ((c * 31 + y * 7 + x) as f32 * 0.13).sin()
             });
-            let reference = conv.forward_reference(&input);
-            for band in 1..=h {
-                // Poison the pool: the row-range lowering must write
-                // every element, padding zeros included.
+            let mut expect: Vec<f32> = Vec::new();
+            for conv in &convs {
+                expect.extend(conv.forward_reference(&input).as_slice());
+            }
+            for relu in [false, true] {
+                // Poison the pool: the padded copy must write every
+                // element, its zeros included.
                 let mut ws = Workspace::new();
-                ws.give(vec![f32::NAN; ci * k * k * h * w]);
-                let mut y0 = 0;
-                while y0 < h {
-                    let rows = y0..(y0 + band).min(h);
-                    let n = rows.len() * w;
-                    let mut out = vec![0.0; co * n];
-                    conv.forward_rows_into(&input, rows.clone(), &mut out, &mut ws);
-                    for o in 0..co {
-                        assert_eq!(
-                            &out[o * n..(o + 1) * n],
-                            &reference.channel(o)[y0 * w..y0 * w + n],
-                            "conv {ci}->{co} k{k} d{d} band {band} rows {rows:?}"
-                        );
+                ws.give(vec![f32::NAN; 4 * (h + 8) * (w + 8) + 1024]);
+                let mut got = vec![f32::NAN; 7 * h * w];
+                let mut next = 0;
+                Conv2d::forward_blocks(&convs, &input, relu, &mut ws, |block, runs| {
+                    for (cols, pixel) in runs.clone() {
+                        assert_eq!(pixel, next, "runs tile the image in order");
+                        next += cols.len();
                     }
-                    y0 = rows.end;
-                }
+                    runs.scatter(block, &mut got);
+                });
+                assert_eq!(next, h * w, "runs cover the image");
+                let expect: Vec<f32> = if relu {
+                    expect.iter().map(|&v| el_kernels::relu(v)).collect()
+                } else {
+                    expect.clone()
+                };
+                assert_eq!(got, expect, "k{k0}/{k1} d{d0}/{d1} {h}x{w} relu {relu}");
             }
         }
-    }
-
-    #[test]
-    fn band_rows_follow_the_column_budget() {
-        let mut r = rng();
-        let conv = Conv2d::new(3, 16, 3, 2, &mut r);
-        // 64 Ki / 27 = 2427 columns: 9 rows of a 256 px frame.
-        assert_eq!(conv.band_rows(256), 9);
-        assert_eq!(conv.band_rows(1), 2427);
-        assert_eq!(conv.band_rows(10_000), 1);
-        assert_eq!(conv.band_rows(0), 2427);
     }
 
     #[test]

@@ -17,7 +17,7 @@ mod dropout;
 mod relu;
 mod sequential;
 
-pub use conv::Conv2d;
+pub use conv::{BlockRuns, Conv2d, CONV_BLOCK};
 pub use dropout::{keyed_mask_word, keyed_row_seed, Dropout};
 pub use relu::Relu;
 pub use sequential::{LayerKind, Sequential};

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use super::{Layer, Phase};
 use crate::tensor::Tensor;
 
-/// Element-wise `max(0, x)`.
+/// Element-wise `max(0, x)` ([`el_kernels::relu`]).
 ///
 /// # Example
 ///
@@ -32,19 +32,20 @@ impl Relu {
         Self::apply_slice(x.as_mut_slice());
     }
 
-    /// Slice variant of [`Relu::apply`] for raw activation buffers (e.g.
-    /// one channel slab of a fused prefix); same element-wise operation,
-    /// hence the same bits.
+    /// Slice variant of [`Relu::apply`] for raw activation buffers; the
+    /// same element-wise [`el_kernels::relu`] (NaN and `-0.0` become
+    /// `+0.0`) the GEMM applies when it rectifies on store, hence the
+    /// same bits.
     pub fn apply_slice(xs: &mut [f32]) {
         for v in xs {
-            *v = v.max(0.0);
+            *v = el_kernels::relu(*v);
         }
     }
 }
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, phase: Phase, _rng: &mut dyn RngCore) -> Tensor {
-        let out = input.map(|v| v.max(0.0));
+        let out = input.map(el_kernels::relu);
         self.cached_mask = if phase == Phase::Train {
             Some(input.as_slice().iter().map(|&v| v > 0.0).collect())
         } else {

@@ -33,21 +33,26 @@
 //!
 //! - [`Workspace`] is a reusable scratch-buffer arena. The engine entry
 //!   points take their output buffer and internal scratch (the
-//!   convolution's im2col matrix) from it, so a warm workspace services
-//!   entire forward passes with **zero heap allocations**.
-//! - [`layers::Conv2d::forward_with`] and its row-range form
-//!   [`layers::Conv2d::forward_rows_into`] lower the dilated convolution
-//!   to an im2col matrix (one row per kernel tap) followed by one
-//!   register-blocked GEMM that computes four output channels per sweep.
-//!   The GEMM micro-kernel (like the keyed-mask rows and the ChaCha8
-//!   refill) dispatches through the `el_kernels` tier ladder — portable →
-//!   AVX2 → AVX-512F on x86_64, NEON on aarch64, `EL_FORCE_KERNEL` pins a
-//!   tier — and per output element the reduction runs in the same
-//!   `(in, ky, kx)` order as the naive tap loop on every tier, so the
-//!   optimized kernel reproduces [`layers::Conv2d::forward_reference`]
-//!   exactly whatever the row range (asserted by property tests on each
-//!   tier); the reference implementation is retained for those tests and
-//!   for benchmark baselines.
+//!   convolution's zero-padded input copy, its GEMM row tables and block
+//!   buffers) from it, so a warm workspace services entire forward
+//!   passes with **zero heap allocations**.
+//! - [`layers::Conv2d::forward_blocks`] is the one lowering every
+//!   convolution runs ([`layers::Conv2d::forward_with`] is its
+//!   one-convolution case): the input is copied once into a zero-padded
+//!   buffer, and each block of [`layers::CONV_BLOCK`] consecutive padded
+//!   positions is one register-blocked GEMM per convolution whose B rows
+//!   — one per `(in, ky, kx)` tap — are slices of that buffer named by a
+//!   row table, with ReLU optionally applied as the GEMM stores. No
+//!   im2col matrix is built. The GEMM micro-kernel (like the keyed-mask
+//!   rows and the ChaCha8 refill) dispatches through the `el_kernels`
+//!   tier ladder — portable → AVX2 → AVX-512F on x86_64, NEON on
+//!   aarch64, `EL_FORCE_KERNEL` pins a tier — and per output element the
+//!   reduction runs in the same `(in, ky, kx)` order as the naive tap
+//!   loop on every tier, so the optimized kernel reproduces
+//!   [`layers::Conv2d::forward_reference`] exactly whatever the block
+//!   partition (asserted by property tests on each tier); the reference
+//!   implementation is retained for those tests and for benchmark
+//!   baselines.
 //! - [`layers::keyed_row_seed`] and [`layers::keyed_mask_word`] define
 //!   the **coordinate-keyed** Monte-Carlo dropout mask (a pure hash of
 //!   the sample seed and each element's global coordinates, no RNG

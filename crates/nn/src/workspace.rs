@@ -1,14 +1,15 @@
 //! A reusable scratch-buffer arena for allocation-free forward passes.
 //!
 //! The inference engine's `&self` entry points —
-//! [`Conv2d::forward_with`](crate::layers::Conv2d::forward_with) and
-//! [`Conv2d::forward_rows_into`](crate::layers::Conv2d::forward_rows_into)
-//! here, and the network-level prefix, Monte-Carlo sample and banded Eval
+//! [`Conv2d::forward_blocks`](crate::layers::Conv2d::forward_blocks) and
+//! [`Conv2d::forward_with`](crate::layers::Conv2d::forward_with) here,
+//! and the network-level prefix, Monte-Carlo sample and block-wise Eval
 //! passes built on them in `el-seg` — draw their output buffers and
-//! internal scratch (the conv im2col matrix) from a [`Workspace`] and
-//! return intermediates to it, so a warm workspace services whole
-//! forward passes with **zero heap allocations**: buffers are recycled
-//! between layers and between passes.
+//! internal scratch (the zero-padded input copy, the GEMM row tables and
+//! the block buffers) from a [`Workspace`] and return intermediates to
+//! it, so a warm workspace services whole forward passes with **zero
+//! heap allocations**: buffers are recycled between layers and between
+//! passes.
 //!
 //! The pool is a simple size-agnostic free list with best-fit reuse:
 //! [`Workspace::take`] returns the smallest pooled buffer whose capacity
@@ -41,6 +42,7 @@ use crate::tensor::Tensor;
 #[derive(Debug, Default, Clone)]
 pub struct Workspace {
     pool: Vec<Vec<f32>>,
+    row_pool: Vec<Vec<usize>>,
     takes_missed: usize,
 }
 
@@ -67,7 +69,7 @@ impl Workspace {
     /// Fetches a buffer of exactly `len` elements with **unspecified
     /// contents** (stale values from earlier passes), reusing pooled
     /// capacity when possible (best fit). Callers must overwrite every
-    /// element (the conv im2col lowering writes its padding zeros
+    /// element (the conv lowering's padded copy writes its padding zeros
     /// explicitly).
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         // Best fit: the smallest pooled buffer with enough capacity.
@@ -114,6 +116,34 @@ impl Workspace {
         let buf = self.take(channels * height * width);
         Tensor::from_vec(channels, height, width, buf)
             .expect("workspace buffer sized to the requested shape")
+    }
+
+    /// Fetches a GEMM row table (`el_kernels::Kernels::gemm_bias`) of
+    /// exactly `len` offsets with **unspecified contents**, best fit from
+    /// a separate pool of offset tables; a miss counts in
+    /// [`Workspace::takes_missed`] as for [`Workspace::take`].
+    pub fn take_rows(&mut self, len: usize) -> Vec<usize> {
+        // Best fit, as for `take`, so tables of several sizes coexist.
+        let best = (self.row_pool.iter().enumerate())
+            .filter(|(_, t)| t.capacity() >= len)
+            .min_by_key(|(_, t)| t.capacity())
+            .map(|(i, _)| i);
+        let mut rows = match best {
+            Some(i) => self.row_pool.swap_remove(i),
+            None => {
+                self.takes_missed += 1;
+                self.row_pool.pop().unwrap_or_default()
+            }
+        };
+        rows.resize(len, 0);
+        rows
+    }
+
+    /// Returns a row table to its pool.
+    pub fn give_rows(&mut self, rows: Vec<usize>) {
+        if rows.capacity() > 0 {
+            self.row_pool.push(rows);
+        }
     }
 
     /// Returns a raw buffer to the pool.

@@ -1,6 +1,9 @@
 //! Deterministic full-image inference.
 
+use std::ops::Range;
+
 use el_geom::{LabelMap, SemanticClass};
+use el_nn::layers::CONV_BLOCK;
 use el_nn::Workspace;
 use el_scene::Image;
 
@@ -9,7 +12,7 @@ use crate::msdnet::MsdNet;
 
 /// How far (2⁻⁸) every other logit must sit below a pixel's maximum for
 /// its label to be read off the logits without the softmax (see
-/// [`pixel_label`]).
+/// [`push_labels`]).
 const SOFTMAX_SKIP_MARGIN: f32 = 1.0 / 256.0;
 
 /// The result of segmenting an image.
@@ -33,10 +36,11 @@ pub fn segment(net: &mut MsdNet, image: &Image) -> SegResult {
 /// Workspace-reusing variant of [`segment`]: repeated calls with a warm
 /// workspace perform zero heap allocations in the network forward pass.
 ///
-/// The forward pass runs in cache-sized row bands
-/// ([`MsdNet::eval_bands`]) and each band's logits reduce straight to
-/// labels, so no whole-frame activation or probability map is ever
-/// built. The labels are bit-identical to
+/// The forward pass runs in 64-position L1 blocks of the zero-padded
+/// frame ([`MsdNet::eval_blocks`]) and each block's logits reduce
+/// straight to labels in one branch-free pass with pixels as lanes, so
+/// no whole-frame activation or probability map is ever built. The
+/// labels are bit-identical to
 /// `argmax_labels(softmax(forward(.., Phase::Eval, ..)))`.
 ///
 /// Deterministic Eval inference never mutates the network, hence `&MsdNet`.
@@ -56,9 +60,10 @@ pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult 
     let mut input = ws.take_tensor(3, h, w);
     write_image(image, &mut input);
     let mut labels = Vec::with_capacity(w * h);
-    net.eval_bands(&input, ws, |logits| {
-        let n = logits.len() / SemanticClass::COUNT;
-        labels.extend((0..n).map(|i| pixel_label(logits, n, i)));
+    net.eval_blocks(&input, ws, |logits, runs| {
+        for (cols, _) in runs {
+            push_labels(logits, CONV_BLOCK, cols, &mut labels);
+        }
     });
     ws.recycle(input);
     SegResult {
@@ -66,13 +71,19 @@ pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult 
     }
 }
 
-/// The label of pixel `i` in a `[class][pixel]` block of `n` pixels'
-/// logits: the class `argmax_labels` picks from `softmax_in_place`'s
-/// probabilities, computed without the softmax wherever it cannot
-/// change the answer.
+/// Pixels per lane pass of [`push_labels`].
+const LANES: usize = 64;
+
+/// Appends the labels of columns `cols` of a `[class][pixel]` block of
+/// `n` pixels' logits: for each pixel, the class `argmax_labels` picks
+/// from `softmax_in_place`'s probabilities, computed without the
+/// softmax wherever it cannot change the answer.
 ///
-/// If the maximum logit `m` (first reached at class `j`) is finite and
-/// every other logit `l` has `l - m <= -2⁻⁸`, the label is `j`: the
+/// Pixels are the lanes of a branch-free pass: a running maximum `m`
+/// over the classes in order, replaced only on strict `>` (so the first
+/// maximum, class `j`, wins), then a count of the classes `l` that fail
+/// the guard `l - m <= -2⁻⁸` (class `j` itself always does). A pixel
+/// whose `m` is finite and whose count is 1 is labelled `j`: the
 /// softmax's `e_j = expf(0)` is exactly 1, every other
 /// `e = expf(l - m) <= expf(-2⁻⁸) < 0.9962`, and dividing both by the
 /// same sum in `[1, classes]` keeps every other probability more than a
@@ -83,23 +94,50 @@ pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult 
 /// non-positive input by the exhaustive `expf_exhaustive_hash`. Any
 /// other pixel — a near tie, an exact tie or a non-finite logit — takes
 /// the softmax kernel itself ([`softmax_argmax`]).
-fn pixel_label(logits: &[f32], n: usize, i: usize) -> SemanticClass {
-    let mut z = [0.0f32; SemanticClass::COUNT];
-    for (k, v) in z.iter_mut().enumerate() {
-        *v = logits[k * n + i];
-    }
-    let (mut best, mut max) = (0, f32::NEG_INFINITY);
-    for (k, &v) in z.iter().enumerate() {
-        if v > max {
-            (best, max) = (k, v);
+fn push_labels(logits: &[f32], n: usize, cols: Range<usize>, out: &mut Vec<SemanticClass>) {
+    const K: usize = SemanticClass::COUNT;
+    let mut j0 = cols.start;
+    while j0 < cols.end {
+        let len = (cols.end - j0).min(LANES);
+        let rows = || (0..K).map(|k| &logits[k * n + j0..][..len]);
+        let (mut max, mut best) = ([f32::NEG_INFINITY; LANES], [0.0f32; LANES]);
+        let (max, best) = (&mut max[..len], &mut best[..len]);
+        for (k, row) in rows().enumerate() {
+            let k = k as f32;
+            for ((m, b), &v) in max.iter_mut().zip(best.iter_mut()).zip(row) {
+                *b = if v > *m { k } else { *b };
+                // `max`, not a select on `>`, which LLVM turns into a
+                // branchy conditional store. It is the same maximum: `m`
+                // is never NaN, a NaN `v` leaves it, and the zero it picks
+                // on a ±0 tie moves neither `b` nor the guard below.
+                *m = m.max(v);
+            }
         }
+        let mut near = [0.0f32; LANES];
+        let near = &mut near[..len];
+        for row in rows() {
+            for ((c, &m), &v) in near.iter_mut().zip(max.iter()).zip(row) {
+                *c += if v - m <= -SOFTMAX_SKIP_MARGIN {
+                    0.0
+                } else {
+                    1.0
+                };
+            }
+        }
+        out.extend((0..len).map(|i| {
+            let class = if near[i] == 1.0 && max[i].is_finite() {
+                best[i] as usize
+            } else {
+                let mut z = [0.0f32; K];
+                for (k, v) in z.iter_mut().enumerate() {
+                    *v = logits[k * n + j0 + i];
+                }
+                softmax_argmax(&mut z)
+            };
+            SemanticClass::ALL[class]
+        }));
+        j0 += len;
     }
-    let clear = max.is_finite()
-        && z.iter()
-            .enumerate()
-            .all(|(k, &v)| k == best || v - max <= -SOFTMAX_SKIP_MARGIN);
-    let class = if clear { best } else { softmax_argmax(&mut z) };
-    SemanticClass::from_index(class).expect("class index below SemanticClass::COUNT")
 }
 
 /// One pixel of `argmax_labels(softmax_in_place(logits))`: the active
@@ -148,20 +186,22 @@ mod tests {
         assert_eq!(a.labels, b.labels);
     }
 
-    /// `pixel_label` against the softmax-then-argmax reference on one
-    /// pixel per column of `pixels`.
+    /// `push_labels` against the softmax-then-argmax reference on one
+    /// pixel per column of `pixels`, over every lane pass and over a
+    /// sub-range whose passes start off the block's first column.
     fn assert_matches_softmax(pixels: &[[f32; SemanticClass::COUNT]]) {
         let n = pixels.len();
         let logits = Tensor::from_fn(SemanticClass::COUNT, 1, n, |k, _, i| pixels[i][k]);
         let mut probs = logits.clone();
         el_nn::loss::softmax_in_place(&mut probs);
         let reference = argmax_labels(&probs);
-        for (i, z) in pixels.iter().enumerate() {
-            assert_eq!(
-                pixel_label(logits.as_slice(), n, i),
-                reference[(i, 0)],
-                "logits {z:?}"
-            );
+        for cols in [0..n, n / 3..n] {
+            let mut got = Vec::new();
+            push_labels(logits.as_slice(), n, cols.clone(), &mut got);
+            assert_eq!(got.len(), cols.len());
+            for (i, label) in cols.zip(got) {
+                assert_eq!(label, reference[(i, 0)], "logits {:?}", pixels[i]);
+            }
         }
     }
 

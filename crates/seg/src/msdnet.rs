@@ -1,6 +1,8 @@
 //! The Multi-Scale-Dilation segmentation network.
 
-use el_nn::layers::{keyed_row_seed, Conv2d, Dropout, Layer, ParamRef, Phase, Relu};
+use el_nn::layers::{
+    keyed_row_seed, BlockRuns, Conv2d, Dropout, Layer, ParamRef, Phase, Relu, CONV_BLOCK,
+};
 use el_nn::{Tensor, Workspace};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -127,8 +129,6 @@ pub struct MsdNet {
 const MC_LAYER_BRANCH: u32 = 0;
 /// Mask-key layer id of the fusion-head dropout stage.
 const MC_LAYER_HEAD: u32 = 1;
-/// Pixels per [`MsdNet::mc_sample_blocks`] block: `(48 + 32 + 8) · 64` floats, 22 KB of L1.
-const MC_BLOCK: usize = 64;
 
 impl MsdNet {
     /// Builds a network with freshly initialised weights.
@@ -210,21 +210,23 @@ impl MsdNet {
     /// identical across all Monte-Carlo-dropout samples — the monitor
     /// computes it **once** per verified crop or audit tile and replays
     /// only the stochastic suffix ([`MsdNet::mc_sample_blocks`]) per sample.
-    /// Each branch is one GEMM over the whole input
-    /// ([`Conv2d::forward_rows_into`] on rows `0..h`) written straight
-    /// into its channel slab of the fused buffer, the lowering
-    /// [`MsdNet::eval_bands`] runs per band. Immutable on `self` and
-    /// allocation-free with a warm workspace.
+    /// The branches run together through [`Conv2d::forward_blocks`], the
+    /// lowering [`MsdNet::eval_blocks`] runs, with ReLU applied as each
+    /// GEMM stores, and each block's pixels are copied into the fused
+    /// tensor. Immutable on `self` and allocation-free with a warm
+    /// workspace.
     pub fn mc_prefix(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
-        let slab = self.config.branch_channels * h * w;
         let mut fused = ws.take_tensor(self.config.branch_channels * self.branches.len(), h, w);
-        for (bi, b) in self.branches.iter().enumerate() {
-            let out = &mut fused.as_mut_slice()[bi * slab..(bi + 1) * slab];
-            b.conv.forward_rows_into(input, 0..h, out, ws);
-            Relu::apply_slice(out);
-        }
+        Conv2d::forward_blocks(self.branch_convs(), input, true, ws, |block, runs| {
+            runs.scatter(block, fused.as_mut_slice());
+        });
         fused
+    }
+
+    /// The dilated branches' convolutions, in fused-channel order.
+    fn branch_convs(&self) -> impl Iterator<Item = &Conv2d> + Clone {
+        self.branches.iter().map(|b| &b.conv)
     }
 
     /// The network's receptive radius: how far (in pixels) an output can
@@ -243,8 +245,8 @@ impl MsdNet {
     /// One Monte-Carlo-dropout sample of the suffix over a prefix from
     /// [`MsdNet::mc_prefix`]: calls `visit(p0, logits)` for consecutive
     /// pixel blocks `p0..p0 + n` (`n <= 64`, logits `[class][n]`), each run
-    /// through branch masks, head1, ReLU, head mask and head2 in one
-    /// L1-resident scratch buffer. Masks are **coordinate-keyed**
+    /// through branch masks, head1 (ReLU on store), head mask and head2 in
+    /// one L1-resident scratch buffer. Masks are **coordinate-keyed**
     /// ([`el_nn::layers::keyed_mask_word`] of the sample seed and the
     /// *global* frame coordinates; `origin` locates the crop), so a block,
     /// crop or tile draws exactly the whole frame's masks, and each logit
@@ -261,9 +263,11 @@ impl MsdNet {
         let (c, h, w) = fused.shape();
         let (hw, hid, classes) = (h * w, self.config.head_hidden, self.config.classes);
         let (head1, head2, kernels) = (&self.head1, &self.head2, el_kernels::active());
-        let mut scratch = ws.take((c + hid + classes) * MC_BLOCK);
-        for p0 in (0..hw).step_by(MC_BLOCK) {
-            let n = MC_BLOCK.min(hw - p0);
+        let mut scratch = ws.take((c + hid + classes) * CONV_BLOCK);
+        let mut rows = ws.take_rows(c.max(hid));
+        for p0 in (0..hw).step_by(CONV_BLOCK) {
+            let n = CONV_BLOCK.min(hw - p0);
+            dense_rows(&mut rows, n);
             let (x, rest) = scratch.split_at_mut(c * n);
             let (y, z) = rest.split_at_mut(hid * n);
             // The block's row segments: (range in the block, global y, x).
@@ -284,8 +288,7 @@ impl MsdNet {
                     kernels.mask_scale_row(rs, gx, rate, scale, &src[seg.clone()], &mut row[seg]);
                 }
             }
-            kernels.gemm_bias(head1.weight(), x, head1.bias(), y, hid, c, n);
-            Relu::apply_slice(y);
+            kernels.gemm_bias(head1.weight(), x, &rows[..c], head1.bias(), y, hid, n, true);
             let rate = self.head_drop.rate();
             if rate > 0.0 {
                 let scale = 1.0 / (1.0 - rate);
@@ -297,57 +300,57 @@ impl MsdNet {
                 }
             }
             let z = &mut z[..classes * n];
-            kernels.gemm_bias(head2.weight(), y, head2.bias(), z, classes, hid, n);
+            let (w2, b2) = (head2.weight(), head2.bias());
+            kernels.gemm_bias(w2, y, &rows[..hid], b2, z, classes, n, false);
             visit(p0, z);
         }
+        ws.give_rows(rows);
         ws.give(scratch);
     }
 
-    /// Deterministic (Eval-phase) inference in row bands: calls
-    /// `visit(logits)` once per band, top to bottom, with the band's
-    /// logits laid out `[class][band row][x]`.
+    /// Deterministic (Eval-phase) inference block by block: calls
+    /// `visit(logits, runs)` once per [`Conv2d::forward_blocks`] block of
+    /// the zero-padded input, in order, with the block's logits laid out
+    /// `[class][CONV_BLOCK]` and its [`BlockRuns`] naming which columns
+    /// are pixels.
     ///
-    /// The dropout layers are identities in Eval, so each band runs every
-    /// branch's `conv → relu` straight into a band-sized fused buffer,
-    /// then `head1 → relu → head2`. A band is [`Conv2d::band_rows`] rows
-    /// tall, so its im2col matrix, fused activations and head activations
-    /// stay cache-resident instead of streaming whole-frame buffers
-    /// through memory. Every logit is bit-identical to
+    /// The dropout layers are identities in Eval, so each block runs
+    /// every branch's GEMM with ReLU on store into one fused
+    /// `[channel][CONV_BLOCK]` block, then head1 (ReLU on store) and
+    /// head2, in an L1-resident scratch of about 29 KB: no whole-frame
+    /// activation is ever built. Every logit is bit-identical to
     /// `forward(.., Phase::Eval, ..)`: each one is a GEMM column with the
-    /// same strict `k` order whatever the band. Immutable on `self` and
+    /// same strict `k` order whatever the block. Immutable on `self` and
     /// allocation-free with a warm workspace.
-    pub fn eval_bands(&self, input: &Tensor, ws: &mut Workspace, mut visit: impl FnMut(&[f32])) {
-        let (h, w) = (input.height(), input.width());
-        let bc = self.config.branch_channels;
-        let band = self
-            .branches
-            .iter()
-            .map(|b| b.conv.band_rows(w))
-            .min()
-            .unwrap_or(1);
-        let mut y0 = 0;
-        while y0 < h {
-            let rows = y0..(y0 + band).min(h);
-            let n = rows.len() * w;
-            let mut fused = ws.take_tensor(bc * self.branches.len(), rows.len(), w);
-            for (bi, b) in self.branches.iter().enumerate() {
-                let out = &mut fused.as_mut_slice()[bi * bc * n..(bi + 1) * bc * n];
-                b.conv.forward_rows_into(input, rows.clone(), out, ws);
-                Relu::apply_slice(out);
-            }
-            let mut hidden = ws.take_tensor(self.config.head_hidden, rows.len(), w);
-            self.head1
-                .forward_rows_into(&fused, 0..rows.len(), hidden.as_mut_slice(), ws);
-            ws.recycle(fused);
-            Relu::apply(&mut hidden);
-            let mut logits = ws.take(self.config.classes * n);
-            self.head2
-                .forward_rows_into(&hidden, 0..rows.len(), &mut logits, ws);
-            ws.recycle(hidden);
-            visit(&logits);
-            ws.give(logits);
-            y0 = rows.end;
-        }
+    pub fn eval_blocks(
+        &self,
+        input: &Tensor,
+        ws: &mut Workspace,
+        mut visit: impl FnMut(&[f32], BlockRuns),
+    ) {
+        let c = self.config.branch_channels * self.branches.len();
+        let (hid, classes) = (self.config.head_hidden, self.config.classes);
+        let (head1, head2, kernels) = (&self.head1, &self.head2, el_kernels::active());
+        let mut heads = ws.take((hid + classes) * CONV_BLOCK);
+        let mut rows = ws.take_rows(c.max(hid));
+        dense_rows(&mut rows, CONV_BLOCK);
+        Conv2d::forward_blocks(self.branch_convs(), input, true, ws, |fused, runs| {
+            let (y, z) = heads.split_at_mut(hid * CONV_BLOCK);
+            let (w1, b1, w2, b2) = (head1.weight(), head1.bias(), head2.weight(), head2.bias());
+            kernels.gemm_bias(w1, fused, &rows[..c], b1, y, hid, CONV_BLOCK, true);
+            kernels.gemm_bias(w2, y, &rows[..hid], b2, z, classes, CONV_BLOCK, false);
+            visit(z, runs);
+        });
+        ws.give_rows(rows);
+        ws.give(heads);
+    }
+}
+
+/// Fills a dense row table: B row `k` of a row-major `[k][n]` operand
+/// starts at `k · n`.
+fn dense_rows(rows: &mut [usize], n: usize) {
+    for (k, row) in rows.iter_mut().enumerate() {
+        *row = k * n;
     }
 }
 
@@ -536,33 +539,37 @@ mod tests {
     fn engine_paths_match_layer_forward() {
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        // 300 px wide: 8-row bands, so 19 rows span two full bands and a
-        // 3-row remainder.
-        let x = Tensor::from_fn(3, 19, 300, |c, y, x| {
-            ((c * 11 + y * 3 + x) as f32 * 0.21).sin()
-        });
         let mut ws = Workspace::new();
-        assert_eq!(net.branches[0].conv.band_rows(300), 8);
-
-        // Eval: banded engine path == Layer::forward.
-        let eval_fwd = net.forward(&x, Phase::Eval, &mut r.clone());
-        let mut banded = Vec::new();
-        net.eval_bands(&x, &mut ws, |logits| banded.push(logits.to_vec()));
-        assert_eq!(banded.len(), 3);
-        let (c, h, w) = eval_fwd.shape();
-        let mut off = 0;
-        for band in &banded {
-            let bn = band.len() / c;
-            for k in 0..c {
-                assert_eq!(
-                    &band[k * bn..(k + 1) * bn],
-                    &eval_fwd.channel(k)[off..off + bn],
-                    "eval_bands diverges from forward"
-                );
-            }
-            off += bn;
+        // Frames narrower than a block, one column, one row, a row
+        // spanning several blocks, and heights below the receptive radius.
+        for (h, w) in [
+            (19, 300),
+            (5, 29),
+            (1, 1),
+            (70, 1),
+            (1, 130),
+            (2, 64),
+            (9, 65),
+        ] {
+            let x = Tensor::from_fn(3, h, w, |c, y, x| {
+                ((c * 11 + y * 3 + x) as f32 * 0.21).sin()
+            });
+            let eval_fwd = net.forward(&x, Phase::Eval, &mut r.clone());
+            let mut blocked = Tensor::full(net.classes(), h, w, f32::NAN);
+            let mut next = 0;
+            net.eval_blocks(&x, &mut ws, |logits, runs| {
+                for (cols, pixel) in runs.clone() {
+                    assert_eq!(pixel, next, "runs tile the frame in order");
+                    next += cols.len();
+                }
+                runs.scatter(logits, blocked.as_mut_slice());
+            });
+            assert_eq!(next, h * w, "blocks cover the frame");
+            assert_eq!(
+                blocked, eval_fwd,
+                "eval_blocks diverges from forward on {h}x{w}"
+            );
         }
-        assert_eq!(off, h * w, "bands cover the frame");
     }
 
     #[test]
@@ -635,6 +642,45 @@ mod tests {
                 "prefix + keyed sample diverges from Eval on {h}x{w}"
             );
             ws.recycle(fused);
+        }
+    }
+
+    #[test]
+    fn mc_prefix_matches_reference_branches_plus_relu() {
+        // The prefix is every branch's naive convolution, rectified and
+        // concatenated, bit for bit (after ReLU even the sign of a zero
+        // agrees): on crops one column wide, a monitor crop's 29, 37, one
+        // block and one past it, at heights below the receptive radius
+        // and above, from a NaN-poisoned workspace.
+        let mut r = rng();
+        for cfg in [MsdNetConfig::tiny(), MsdNetConfig::default_uavid()] {
+            let net = MsdNet::new(&cfg, &mut r);
+            let mut ws = Workspace::new();
+            ws.give(vec![f32::NAN; 1 << 16]);
+            ws.give(vec![f32::NAN; 1 << 12]);
+            for w in [1, 29, 37, 64, 65] {
+                for h in [1, 3, 29] {
+                    let x = Tensor::from_fn(3, h, w, |c, y, x| {
+                        ((c * 13 + y * 5 + x) as f32 * 0.37).sin()
+                    });
+                    let outs: Vec<Tensor> = net
+                        .branches
+                        .iter()
+                        .map(|b| {
+                            let mut y = b.conv.forward_reference(&x);
+                            Relu::apply(&mut y);
+                            y
+                        })
+                        .collect();
+                    let refs: Vec<&Tensor> = outs.iter().collect();
+                    let expect = Tensor::concat_channels(&refs).unwrap();
+                    let fused = net.mc_prefix(&x, &mut ws);
+                    let bits =
+                        |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fused), bits(&expect), "mc_prefix diverges on {h}x{w}");
+                    ws.recycle(fused);
+                }
+            }
         }
     }
 

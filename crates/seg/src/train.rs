@@ -9,9 +9,9 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::{sample_tile, sample_tile_augmented};
+use crate::infer;
 use crate::metrics::ConfusionMatrix;
 use crate::msdnet::MsdNet;
-use crate::{data, infer};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -183,11 +183,6 @@ pub fn evaluate_split(net: &mut MsdNet, dataset: &Dataset, split: Split) -> Conf
         cm.accumulate(&res.labels, &sample.labels);
     }
     cm
-}
-
-/// Convenience: converts a label map to targets (re-export for harnesses).
-pub fn targets_of(labels: &el_geom::LabelMap) -> Vec<usize> {
-    data::labels_to_targets(labels)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Cross-tier bit-identity: the kernel-dispatch contract, fuzzed.
 //!
 //! For **every kernel tier the host CPU supports**, the dispatched hot
-//! paths — the GEMM micro-kernel, the coordinate-keyed mask rows, the
+//! paths — the row-table GEMM micro-kernel (dense, overlapping and
+//! non-monotone row tables, with and without ReLU on store), the coordinate-keyed mask rows, the
 //! ChaCha8 block function and the planar softmax (with the in-crate
 //! `expf`) — must reproduce the portable reference **bit for bit** over
 //! hundreds of random shapes, deliberately skewed toward the remainder
@@ -14,9 +15,9 @@
 //! tier the runner detects.
 //!
 //! Shape checks are contract as well: the SIMD tiers load and store
-//! through raw pointers, so a mis-sized GEMM buffer or softmax block
-//! must panic on every tier in release builds, never write past the
-//! slice, and a mask row's masked last vector must leave the NaN guard
+//! through raw pointers, so a mis-sized GEMM buffer, a GEMM row offset
+//! whose columns leave B, or a mis-sized softmax block must panic on
+//! every tier in release builds, never touch memory past the slice, and a mask row's masked last vector must leave the NaN guard
 //! bands around the row untouched.
 //!
 //! The override itself is contract too: an unknown or unsupported tier
@@ -47,13 +48,38 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// A random row table of `k_dim` rows of `n` columns over a B operand
+/// of `b_len` elements: dense (`k · n`), overlapping (rows closer than
+/// `n` apart), or shuffled and repeating (non-monotone, like a
+/// convolution's taps), so the kernel may assume nothing about the
+/// table but its bounds.
+fn random_rows(rng: &mut ChaCha8Rng, case: usize, k_dim: usize, n: usize) -> (Vec<usize>, usize) {
+    match case % 3 {
+        0 => ((0..k_dim).map(|k| k * n).collect(), k_dim * n),
+        1 => {
+            let step = 1 + (rng.next_u32() as usize) % n.max(1);
+            (
+                (0..k_dim).map(|k| k * step).collect(),
+                (k_dim - 1) * step + n,
+            )
+        }
+        _ => {
+            let b_len = n + 1 + (rng.next_u32() as usize) % (2 * n + 8);
+            let rows = (0..k_dim)
+                .map(|_| (rng.next_u32() as usize) % (b_len - n + 1))
+                .collect();
+            (rows, b_len)
+        }
+    }
+}
+
 #[test]
 fn gemm_every_tier_matches_portable_over_random_shapes() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xE1_4E51);
     let tiers = simd_tiers();
-    for case in 0..200 {
+    for case in 0..300 {
         let m = 1 + (rng.next_u32() % 13) as usize;
-        // Reduction depths like the engine's im2col matrices (in * k * k),
+        // Reduction depths like the engine's tap tables (in * k * k),
         // including depth 1 and odd tails.
         let k_dim = 1 + (rng.next_u32() % 80) as usize;
         // Column counts biased toward the micro-kernels' remainder
@@ -66,21 +92,77 @@ fn gemm_every_tier_matches_portable_over_random_shapes() {
             3 => 32 * (1 + (rng.next_u32() % 4) as usize) + 1 + (rng.next_u32() % 31) as usize,
             _ => 1 + (rng.next_u32() % 200) as usize,
         };
+        let (rows, b_len) = random_rows(&mut rng, case, k_dim, n);
         let a = random_f32s(&mut rng, m * k_dim);
-        let b = random_f32s(&mut rng, k_dim * n);
+        let b = random_f32s(&mut rng, b_len);
         let bias = random_f32s(&mut rng, m);
+        let relu = case % 2 == 1;
         let mut expect = vec![0.0f32; m * n];
-        gemm::gemm_bias_portable(&a, &b, &bias, &mut expect, m, k_dim, n);
+        gemm::gemm_bias_portable(&a, &b, &rows, &bias, &mut expect, m, n, relu);
         for kernels in &tiers {
-            let mut out = vec![f32::NAN; m * n];
-            kernels.gemm_bias(&a, &b, &bias, &mut out, m, k_dim, n);
+            // `out` sits between NaN guards: a masked tail tile must store
+            // no lane past the last column.
+            let mut buf = vec![f32::from_bits(GUARD_BITS); m * n + 2 * GUARD];
+            let out = &mut buf[GUARD..GUARD + m * n];
+            kernels.gemm_bias(&a, &b, &rows, &bias, out, m, n, relu);
             assert_eq!(
-                bits(&out),
+                bits(out),
                 bits(&expect),
-                "{} GEMM diverges from portable on {m}x{k_dim}x{n} (case {case})",
+                "{} GEMM diverges from portable on {m}x{k_dim}x{n} relu {relu} (case {case})",
+                kernels.tier().name()
+            );
+            assert!(
+                buf[..GUARD]
+                    .iter()
+                    .chain(&buf[GUARD + m * n..])
+                    .all(|v| v.to_bits() == GUARD_BITS),
+                "{} GEMM wrote outside out on {m}x{k_dim}x{n} (case {case})",
                 kernels.tier().name()
             );
         }
+    }
+}
+
+/// The ReLU on store is `Relu::apply_slice` of the unrectified GEMM on
+/// every tier, bit for bit, on sums that come out NaN, ±0 and ±∞, in
+/// full column tiles and in the scalar tail.
+#[test]
+fn gemm_relu_store_matches_apply_slice_on_special_values() {
+    use el_nn::layers::Relu;
+    let specials = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -1.0,
+        1.0,
+        f32::MIN_POSITIVE,
+    ];
+    // out[o][j] = bias[o] + 1 · b[j]: every (bias, b) pair of specials,
+    // so the sums include -0 + -0 = -0, ∞ - ∞ = NaN and NaN + x.
+    let n = 64 + specials.len();
+    let b: Vec<f32> = (0..n).map(|j| specials[j % specials.len()]).collect();
+    let (m, a, rows) = (specials.len(), vec![1.0f32; specials.len()], [0usize]);
+    for kernels in KernelTier::supported()
+        .into_iter()
+        .map(|t| Kernels::for_tier(t).unwrap())
+    {
+        let mut plain = vec![0.0f32; m * n];
+        kernels.gemm_bias(&a, &b, &rows, &specials, &mut plain, m, n, false);
+        assert!(
+            plain.iter().any(|v| v.is_nan())
+                && plain.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
+        );
+        Relu::apply_slice(&mut plain);
+        let mut fused = vec![f32::NAN; m * n];
+        kernels.gemm_bias(&a, &b, &rows, &specials, &mut fused, m, n, true);
+        assert_eq!(
+            bits(&fused),
+            bits(&plain),
+            "{}: ReLU on store differs from Relu::apply_slice",
+            kernels.tier().name()
+        );
     }
 }
 
@@ -90,10 +172,10 @@ fn gemm_rejects_undersized_buffers_on_every_tier() {
     const SENTINEL: f32 = 1234.5;
     // One 32-column row: a full tile on every SIMD tier, so an unchecked
     // kernel stores all 32 columns.
-    let (m, k_dim, n) = (1usize, 1usize, 32usize);
+    let (m, n) = (1usize, 32usize);
     let a = [1.0f32];
     let bias = [0.0f32];
-    let b = vec![2.0f32; k_dim * n];
+    let b = vec![2.0f32; n];
     for tier in KernelTier::supported() {
         let kernels = Kernels::for_tier(tier).unwrap();
         // `out` is the first half of one allocation; the second half is a
@@ -101,7 +183,7 @@ fn gemm_rejects_undersized_buffers_on_every_tier() {
         let mut buf = vec![SENTINEL; m * n];
         let (out, tail) = buf.split_at_mut(m * n / 2);
         let short_out = catch_unwind(AssertUnwindSafe(|| {
-            kernels.gemm_bias(&a, &b, &bias, out, m, k_dim, n)
+            kernels.gemm_bias(&a, &b, &[0], &bias, out, m, n, false)
         }));
         assert!(
             short_out.is_err(),
@@ -115,9 +197,43 @@ fn gemm_rejects_undersized_buffers_on_every_tier() {
         );
         let mut full_out = vec![0.0f32; m * n];
         let short_b = catch_unwind(AssertUnwindSafe(|| {
-            kernels.gemm_bias(&a, &b[..n / 2], &bias, &mut full_out, m, k_dim, n)
+            kernels.gemm_bias(&a, &b[..n / 2], &[0], &bias, &mut full_out, m, n, false)
         }));
         assert!(short_b.is_err(), "{}: undersized b accepted", tier.name());
+    }
+}
+
+/// A row offset whose `n` columns leave `b` — one off the end, far off
+/// the end, or so large that `offset + n` wraps — panics before any
+/// element is touched, on every tier: `out` keeps its sentinel.
+#[test]
+fn gemm_rejects_out_of_range_row_offsets_on_every_tier() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const SENTINEL: f32 = 1234.5;
+    let (m, n) = (4usize, 64usize);
+    let b = vec![1.0f32; 3 * n];
+    let (a, bias) = (vec![1.0f32; m * 3], vec![0.0f32; m]);
+    for tier in KernelTier::supported() {
+        let kernels = Kernels::for_tier(tier).unwrap();
+        for bad in [2 * n + 1, 10 * n, usize::MAX - n / 2] {
+            // The stray row is last, so a kernel that checked lazily
+            // would already have stored the first rows' sums.
+            for rows in [[0, n, bad], [bad, 0, n]] {
+                let mut out = vec![SENTINEL; m * n];
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    kernels.gemm_bias(&a, &b, &rows, &bias, &mut out, m, n, true)
+                }));
+                assert!(r.is_err(), "{}: row offset {bad} accepted", tier.name());
+                assert!(
+                    out.iter().all(|v| v.to_bits() == SENTINEL.to_bits()),
+                    "{}: gemm_bias touched out before rejecting row {bad}",
+                    tier.name()
+                );
+            }
+        }
+        // The last in-range offset is accepted.
+        let mut out = vec![0.0f32; m * n];
+        kernels.gemm_bias(&a, &b, &[0, n, 2 * n], &bias, &mut out, m, n, false);
     }
 }
 

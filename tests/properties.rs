@@ -108,7 +108,7 @@ fn distance_transform_matches_brute_force() {
     assert_eq!(exact[(w - 1, 0)], ((w - 1 - 1_234) as u64).pow(2));
 }
 
-/// The optimized im2col/GEMM convolution reproduces the naive reference
+/// The optimized block-wise row-table GEMM convolution reproduces the naive reference
 /// loop exactly, over random shapes, kernels and dilations — including
 /// receptive fields larger than the image.
 #[test]

@@ -1,13 +1,14 @@
-//! Exactness of the banded, labels-only core segmentation.
+//! Exactness of the block-wise, labels-only core segmentation.
 //!
-//! `segment_ws` runs the MSDnet forward pass in cache-sized row bands
-//! and reads most labels straight off the logits, skipping the softmax
-//! where it cannot change the answer. Both shortcuts must be invisible:
-//! its labels equal `argmax_labels(softmax(forward(.., Phase::Eval, ..)))`
-//! bit for bit — on random nets, on frames narrower, shorter or taller
-//! than a band, on exact and near ties around the skip guard, and on
-//! non-finite pixels. Run under `EL_FORCE_KERNEL`, this pins the claim
-//! on every kernel tier.
+//! `segment_ws` runs the MSDnet forward pass in 64-position blocks of
+//! the zero-padded frame and reads most labels straight off the logits,
+//! skipping the softmax where it cannot change the answer. Both
+//! shortcuts must be invisible: its labels equal
+//! `argmax_labels(softmax(forward(.., Phase::Eval, ..)))` bit for bit —
+//! on random nets, on frames narrower and wider than a block, shorter
+//! than the receptive radius, on exact and near ties around the skip
+//! guard, on non-finite pixels and from a NaN-poisoned workspace. Run
+//! under `EL_FORCE_KERNEL`, this pins the claim on every kernel tier.
 
 use certel::el_geom::{Grid, LabelMap, SemanticClass};
 use certel::el_nn::layers::{Layer, Phase};
@@ -52,15 +53,19 @@ fn guarded_pixels(logits: &Tensor) -> usize {
 /// Asserts `segment_ws` equals the reference and returns the number of
 /// pixels that took the softmax path.
 fn assert_exact(net: &mut MsdNet, image: &Image, what: &str) -> usize {
+    assert_exact_in(net, image, &mut Workspace::new(), what)
+}
+
+/// [`assert_exact`] on a caller's workspace.
+fn assert_exact_in(net: &mut MsdNet, image: &Image, ws: &mut Workspace, what: &str) -> usize {
     let (logits, expected) = reference(net, image);
-    let mut ws = Workspace::new();
-    let got = segment_ws(net, image, &mut ws).labels;
+    let got = segment_ws(net, image, ws).labels;
     assert_eq!(
         (got.width(), got.height()),
         (image.width(), image.height()),
         "{what}: label map shape"
     );
-    assert!(got == expected, "{what}: banded labels diverge");
+    assert!(got == expected, "{what}: block-wise labels diverge");
     guarded_pixels(&logits)
 }
 
@@ -82,13 +87,13 @@ fn nets(seed: u64) -> Vec<(&'static str, MsdNet)> {
 }
 
 /// Random tiny and paper-sized nets over degenerate, thin, short and
-/// multi-band frames.
+/// multi-block frames.
 #[test]
 fn banded_labels_match_whole_frame_softmax_argmax() {
     let mut r = ChaCha8Rng::seed_from_u64(0xBA4D);
     // (w, h): a single pixel, one-pixel-wide strips either way, frames
-    // shorter and narrower than the receptive radius, and heights that
-    // are not a multiple of the band (37 rows at 64 px, 9 at 257 px).
+    // shorter and narrower than the receptive radius, and frames whose
+    // padded span is not a whole number of blocks.
     let shapes = [
         (1, 1),
         (3, 257),
@@ -110,6 +115,32 @@ fn banded_labels_match_whole_frame_softmax_argmax() {
     }
     // Both paths ran: some pixels were decided by the skip, some by the
     // softmax.
+    assert!(guarded > 0 && guarded < pixels, "{guarded} of {pixels}");
+}
+
+/// Widths around the 64-position block (one column, a monitor crop's
+/// 29, one block minus, exactly and plus one, two blocks, a frame plus
+/// one) by heights below, at and above the receptive radius (4 for the
+/// paper-sized net, 2 for tiny), on a workspace whose pooled buffers
+/// are all NaN: the padded copy, its zeros and every block scratch must
+/// be written before they are read.
+#[test]
+fn block_labels_match_on_every_width_from_a_poisoned_workspace() {
+    let mut r = ChaCha8Rng::seed_from_u64(0xB10C);
+    let (mut guarded, mut pixels) = (0, 0);
+    for (name, mut net) in nets(8) {
+        for w in [1, 7, 29, 63, 64, 65, 130, 257] {
+            for h in [1, 2, 3, 4, 9] {
+                let mut ws = Workspace::new();
+                for len in [1 << 6, 1 << 12, 1 << 16, 1 << 20] {
+                    ws.give(vec![f32::NAN; len]);
+                }
+                let image = random_image(w, h, &mut r);
+                guarded += assert_exact_in(&mut net, &image, &mut ws, &format!("{name} {w}x{h}"));
+                pixels += w * h;
+            }
+        }
+    }
     assert!(guarded > 0 && guarded < pixels, "{guarded} of {pixels}");
 }
 
@@ -228,8 +259,8 @@ fn non_finite_pixels_match() {
     }
 }
 
-/// The banded path draws every buffer from the workspace: once warm, a
-/// 256² frame segments without growing it.
+/// The block walk draws every buffer and row table from the workspace:
+/// once warm, a 256² frame segments without growing it.
 #[test]
 fn warm_segmentation_is_allocation_free() {
     let (_, net) = nets(6).pop().expect("default net");

@@ -324,8 +324,8 @@ impl ElPipeline {
     /// candidate the decision module could possibly try (its trial
     /// budget caps the count) is cropped up front and verified in one
     /// [`Monitor::verify_batch`] invocation — each candidate's prefix
-    /// convolutions run once and all candidates' Monte-Carlo chunks
-    /// share one rayon work queue. The *decision semantics* stay exactly
+    /// convolutions run once per pixel block and all candidates' row
+    /// bands share one rayon work queue. The *decision semantics* stay exactly
     /// sequential: the precomputed verdicts are replayed through the
     /// [`DecisionModule`] in candidate order, and a trial is recorded
     /// only for candidates the sequential loop would actually have

@@ -356,10 +356,12 @@ pub struct MetricsRegistry {
     /// Verification-batch wall time (`Monitor::verify_batch` or the
     /// `el-core` verify stage), one sample per batch.
     pub verify_batch_latency: Histogram,
-    /// One Monte-Carlo sample (stochastic forward pass + softmax +
-    /// Welford push), recorded inside the chunk engine. The engine folds
-    /// one sample per step, so this records one entry per sample and its
-    /// count equals [`MetricsRegistry::samples_run`].
+    /// One Monte-Carlo task of the block pass (one row band of a crop or
+    /// audit tile: prefix GEMMs, every sample's suffix, softmax and
+    /// Welford fold, and the in-place write of mean and `σ`), recorded
+    /// once per task. Samples interleave per block, so the count is the
+    /// number of tasks, not of samples; the sum is the pass's whole
+    /// Monte-Carlo time.
     pub sample_fold: Histogram,
     /// Monte-Carlo samples executed.
     pub samples_run: Counter,
@@ -582,7 +584,7 @@ pub struct MonitorMetrics {
     pub verify: HistogramSnapshot,
     /// Per-batch `Monitor::verify_batch` latency.
     pub verify_batch: HistogramSnapshot,
-    /// Per-sample Monte-Carlo fold latency.
+    /// Per-task Monte-Carlo block-pass latency.
     pub sample_fold: HistogramSnapshot,
     /// Per-call GEMM kernel latency.
     pub gemm: HistogramSnapshot,

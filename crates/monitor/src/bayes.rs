@@ -9,18 +9,17 @@
 //! the naive formulation; the engine cuts that down four ways, none of
 //! which changes the statistics' semantics:
 //!
-//! 1. **Invariant-prefix caching.** No dropout layer precedes the MSDnet's
-//!    dilated branch convolutions, so `relu(conv_d(x))` is identical in
-//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix`] computes
-//!    it once per crop (one GEMM per branch, written straight into the
-//!    crop's fused buffer); each sample replays only the stochastic
-//!    suffix (branch dropout → fusion head → head dropout → classifier,
-//!    [`el_seg::MsdNet::mc_sample_blocks`]). The suffix is pointwise, so
-//!    it runs over any window of a prefix: the tiled sweep computes each
-//!    tile's prefix over its kept interior grown by the receptive radius
-//!    and samples the kept interior only. A sample walks its crop in
-//!    L1-resident blocks of at most 64 pixels: mask rows, head GEMMs,
-//!    softmax and Welford fold, with no crop-sized intermediate.
+//! 1. **One L1-resident block pass.** No dropout precedes the MSDnet's
+//!    dilated branch convolutions, so `relu(conv_d(x))` is the same in
+//!    every sample. Each crop or audit tile is walked in blocks of at
+//!    most 64 pixels ([`el_seg::MsdNet::mc_blocks`]): a block runs its
+//!    branch GEMMs **once**, straight from the zero-padded input, then
+//!    every sample's stochastic suffix, the softmax and the Welford
+//!    fold, and writes its mean and `σ` into the destination. Its whole
+//!    working set, about 42 KB at paper geometry, stays in L1, and no
+//!    crop-sized intermediate is built. The pass runs over any window
+//!    of a padded input, so the tiled sweep pads the frame once and
+//!    samples each tile's kept interior in place.
 //! 2. **Coordinate-keyed masks.** Sample `k`'s per-sample seed is
 //!    `splitmix64(seed + (k+1)·φ)` (`φ` the 64-bit golden-ratio
 //!    constant), and each activation's mask bit is a pure hash of that
@@ -36,43 +35,41 @@
 //!    verdicts are also independent of the ISA the monitor ships on
 //!    (`docs/kernels.md`).
 //! 3. **Fixed-chunk streaming Welford.** Samples are partitioned into at
-//!    most [`MC_CHUNKS`] contiguous chunks — a partition that depends only
-//!    on the sample count, never on thread count. Each chunk folds its
-//!    samples into a running Welford mean/M2 (O(1) memory in the sample
-//!    count); the per-chunk partials are then merged **in chunk order**
-//!    with Chan's parallel-combine formula. Because both the partition and
-//!    the merge order are fixed, the statistics are bit-identical for any
-//!    number of rayon workers. The fold itself is one portable pair of
-//!    loops, **elementwise across pixels, sequential across samples**
-//!    (one sample per step, never FMA), run per pixel block: it costs well
-//!    under 1% of a frame, so unlike the GEMM, mask rows and softmax it
-//!    does not dispatch through the `el_kernels` tier ladder, and its
-//!    bits are the same on every ISA and every block split.
-//! 4. **One crop × chunk work queue.** A batch of crops becomes
-//!    `crops x chunks` independent tasks drained by a single rayon
-//!    `par_iter` — no per-crop join barriers, so workers stay busy while
-//!    any crop still has samples left. Each task stays on one crop (its
-//!    prefix, block activations and Welford partials remain
-//!    cache-resident); its only scratch is one 22 KB block buffer, so
-//!    tasks need no shared arena pool.
+//!    most [`MC_CHUNKS`] contiguous chunks, a function of the sample
+//!    count alone. Per block, the first chunk folds into a running
+//!    Welford mean/M2 and each later one from zero into a partial that
+//!    is Chan-merged into it **in chunk order**; the block then writes
+//!    `mean` and `sqrt(max(m2 / n, 0))`. Partition, merge order and
+//!    per-element arithmetic are fixed, so the statistics are
+//!    bit-identical for any block split and any number of workers. The
+//!    fold is portable lane-wise loops (one sample per step, never FMA):
+//!    well under 1% of a frame, so it is not on the tier ladder, and its
+//!    bits are the same on every ISA.
+//! 4. **One crop × row-band work queue.** A batch of crops becomes
+//!    `(crop, band)` tasks — bands of whole rows, about 2,048 pixels —
+//!    drained by one rayon `par_iter`, with no per-crop join barrier.
+//!    Each task writes its band's rows of the destination in place, in
+//!    scratch from its worker thread's arena, which stays warm from task
+//!    to task.
 //!
-//! One Monte-Carlo sample is therefore the keyed pair
-//! [`el_seg::MsdNet::mc_prefix`] + [`el_seg::MsdNet::mc_sample_blocks`]:
-//! that *is* the paper's Bayesian MSDnet, and this engine is its only
-//! implementation.
+//! One Monte-Carlo sample is therefore [`el_seg::MsdNet::mc_blocks`]'
+//! prefix and suffix: that *is* the paper's Bayesian MSDnet, and this
+//! engine is its only implementation.
 
+use el_geom::Rect;
+use el_nn::layers::{PaddedInput, CONV_BLOCK};
 use el_nn::{Tensor, Workspace};
 use el_scene::Image;
-use el_seg::data::image_to_tensor;
+use el_seg::data::pad_image;
 use el_seg::MsdNet;
 use rayon::prelude::*;
 
-/// Maximum number of Monte-Carlo work chunks.
+/// Maximum number of Monte-Carlo Welford chunks.
 ///
 /// The partition of samples into chunks depends only on the sample count,
-/// so results are independent of how many threads actually execute them.
-/// Memory overhead is O(`MC_CHUNKS`) statistics buffers, regardless of the
-/// sample count.
+/// so results are independent of how many threads execute the pass. Each
+/// block folds one chunk at a time, so memory is two block-sized
+/// partials regardless of the sample count.
 pub const MC_CHUNKS: usize = 8;
 
 /// Per-pixel, per-class statistics over `samples` stochastic passes.
@@ -87,6 +84,15 @@ pub struct BayesStats {
 }
 
 impl BayesStats {
+    /// All-zero `classes x height x width` statistics of `samples` samples.
+    pub(crate) fn zeros(classes: usize, height: usize, width: usize, samples: usize) -> Self {
+        BayesStats {
+            mean: Tensor::zeros(classes, height, width),
+            std: Tensor::zeros(classes, height, width),
+            samples,
+        }
+    }
+
     /// Mean of `σ` over all pixels and classes — a scalar uncertainty
     /// summary used by the experiments (rises on out-of-distribution
     /// inputs).
@@ -126,206 +132,243 @@ fn chunk_layout(samples: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// A streaming Welford mean/M2 accumulator over equal-length vectors.
-///
-/// Both the per-sample update and the Chan merge are plain lane-wise
-/// loops over the elements (pixels): pixel statistics never interact, so
-/// the accumulate order that matters is the one across samples, which
-/// the chunk layout and merge order fix. Every operation is a separate
-/// IEEE-754 subtract, multiply or add — never FMA — so the statistics
-/// are the same bits on every ISA the monitor ships on.
-struct Welford {
-    count: usize,
-    mean: Vec<f32>,
-    m2: Vec<f32>,
-}
+/// Window pixels per task, rounded to whole rows: 32 blocks amortise a
+/// task's setup, and an audit tile still splits over the workers.
+const TASK_PIXELS: usize = 32 * CONV_BLOCK;
 
-impl Welford {
-    fn new(len: usize) -> Self {
-        Welford {
-            count: 0,
-            mean: vec![0.0; len],
-            m2: vec![0.0; len],
-        }
+/// The Welford state of one pixel block: four `classes · CONV_BLOCK`
+/// planes — the running total's mean and M2 over the chunks folded so
+/// far, then the partial's of the chunk in flight — each laid out
+/// `[class][n]` like the block's logits. Every update is lane-wise (pixel
+/// statistics never interact) and a separate IEEE-754 subtract, multiply
+/// or add, never FMA, so the bits are the same on every ISA.
+struct BlockFold(Vec<f32>);
+
+impl BlockFold {
+    /// The total's mean and M2, then the partial's, of an `n`-element block.
+    fn planes(&mut self, n: usize) -> [&mut [f32]; 4] {
+        let stride = self.0.len() / 4;
+        let (total_mean, rest) = self.0.split_at_mut(stride);
+        let (total_m2, rest) = rest.split_at_mut(stride);
+        let (mean, m2) = rest.split_at_mut(stride);
+        [
+            &mut total_mean[..n],
+            &mut total_m2[..n],
+            &mut mean[..n],
+            &mut m2[..n],
+        ]
     }
 
-    /// Folds pixels `p0..p0 + n` of the current sample in, `block` laid
-    /// out `[class][n]`: with `inv_n = 1 / count` rounded once per
-    /// sample, per element `delta = x - mean`, `mean += delta * inv_n`,
-    /// `m2 += delta * (x - mean')`.
-    fn push_block(&mut self, block: &[f32], classes: usize, p0: usize, inv_n: f32) {
-        let (n, hw) = (block.len() / classes, self.mean.len() / classes);
-        let planes = self.mean.chunks_mut(hw).zip(self.m2.chunks_mut(hw));
-        for ((mean, m2), xs) in planes.zip(block.chunks(n)) {
-            for ((m, s2), &x) in mean[p0..p0 + n].iter_mut().zip(&mut m2[p0..p0 + n]).zip(xs) {
-                let delta = x - *m;
-                *m += delta * inv_n;
-                *s2 += delta * (x - *m);
-            }
+    /// Folds sample `k`'s scores `xs` in; `(start, len)` is its chunk.
+    /// The first chunk takes Welford steps straight on the total; a later
+    /// one steps a partial from zero and, once its last sample is in,
+    /// Chan-merges it into the total (weights computed once per merge).
+    fn push(&mut self, xs: &[f32], k: usize, (start, len): (usize, usize)) {
+        let count = k - start + 1;
+        let [total_mean, total_m2, mean, m2] = self.planes(xs.len());
+        let (mean, m2) = if start == 0 {
+            (total_mean, total_m2)
+        } else {
+            (mean, m2)
+        };
+        if count == 1 {
+            mean.fill(0.0);
+            m2.fill(0.0);
         }
-    }
-
-    /// Merges two partials with Chan's parallel-combine formula: with the
-    /// loop-invariant weights `w_mean = n_b / n` and `w_m2 = n_a * n_b / n`
-    /// computed once, per element `delta = mean_b - mean_a`,
-    /// `mean_a += delta * w_mean`, `m2_a += m2_b + delta * delta * w_m2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partials differ in length.
-    fn merge(mut self, other: Welford) -> Welford {
-        assert_eq!(
-            self.mean.len(),
-            other.mean.len(),
-            "welford merge length mismatch"
-        );
-        if other.count == 0 {
-            return self;
+        let inv_n = 1.0 / count as f32;
+        for ((m, s2), &x) in mean.iter_mut().zip(m2.iter_mut()).zip(xs) {
+            let delta = x - *m;
+            *m += delta * inv_n;
+            *s2 += delta * (x - *m);
         }
-        if self.count == 0 {
-            return other;
+        if start == 0 || count < len {
+            return;
         }
-        let na = self.count as f32;
-        let nb = other.count as f32;
+        let [total_mean, total_m2, mean, m2] = self.planes(xs.len());
+        let (na, nb) = (start as f32, len as f32);
         let n = na + nb;
         let (w_mean, w_m2) = (nb / n, na * nb / n);
-        for (((ma, s2a), &mb), &s2b) in self
-            .mean
-            .iter_mut()
-            .zip(self.m2.iter_mut())
-            .zip(&other.mean)
-            .zip(&other.m2)
-        {
+        let total = total_mean.iter_mut().zip(total_m2.iter_mut());
+        for (((ma, s2a), &mb), &s2b) in total.zip(&*mean).zip(&*m2) {
             let delta = mb - *ma;
             *ma += delta * w_mean;
             *s2a += s2b + delta * delta * w_m2;
         }
-        self.count += other.count;
-        self
     }
 }
 
-/// Runs one chunk of Monte-Carlo samples against a shared network and
-/// prefix, folding each sample's softmax scores into a Welford partial
-/// block by block, while the block's logits are still in L1. The
-/// chunk's only scratch is the suffix's one block buffer.
-fn run_chunk(
-    net: &MsdNet,
-    fused: &Tensor,
-    seed: u64,
+/// One Monte-Carlo job: the `window` pixels of `input` (its pixel
+/// `(0, 0)` at frame coordinates `origin`), sampled from `seed`, written
+/// into `stats` (shaped like `input`) at the window's pixels.
+pub(crate) struct McJob<'a> {
+    pub input: &'a PaddedInput,
+    pub window: Rect,
+    pub origin: (usize, usize),
+    pub seed: u64,
+    pub stats: &'a mut BayesStats,
+}
+
+/// A band of whole rows of one job's window and the rows it owns of
+/// every statistics plane.
+struct Task<'a> {
+    input: &'a PaddedInput,
+    band: Rect,
     origin: (usize, usize),
-    start: usize,
-    len: usize,
-) -> Welford {
-    let classes = net.classes();
-    let kernels = el_kernels::active();
-    let mut ws = Workspace::new();
-    let mut acc = Welford::new(classes * fused.height() * fused.width());
-    for k in start..start + len {
-        let sw = el_metrics::Stopwatch::start();
-        acc.count += 1;
-        let inv_n = 1.0 / acc.count as f32;
-        let seed_k = sample_seed(seed, k);
-        net.mc_sample_blocks(fused, seed_k, origin, &mut ws, |p0, logits| {
-            kernels.softmax(logits, classes, logits.len() / classes);
-            acc.push_block(logits, classes, p0, inv_n);
-        });
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    acc
+    seeds: &'a [u64],
+    mean: Vec<&'a mut [f32]>,
+    std: Vec<&'a mut [f32]>,
 }
 
-fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usize)) -> BayesStats {
-    let total = partials
+thread_local! {
+    /// The scratch arena of the tasks a thread runs: warm from task to
+    /// task, and from call to call on a thread that outlives the pass
+    /// (the caller's own, which runs every task at one worker).
+    static ARENA: std::cell::RefCell<Workspace> = std::cell::RefCell::default();
+}
+
+/// Splits every plane of `t` at the row bands `bands` (increasing and
+/// disjoint): band `i` gets, per plane, the slice of its rows.
+fn band_planes<'a>(t: &'a mut Tensor, bands: &[Rect]) -> Vec<Vec<&'a mut [f32]>> {
+    let (_, h, w) = t.shape();
+    let mut out: Vec<Vec<&mut [f32]>> = bands.iter().map(|_| Vec::new()).collect();
+    for mut plane in t.as_mut_slice().chunks_exact_mut(h * w) {
+        let mut at = 0;
+        for (planes, band) in out.iter_mut().zip(bands) {
+            let (_, rest) = plane.split_at_mut((band.y as usize - at) * w);
+            let (mine, rest) = rest.split_at_mut(band.h as usize * w);
+            planes.push(mine);
+            (plane, at) = (rest, band.bottom() as usize);
+        }
+    }
+    out
+}
+
+/// Runs one task: the block pass over its band, each block's samples
+/// softmaxed and folded in chunk order while the block is in L1, then
+/// the block's mean and `σ` written into the band.
+fn run_task(net: &MsdNet, task: Task<'_>, chunk_of: &[(usize, usize)]) {
+    let sw = el_metrics::Stopwatch::start();
+    let (input, band, seeds, mut ws) = (task.input, task.band, task.seeds, ARENA.take());
+    let (mut mean, mut std) = (task.mean, task.std);
+    let (classes, samples, kernels) = (net.classes(), seeds.len(), el_kernels::active());
+    let (w, x0) = (band.w as usize, band.x as usize);
+    let mut fold = BlockFold(ws.take(4 * classes * CONV_BLOCK));
+    net.mc_blocks(input, band, task.origin, seeds, &mut ws, |p0, k, logits| {
+        let n = logits.len() / classes;
+        kernels.softmax(logits, classes, n);
+        fold.push(logits, k, chunk_of[k]);
+        if k + 1 < samples {
+            return;
+        }
+        let [m, s2, ..] = fold.planes(classes * n);
+        for r in p0 / w..=(p0 + n - 1) / w {
+            let (a, b) = ((r * w).max(p0), ((r + 1) * w).min(p0 + n));
+            let at = r * input.width() + x0 + a - r * w;
+            for c in 0..classes {
+                let cols = c * n + a - p0..c * n + b - p0;
+                mean[c][at..at + cols.len()].copy_from_slice(&m[cols.clone()]);
+                for (dst, &v) in std[c][at..].iter_mut().zip(&s2[cols]) {
+                    *dst = (v / samples as f32).max(0.0).sqrt();
+                }
+            }
+        }
+    });
+    ws.give(fold.0);
+    ARENA.set(ws);
+    el_metrics::registry().sample_fold.record(sw);
+}
+
+/// The engine: all jobs' row bands run the block pass from one rayon
+/// queue, writing their statistics in place.
+pub(crate) fn mc_pass(net: &MsdNet, jobs: Vec<McJob<'_>>, samples: usize) {
+    assert!(samples > 0, "at least one Monte-Carlo sample is required");
+    el_metrics::registry()
+        .samples_run
+        .add((samples * jobs.len()) as u64);
+    let chunk_of: Vec<(usize, usize)> = chunk_layout(samples)
         .into_iter()
-        .reduce(Welford::merge)
-        .expect("at least one chunk");
-    debug_assert_eq!(total.count, samples);
-    let denom = samples as f32;
-    let (c, h, w) = shape;
-    let std: Vec<f32> = total
-        .m2
-        .iter()
-        .map(|&s2| (s2 / denom).max(0.0).sqrt())
+        .flat_map(|chunk| std::iter::repeat_n(chunk, chunk.1))
         .collect();
-    BayesStats {
-        mean: Tensor::from_vec(c, h, w, total.mean).expect("mean shaped like the logits"),
-        std: Tensor::from_vec(c, h, w, std).expect("std shaped like the logits"),
-        samples,
+    let seeds: Vec<Vec<u64>> = jobs
+        .iter()
+        .map(|job| (0..samples).map(|k| sample_seed(job.seed, k)).collect())
+        .collect();
+    let mut tasks = Vec::new();
+    for (job, seeds) in jobs.into_iter().zip(&seeds) {
+        let Rect { x, y, w, h } = job.window;
+        if job.window.is_empty() {
+            continue;
+        }
+        let step = (TASK_PIXELS as i64 / w).max(1);
+        let bands: Vec<Rect> = (y..y + h)
+            .step_by(step as usize)
+            .map(|r| Rect::new(x, r, w, step.min(y + h - r)))
+            .collect();
+        let means = band_planes(&mut job.stats.mean, &bands);
+        let stds = band_planes(&mut job.stats.std, &bands);
+        for ((band, mean), std) in bands.into_iter().zip(means).zip(stds) {
+            let (input, origin) = (job.input, job.origin);
+            tasks.push(Task {
+                input,
+                band,
+                origin,
+                seeds,
+                mean,
+                std,
+            });
+        }
     }
+    let _: Vec<()> = tasks
+        .into_par_iter()
+        .map(|task| run_task(net, task, &chunk_of))
+        .collect();
 }
 
-/// The Monte-Carlo chunk machinery over **precomputed** invariant
-/// prefixes — the engine behind [`bayesian_segment_batch`], split out so
-/// the tiled sweep can keep its prefix workspace warm across tiles.
-/// Crop `i` uses seed `seeds[i]` and frame origin
-/// `origins[i]`; all crops' `(crop, chunk)` tasks drain one rayon queue.
-pub(crate) fn mc_stats_prefixed(
+/// Monte-Carlo statistics of whole padded inputs: input `i` sampled
+/// from seed `seeds[i]`, its pixel `(0, 0)` at frame origin `origins[i]`.
+pub(crate) fn mc_stats(
     net: &MsdNet,
-    fused: &[Tensor],
+    inputs: &[PaddedInput],
     samples: usize,
     seeds: &[u64],
     origins: &[(usize, usize)],
 ) -> Vec<BayesStats> {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    el_metrics::registry()
-        .samples_run
-        .add((samples * fused.len()) as u64);
-    let chunks = chunk_layout(samples);
-    // One shared work queue over all (crop, chunk) tasks, ordered
-    // crop-major so the flat result groups back per crop trivially.
-    let tasks: Vec<(usize, usize, usize)> = (0..fused.len())
-        .flat_map(|crop| chunks.iter().map(move |&(start, len)| (crop, start, len)))
-        .collect();
-    let partials: Vec<Welford> = tasks
-        .into_par_iter()
-        .map(|(crop, start, len)| {
-            run_chunk(net, &fused[crop], seeds[crop], origins[crop], start, len)
-        })
-        .collect();
-    let mut partials = partials.into_iter();
-    fused
+    assert!(
+        inputs.len() == seeds.len() && inputs.len() == origins.len(),
+        "batch inputs must be parallel"
+    );
+    let mut stats: Vec<BayesStats> = inputs
         .iter()
-        .map(|f| {
-            let crop_partials = partials.by_ref().take(chunks.len()).collect();
-            stats_from(
-                crop_partials,
-                samples,
-                (net.classes(), f.height(), f.width()),
-            )
+        .map(|input| BayesStats::zeros(net.classes(), input.height(), input.width(), samples))
+        .collect();
+    let jobs = inputs
+        .iter()
+        .zip(stats.iter_mut())
+        .zip(seeds.iter().zip(origins))
+        .map(|((input, stats), (&seed, &origin))| McJob {
+            input,
+            window: Rect::new(0, 0, input.width() as i64, input.height() as i64),
+            origin,
+            seed,
+            stats,
         })
-        .collect()
+        .collect();
+    mc_pass(net, jobs, samples);
+    stats
 }
 
-/// Monte-Carlo-dropout inference over a batch of crops — the engine's
-/// one request-shaped entry point.
-///
-/// The network's stochastic suffix runs `samples` times per crop —
-/// dropout live, different neurons dropped each pass, exactly the paper's
-/// Bayesian MSDnet — and the per-pixel softmax scores aggregate into mean
-/// and standard deviation by streaming Welford accumulation (see the
-/// module docs for why this is deterministic and O(1) memory in the
-/// sample count). Crop `i` uses its own seed `seeds[i]` and frame origin
-/// `origins[i]` (pass `(0, 0)` for standalone crops). The batch shares
-/// one machine:
-///
-/// - each crop's Monte-Carlo-invariant prefix is computed once
-///   ([`MsdNet::mc_prefix`], one GEMM per branch) and shared by all of
-///   that crop's samples;
-/// - the Monte-Carlo sample chunks of **all** crops flow through one
-///   rayon work queue — `crops x chunks` independent tasks in a single
-///   `par_iter`, so workers never idle at a per-crop join barrier while
-///   another crop still has work;
-/// - each task stays on one crop, keeping its working set (prefix,
-///   one 64-pixel block of activations, Welford partials)
-///   cache-resident.
+/// Monte-Carlo-dropout inference over a batch of crops given as input
+/// tensors: `samples` stochastic passes per crop — dropout live, exactly
+/// the paper's Bayesian MSDnet — whose softmax scores stream into mean
+/// and standard deviation (see the module docs). Crop `i` uses its own
+/// seed `seeds[i]` and frame origin `origins[i]` (`(0, 0)` for
+/// standalone crops). Each crop is padded once, and the row bands of
+/// **all** crops drain one rayon work queue, so workers never idle at a
+/// per-crop join barrier.
 ///
 /// Element `i` of the result depends only on `(net, inputs[i], samples,
 /// seeds[i], origins[i])` — never on the rest of the batch or on the
-/// thread count (property-tested): each crop's prefix is its own GEMM,
-/// the coordinate-keyed masks depend only on `(seed, global
-/// coordinates)`, and the Welford chunk partition and merge order are
-/// fixed functions of `samples`.
+/// thread count (property-tested).
 ///
 /// # Panics
 ///
@@ -337,31 +380,30 @@ pub fn bayesian_segment_batch(
     seeds: &[u64],
     origins: &[(usize, usize)],
 ) -> Vec<BayesStats> {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    assert!(
-        inputs.len() == seeds.len() && inputs.len() == origins.len(),
-        "batch inputs must be parallel"
-    );
-    if inputs.is_empty() {
-        return Vec::new();
-    }
     let mut ws = Workspace::new();
-    let fused: Vec<Tensor> = inputs.iter().map(|t| net.mc_prefix(t, &mut ws)).collect();
-    mc_stats_prefixed(net, &fused, samples, seeds, origins)
+    let radius = net.receptive_radius();
+    let padded: Vec<PaddedInput> = inputs
+        .iter()
+        .map(|t| PaddedInput::from_tensor(t, radius, &mut ws))
+        .collect();
+    mc_stats(net, &padded, samples, seeds, origins)
 }
 
-/// Runs Monte-Carlo-dropout inference on a rendered image: a one-crop
-/// [`bayesian_segment_batch`] at frame origin `(0, 0)`.
-///
-/// Deterministic given `(net, image, samples, seed)` and independent of
-/// the thread count.
+/// Runs Monte-Carlo-dropout inference on a rendered image at frame
+/// origin `(0, 0)`: a one-crop [`bayesian_segment_batch`], padded
+/// straight from the image. Deterministic given `(net, image, samples,
+/// seed)` and independent of the thread count.
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0`.
 pub fn bayesian_segment(net: &MsdNet, image: &Image, samples: usize, seed: u64) -> BayesStats {
-    let input = image_to_tensor(image);
-    bayesian_segment_batch(net, &[&input], samples, &[seed], &[(0, 0)])
+    let input = [pad_image(
+        image,
+        net.receptive_radius(),
+        &mut Workspace::new(),
+    )];
+    mc_stats(net, &input, samples, &[seed], &[(0, 0)])
         .pop()
         .expect("one result per input")
 }
@@ -462,19 +504,18 @@ mod tests {
         // Reference: recompute by storing all passes, drawing each
         // sample's keyed masks from its split seed.
         let mut ws = Workspace::new();
-        let fused = net.mc_prefix(&input, &mut ws);
+        let padded = PaddedInput::from_tensor(&input, net.receptive_radius(), &mut ws);
         let hw = input.height() * input.width();
-        let mut all: Vec<Tensor> = Vec::new();
-        for k in 0..samples {
-            let mut logits = Tensor::zeros(8, input.height(), input.width());
-            net.mc_sample_blocks(&fused, sample_seed(9, k), (0, 0), &mut ws, |p0, z| {
-                let n = z.len() / 8;
-                for (c, plane) in z.chunks_exact(n).enumerate() {
-                    logits.as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
-                }
-            });
-            all.push(softmax(&logits));
-        }
+        let seeds: Vec<u64> = (0..samples).map(|k| sample_seed(9, k)).collect();
+        let mut all = vec![Tensor::zeros(8, input.height(), input.width()); samples];
+        let window = Rect::new(0, 0, input.width() as i64, input.height() as i64);
+        net.mc_blocks(&padded, window, (0, 0), &seeds, &mut ws, |p0, k, z| {
+            let n = z.len() / 8;
+            for (c, plane) in z.chunks_exact(n).enumerate() {
+                all[k].as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
+            }
+        });
+        let all: Vec<Tensor> = all.iter().map(softmax).collect();
         let n = all[0].len();
         for i in (0..n).step_by(37) {
             let vals: Vec<f32> = all.iter().map(|t| t.as_slice()[i]).collect();
@@ -486,43 +527,63 @@ mod tests {
     }
 
     #[test]
-    fn portable_push_matches_naive_two_loop_fold() {
-        // The scalar reference fold, spelled out independently of
-        // `Welford::push_block` (guards against editing both in
-        // lockstep), over 3 planes of 11 pixels folded in uneven blocks.
-        let (samples, classes, hw) = (9, 3, 11);
-        let len = classes * hw;
-        let slabs: Vec<Vec<f32>> = (0..samples)
-            .map(|k| {
-                (0..len)
-                    .map(|i| (((7 + 31 * k + i) as f32) * 0.173).sin() * 0.8 + 0.1)
-                    .collect()
-            })
-            .collect();
-        let (mut mean, mut m2) = (vec![0.0f32; len], vec![0.0f32; len]);
-        for (k, xs) in slabs.iter().enumerate() {
-            let inv_n = 1.0 / (k + 1) as f32;
-            for i in 0..len {
-                let delta = xs[i] - mean[i];
-                mean[i] += delta * inv_n;
-                m2[i] += delta * (xs[i] - mean[i]);
-            }
-        }
-        let mut acc = Welford::new(len);
-        for (k, xs) in slabs.iter().enumerate() {
-            acc.count += 1;
-            let inv_n = 1.0 / (k + 1) as f32;
-            for (p0, n) in [(0, 4), (4, 1), (5, 6)] {
-                let block: Vec<f32> = (0..classes)
-                    .flat_map(|c| xs[c * hw + p0..][..n].iter().copied())
-                    .collect();
-                acc.push_block(&block, classes, p0, inv_n);
-            }
-        }
+    fn block_fold_matches_naive_chunked_fold() {
+        // The reference fold, spelled out independently of `BlockFold`
+        // (guards against editing both in lockstep): per chunk a fresh
+        // zeroed partial with one Welford step per sample, then the
+        // partials Chan-merged in chunk order. Every sample count from 1
+        // to 20, so one-sample and multi-sample chunks both run.
+        let len = 3 * 11;
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(acc.count, samples);
-        assert_eq!(bits(&acc.mean), bits(&mean));
-        assert_eq!(bits(&acc.m2), bits(&m2));
+        for samples in 1..=20 {
+            let slabs: Vec<Vec<f32>> = (0..samples)
+                .map(|k| {
+                    (0..len)
+                        .map(|i| (((7 + 31 * k + i) as f32) * 0.173).sin() * 0.8 + 0.1)
+                        .collect()
+                })
+                .collect();
+            let mut total: Option<(usize, Vec<f32>, Vec<f32>)> = None;
+            for (start, n_chunk) in chunk_layout(samples) {
+                let (mut mean, mut m2) = (vec![0.0f32; len], vec![0.0f32; len]);
+                for (j, xs) in slabs[start..start + n_chunk].iter().enumerate() {
+                    let inv_n = 1.0 / (j + 1) as f32;
+                    for i in 0..len {
+                        let delta = xs[i] - mean[i];
+                        mean[i] += delta * inv_n;
+                        m2[i] += delta * (xs[i] - mean[i]);
+                    }
+                }
+                total = Some(match total {
+                    None => (n_chunk, mean, m2),
+                    Some((na, mut ma, mut s2a)) => {
+                        let (fa, fb) = (na as f32, n_chunk as f32);
+                        let n = fa + fb;
+                        for i in 0..len {
+                            let delta = mean[i] - ma[i];
+                            ma[i] += delta * (fb / n);
+                            s2a[i] += m2[i] + delta * delta * (fa * fb / n);
+                        }
+                        (na + n_chunk, ma, s2a)
+                    }
+                });
+            }
+            let (count, mean, m2) = total.expect("at least one chunk");
+            assert_eq!(count, samples);
+            // A NaN-poisoned fold buffer: every plane must be written
+            // before it is read.
+            let mut fold = BlockFold(vec![f32::NAN; 4 * 64]);
+            let chunk_of: Vec<(usize, usize)> = chunk_layout(samples)
+                .into_iter()
+                .flat_map(|c| std::iter::repeat_n(c, c.1))
+                .collect();
+            for (k, xs) in slabs.iter().enumerate() {
+                fold.push(xs, k, chunk_of[k]);
+            }
+            let [got_mean, got_m2, ..] = fold.planes(len);
+            assert_eq!(bits(got_mean), bits(&mean), "{samples} samples: mean");
+            assert_eq!(bits(got_m2), bits(&m2), "{samples} samples: m2");
+        }
     }
 
     #[test]

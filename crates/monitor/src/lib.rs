@@ -32,23 +32,27 @@
 //! (the budgeted full-frame sweep) — and attacks all of it (see the
 //! [`bayes`] module docs for the full scheme):
 //!
-//! - the Monte-Carlo-**invariant** prefix of the network (the dilated
-//!   branch convolutions, which no dropout precedes) is computed once per
-//!   crop or audit tile, one GEMM per branch, and shared by every sample;
+//! - every crop or audit tile runs as one pass of L1-resident 64-pixel
+//!   blocks: the Monte-Carlo-**invariant** prefix of the network (the
+//!   dilated branch convolutions, which no dropout precedes) runs once
+//!   per block, one GEMM per branch and row segment straight from the
+//!   padded input, and every sample then reuses it while the block is in
+//!   L1;
 //! - each sample's dropout masks are **coordinate-keyed**: every mask bit
 //!   is a pure hash of the sample's seed (SplitMix64-split from the
 //!   caller's seed by sample index) and the activation's global frame
 //!   coordinates, so samples are order-independent and a crop's
 //!   statistics do not depend on its batch, its tile or the thread count;
 //! - samples fall into a fixed partition of at most [`bayes::MC_CHUNKS`]
-//!   chunks that depends only on the sample count, and every crop's
-//!   chunks drain one shared crop × chunk rayon queue;
-//! - statistics stream through per-chunk Welford accumulators merged in
-//!   fixed chunk order (Chan's formula) — O(1) memory in the sample
-//!   count, and bit-identical for any number of worker threads. The fold
-//!   is one safe, portable pair of loops (one sample per step, never
-//!   FMA) over each L1-resident pixel block of a sample; only the GEMMs,
-//!   mask rows and softmax under it dispatch through the tier ladder.
+//!   chunks that depends only on the sample count, and every crop's row
+//!   bands drain one shared crop × band rayon queue;
+//! - statistics stream, per block, through block-local Welford partials
+//!   merged in fixed chunk order (Chan's formula) and are written in
+//!   place — O(1) memory in the sample count, and bit-identical for any
+//!   block split and any number of worker threads. The fold is safe,
+//!   portable lane-wise loops (one sample per step, never FMA); only the
+//!   GEMMs, mask rows and softmax under it dispatch through the tier
+//!   ladder.
 //!
 //! # Example
 //!

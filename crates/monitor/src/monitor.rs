@@ -1,13 +1,13 @@
 //! The monitor façade: verifying candidate landing zones.
 
 use el_geom::Grid;
-use el_nn::Tensor;
+use el_nn::Workspace;
 use el_scene::Image;
-use el_seg::data::image_to_tensor;
+use el_seg::data::pad_image;
 use el_seg::MsdNet;
 use serde::{Deserialize, Serialize};
 
-use crate::bayes::{bayesian_segment, bayesian_segment_batch, BayesStats};
+use crate::bayes::{bayesian_segment, mc_stats, BayesStats};
 use crate::rule::MonitorRule;
 
 /// Seed offset between consecutive crops of a batch — the constant the
@@ -21,7 +21,8 @@ pub const BATCH_SEED_STRIDE: u64 = 0x9E37_79B9;
 /// This is the single definition of the per-trial seed chain. Any caller
 /// that reproduces batch verification crop-by-crop — or coalesces crops
 /// from several frames into one
-/// [`bayesian_segment_batch`] call, as [`Monitor::verify_frames`] does —
+/// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch)
+/// call, as [`Monitor::verify_frames`] does —
 /// must derive seeds with this function to stay bit-identical to
 /// [`Monitor::verify_batch`].
 pub fn batch_seed(base: u64, index: usize) -> u64 {
@@ -163,10 +164,13 @@ impl Monitor {
     /// bit-identical to [`Monitor::verify_batch`] on that frame alone.
     /// Returns one report list per frame, in order.
     ///
-    /// The batch shares one machine: each crop's Monte-Carlo-invariant
-    /// prefix is computed once, all crops' Monte-Carlo chunks drain one
-    /// shared rayon work queue instead of `N` sequential pools with a
-    /// join barrier per crop (see [`bayesian_segment_batch`]). Records one
+    /// The batch shares one machine: each crop is padded once straight
+    /// from its image, each of its 64-pixel blocks computes the
+    /// Monte-Carlo-invariant prefix once for all samples, and all crops'
+    /// row bands drain one shared rayon work queue instead of `N`
+    /// sequential pools with a join barrier per crop (see
+    /// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch)).
+    /// Records one
     /// `verify_batch_latency` sample per call, however many frames it
     /// coalesces.
     pub fn verify_frames(
@@ -175,17 +179,15 @@ impl Monitor {
         frames: &[(&[Image], u64)],
     ) -> Vec<Vec<MonitorReport>> {
         let sw = el_metrics::Stopwatch::start();
-        let tensors: Vec<Tensor> = frames
-            .iter()
-            .flat_map(|(crops, _)| crops.iter().map(image_to_tensor))
-            .collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
+        let (mut ws, radius) = (Workspace::new(), net.receptive_radius());
+        let crops = frames.iter().flat_map(|(crops, _)| crops.iter());
+        let inputs: Vec<_> = crops.map(|c| pad_image(c, radius, &mut ws)).collect();
         let seeds: Vec<u64> = frames
             .iter()
             .flat_map(|&(crops, seed)| (0..crops.len()).map(move |i| batch_seed(seed, i)))
             .collect();
-        let origins = vec![(0usize, 0usize); refs.len()];
-        let mut reports = bayesian_segment_batch(net, &refs, self.config.samples, &seeds, &origins)
+        let origins = vec![(0usize, 0usize); inputs.len()];
+        let mut reports = mc_stats(net, &inputs, self.config.samples, &seeds, &origins)
             .into_iter()
             .map(|stats| self.report_from_stats(stats));
         let per_frame = frames

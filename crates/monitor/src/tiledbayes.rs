@@ -8,41 +8,35 @@
 //! candidate-zone tiles verified first so the safety-relevant regions are
 //! covered before the budget runs out.
 //!
-//! Each tile is computed only over what it keeps. Its
-//! Monte-Carlo-invariant prefix runs on the kept interior grown by the
-//! network's receptive radius (clipped to the frame), and its
-//! Monte-Carlo suffix — mask rows, head GEMMs, softmax, Welford fold —
-//! runs on the kept interior alone. Correctness rests on three
-//! invariants of the engine:
+//! The frame is zero-padded once per sweep, and each tile computes only
+//! what it keeps: the engine's block pass ([`el_seg::MsdNet::mc_blocks`])
+//! runs the tile's kept interior as a window of the padded frame and
+//! writes its mean and `σ` straight into the frame's statistics. No
+//! tile-sized prefix, halo or statistics buffer exists. Exactness rests
+//! on three invariants of the engine:
 //!
-//! - every kept pixel's branch-convolution window lies inside that
-//!   prefix crop or runs off the frame border, where the crop's zero
-//!   padding is the whole frame's own — so the kept prefix equals the
-//!   whole-frame prefix bit for bit;
+//! - every kept pixel's branch taps read the padded frame itself, so
+//!   each prefix value is the whole-frame GEMM column bit for bit;
 //! - everything after the prefix is pointwise, each column reduced in
 //!   the same order whatever the block's shape;
 //! - dropout masks are **coordinate-keyed**
 //!   ([`el_nn::layers::keyed_mask_word`]): a tile processed at its frame
-//!   origin draws exactly the masks the whole frame would draw at those
-//!   pixels. (Mask rows and GEMMs both lower through the `el_kernels`
-//!   dispatch ladder, whose tiers are mutually bit-identical — tiling
-//!   invariants survive a change of ISA or a forced `EL_FORCE_KERNEL`
-//!   tier unchanged.)
+//!   origin draws exactly the whole frame's masks at those pixels, on
+//!   every (mutually bit-identical) `el_kernels` tier.
 //!
 //! Together they make an unbudgeted tiled pass **bit-identical** to
 //! untiled [`bayesian_segment`](crate::bayes::bayesian_segment)
 //! (property-tested), so partial coverage is a strict prefix of the exact
 //! full-frame answer — not an approximation of it. The tile margin only
-//! shapes the plan (which tile keeps which pixel); no pixel outside a
-//! kept interior's receptive halo is ever computed.
+//! shapes the plan (which tile keeps which pixel).
 
 use el_geom::{Grid, Rect};
-use el_nn::{Tensor, Workspace};
+use el_nn::Workspace;
 use el_scene::Image;
-use el_seg::data::image_to_tensor;
+use el_seg::data::pad_image;
 use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
 
-use crate::bayes::{mc_stats_prefixed, BayesStats};
+use crate::bayes::{mc_pass, BayesStats, McJob};
 
 /// The result of a (possibly budget-truncated) tiled Bayesian pass.
 #[derive(Debug, Clone)]
@@ -86,41 +80,13 @@ impl TiledBayesStats {
 /// `elapsed + avg >= budget`.
 const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 
-/// The frame region a tile's prefix is computed over: its kept interior
-/// grown by the receptive radius, clipped to the frame. Every kept
-/// pixel's convolution window lies inside it or runs off the frame
-/// border, where the crop's zero padding is the frame's own.
-fn prefix_rect(tile: &Tile, radius: usize, frame: Rect) -> Rect {
-    tile.keep_rect().inflate(radius as i64).intersect(frame)
-}
-
-/// Copies the `keep` window (frame coordinates) out of `t`, a tensor
-/// laid over the frame region `at`, into a tensor taken from `ws`.
-fn crop_tensor(t: &Tensor, keep: Rect, at: Rect, ws: &mut Workspace) -> Tensor {
-    let (x0, y0) = ((keep.x - at.x) as usize, (keep.y - at.y) as usize);
-    let (kw, kh) = (keep.w as usize, keep.h as usize);
-    let mut out = ws.take_tensor(t.channels(), kh, kw);
-    for c in 0..t.channels() {
-        let src = t.channel(c);
-        for (yy, dst) in out.channel_mut(c).chunks_exact_mut(kw).enumerate() {
-            let row = (y0 + yy) * t.width() + x0;
-            dst.copy_from_slice(&src[row..row + kw]);
-        }
-    }
-    out
-}
-
 /// Bayesian-verifies a full frame tile by tile under a latency budget.
 ///
 /// Tiles come from the shared planner ([`el_seg::plan_tiles`]); tiles
 /// whose kept interior intersects a `priority` rectangle (candidate
 /// landing zones) are verified first, remaining tiles in row-major order.
-/// Each tile's prefix is computed over its kept interior grown by the
-/// receptive radius and cropped back to the kept interior, whose
-/// Monte-Carlo chunks then run on the engine behind
-/// [`bayesian_segment_batch`](crate::bayes::bayesian_segment_batch) at
-/// the kept interior's frame origin — no discarded pixel is sampled.
-/// One prefix workspace stays warm across the whole sweep.
+/// Each admitted tile's kept interior runs the engine's block pass as a
+/// window of the once-padded frame, in place (see the module docs).
 ///
 /// `elapsed_s` returns seconds since the pass began and is polled once
 /// **before each tile**, at its admission; production passes wall-clock
@@ -146,9 +112,7 @@ fn crop_tensor(t: &Tensor, keep: Rect, at: Rect, ws: &mut Workspace) -> Tensor {
 /// # Panics
 ///
 /// Panics if the tile configuration is invalid, `samples == 0`, or the
-/// margin is smaller than the network's receptive radius (a
-/// configuration error: the exactness argument rests on the prefix crop,
-/// not on the margin).
+/// margin is smaller than the network's receptive radius.
 #[allow(clippy::too_many_arguments)]
 pub fn bayesian_segment_tiled(
     net: &MsdNet,
@@ -163,24 +127,18 @@ pub fn bayesian_segment_tiled(
     assert!(samples > 0, "at least one Monte-Carlo sample is required");
     assert!(
         config.margin >= net.receptive_radius(),
-        "tile margin {} below the network's receptive radius {}: tiled \
-         statistics would diverge from the whole frame near seams",
+        "tile margin {} below the network's receptive radius {}",
         config.margin,
         net.receptive_radius()
     );
     let (w, h) = (image.width(), image.height());
-    let radius = net.receptive_radius();
-    let frame = Rect::new(0, 0, w as i64, h as i64);
     let tiles = plan_tiles(w, h, config);
     let order = prioritize_tiles(&tiles, priority);
-    let classes = net.classes();
-    let mut mean = Tensor::zeros(classes, h, w);
-    let mut std = Tensor::zeros(classes, h, w);
+    let mut stats = BayesStats::zeros(net.classes(), h, w, samples);
     let mut covered = Grid::new(w, h, false);
     let mut verified: Vec<usize> = Vec::new();
-    // One scratch arena (padded input, prefix, sample blocks) warms up on the first tile and
-    // serves every subsequent tile.
-    let mut ws = Workspace::new();
+    // One padded frame per sweep.
+    let input = pad_image(image, net.receptive_radius(), &mut Workspace::new());
     // The clock value at the previous admission poll, and the EWMA
     // per-tile cost measured from the deltas between polls. Until one
     // tile has run between two polls there is no cost sample and
@@ -205,45 +163,19 @@ pub fn bayesian_segment_tiled(
                 .add((order.len() - pos) as u64);
             break;
         }
-        let prefix = prefix_rect(&tiles[i], radius, frame);
-        let input = image_to_tensor(&image.crop(prefix).expect("prefix crop within image"));
-        let fused = net.mc_prefix(&input, &mut ws);
         let keep = tiles[i].keep_rect();
-        let kept = crop_tensor(&fused, keep, prefix, &mut ws);
-        ws.recycle(fused);
-        let origin = (keep.y as usize, keep.x as usize);
         let tile_sw = el_metrics::Stopwatch::start();
-        let stats = mc_stats_prefixed(
-            net,
-            std::slice::from_ref(&kept),
-            samples,
-            &[seed],
-            &[origin],
-        )
-        .pop()
-        .expect("one result per tile");
+        let job = McJob {
+            input: &input,
+            window: keep,
+            origin: (0, 0),
+            seed,
+            stats: &mut stats,
+        };
+        mc_pass(net, vec![job], samples);
         el_metrics::registry().tile_cost.record(tile_sw);
-        ws.recycle(kept);
-        let (kx, ky, kw, kh) = (
-            keep.x as usize,
-            keep.y as usize,
-            keep.w as usize,
-            keep.h as usize,
-        );
-        debug_assert_eq!(stats.mean.shape(), (classes, kh, kw));
-        for c in 0..classes {
-            for (src, dst) in [
-                (stats.mean.channel(c), mean.channel_mut(c)),
-                (stats.std.channel(c), std.channel_mut(c)),
-            ] {
-                for (yy, row) in src.chunks_exact(kw).enumerate() {
-                    let at = (ky + yy) * w + kx;
-                    dst[at..at + kw].copy_from_slice(row);
-                }
-            }
-        }
-        for yy in ky..ky + kh {
-            covered.row_mut(yy)[kx..kx + kw].fill(true);
+        for y in keep.y as usize..keep.bottom() as usize {
+            covered.row_mut(y)[keep.x as usize..keep.right() as usize].fill(true);
         }
         verified.push(i);
     }
@@ -252,7 +184,7 @@ pub fn bayesian_segment_tiled(
     metrics.tiles_planned.add(tiles.len() as u64);
     metrics.tiles_verified.add(tiles_verified as u64);
     TiledBayesStats {
-        stats: BayesStats { mean, std, samples },
+        stats,
         covered,
         tiles_total: tiles.len(),
         tiles_verified,

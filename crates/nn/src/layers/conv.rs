@@ -1,11 +1,13 @@
 //! 2-D convolution with arbitrary dilation ("same" padding, stride 1).
 //!
-//! The forward pass has one lowering, [`Conv2d::forward_blocks`]: the
-//! input is copied once into a zero-padded buffer, and each block of
+//! The forward pass has one lowering: the input is copied once into a
+//! zero-padded buffer ([`PaddedInput`]), and each block of up to
 //! [`CONV_BLOCK`] consecutive padded positions is one register-blocked
 //! GEMM whose B rows are the taps' slices of that buffer, read through a
-//! row table (`el_kernels::Kernels::gemm_bias`). No im2col matrix is
-//! built. The naive per-tap loop is retained as
+//! row table (`el_kernels::Kernels::gemm_bias`).
+//! [`Conv2d::forward_blocks`] walks every position of the input;
+//! [`Conv2d::forward_run`] evaluates one run of pixels within a row. No
+//! im2col matrix is built. The naive per-tap loop is retained as
 //! [`Conv2d::forward_reference`] for equivalence tests and benchmark
 //! baselines.
 
@@ -207,8 +209,9 @@ impl Conv2d {
     }
 
     /// Optimized, allocation-free forward pass: [`Conv2d::forward_blocks`]
-    /// on this one convolution, each block's outputs copied into their
-    /// pixels of the output tensor, every buffer drawn from `ws`.
+    /// on this one convolution over a [`PaddedInput`] of `input`, each
+    /// block's outputs copied into their pixels of the output tensor,
+    /// every buffer drawn from `ws`.
     ///
     /// Produces exactly the same values as [`Conv2d::forward_reference`]:
     /// per output element the reduction accumulates taps in the identical
@@ -221,26 +224,28 @@ impl Conv2d {
     /// Panics if `input` does not have [`Conv2d::in_channels`] channels.
     pub fn forward_with(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
+        let padded = PaddedInput::from_tensor(input, self.padding(), ws);
         let mut out = ws.take_tensor(self.out_channels, h, w);
-        Conv2d::forward_blocks([self], input, false, ws, |block, runs| {
+        Conv2d::forward_blocks([self], &padded, false, ws, |block, runs| {
             runs.scatter(block, out.as_mut_slice());
         });
+        padded.recycle(ws);
         out
     }
 
     /// The implicit lowering every convolution of the engine runs:
-    /// `convs` (all reading `input`) evaluated block by block over one
-    /// zero-padded copy of `input`.
+    /// `convs` (all reading `input`) evaluated block by block over the
+    /// zero-padded input.
     ///
-    /// The copy pads `input` by the widest "same" padding among `convs`
-    /// on every side, so the image's pixels sit at flat positions
-    /// `(r + y) · (w + 2r) + r + x` of each padded plane. Walking those
-    /// positions from the first pixel to the last in blocks of
-    /// [`CONV_BLOCK`], every block is one GEMM per convolution: row
-    /// `(in, ky, kx)` of its B operand is the contiguous slice of the
-    /// padded plane `in` that tap reads for the block's positions, named
-    /// by a row table (`el_kernels::Kernels::gemm_bias`), so no im2col
-    /// matrix is built. The convolutions' outputs stack into one
+    /// The image's pixels sit at flat positions
+    /// `(r + y) · (w + 2r) + r + x` of each padded plane (`r` the
+    /// input's padding radius). Walking those positions from the
+    /// first pixel to the last in blocks of [`CONV_BLOCK`], every block
+    /// is one GEMM per convolution: row `(in, ky, kx)` of its B operand
+    /// is the contiguous slice of the padded plane `in` that tap reads
+    /// for the block's positions, named by a row table
+    /// (`el_kernels::Kernels::gemm_bias`), so no im2col matrix is built.
+    /// The convolutions' outputs stack into one
     /// `[out channel][CONV_BLOCK]` block (the first convolution's
     /// channels first), rectified on store when `relu` is set, and
     /// `visit(block, runs)` receives it with the block's [`BlockRuns`]:
@@ -255,10 +260,11 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics if some convolution does not take `input`'s channel count.
+    /// Panics if some convolution does not take `input`'s channel count
+    /// or reaches further than its padding.
     pub fn forward_blocks<'a, I>(
         convs: I,
-        input: &Tensor,
+        input: &PaddedInput,
         relu: bool,
         ws: &mut Workspace,
         mut visit: impl FnMut(&[f32], BlockRuns),
@@ -267,56 +273,117 @@ impl Conv2d {
         I::IntoIter: Clone,
     {
         let convs = convs.into_iter();
-        let (c, h, w) = input.shape();
-        let (mut m_all, mut k_all, mut radius) = (0, 0, 0);
-        for conv in convs.clone() {
-            assert_eq!(
-                c, conv.in_channels,
-                "Conv2d expected {} input channels, got {c}",
-                conv.in_channels
-            );
-            m_all += conv.out_channels;
-            k_all += conv.k_dim();
-            radius = radius.max(conv.padding());
-        }
-        let layout = PaddedLayout {
-            height: h,
-            width: w,
-            radius,
-        };
-        let wp = layout.padded_width();
-        let padded = layout.pad(input, ws);
-        let mut rows = ws.take_rows(k_all);
-        let mut k0 = 0;
-        for conv in convs.clone() {
-            conv.tap_rows(&layout, &mut rows[k0..k0 + conv.k_dim()]);
-            k0 += conv.k_dim();
-        }
+        let rows = Conv2d::stack_taps(convs.clone(), input, ws);
+        let m_all: usize = convs.clone().map(|conv| conv.out_channels).sum();
         let mut block = ws.take(m_all * CONV_BLOCK);
-        let kernels = el_kernels::active();
-        for q0 in layout.span().step_by(CONV_BLOCK) {
-            let (mut o, mut k0) = (0, 0);
-            for conv in convs.clone() {
-                let (m, k) = (conv.out_channels, conv.k_dim());
-                // The tap table is relative to the block's top-left tap.
-                let base = q0 - conv.padding() * (wp + 1);
-                kernels.gemm_bias(
-                    &conv.weight,
-                    &padded[base..],
-                    &rows[k0..k0 + k],
-                    &conv.bias,
-                    &mut block[o * CONV_BLOCK..(o + m) * CONV_BLOCK],
-                    m,
-                    CONV_BLOCK,
-                    relu,
-                );
-                (o, k0) = (o + m, k0 + k);
-            }
-            visit(&block, layout.runs(q0));
+        for q0 in input.layout.span().step_by(CONV_BLOCK) {
+            Conv2d::gemm_at(convs.clone(), input, &rows, q0, relu, &mut block);
+            visit(&block, input.layout.runs(q0));
         }
         ws.give(block);
         ws.give_rows(rows);
-        ws.give(padded);
+    }
+
+    /// `convs` at the `n` consecutive pixels of row `y` of `input` from
+    /// column `x`, `n = out.len() / Σ out_channels`: one GEMM per
+    /// convolution over `taps` (from [`Conv2d::stack_taps`] on the same
+    /// `convs` and `input`), stacked `[out channel][n]` into `out`,
+    /// rectified on store when `relu` is set.
+    ///
+    /// Each output element is the same GEMM column
+    /// [`Conv2d::forward_blocks`] computes for that pixel, so a pixel's
+    /// bits do not depend on the run it is computed in.
+    pub fn forward_run<'a, I>(
+        convs: I,
+        input: &PaddedInput,
+        taps: &[usize],
+        (y, x): (usize, usize),
+        relu: bool,
+        out: &mut [f32],
+    ) where
+        I: IntoIterator<Item = &'a Conv2d>,
+        I::IntoIter: Clone,
+    {
+        let q0 = input.layout.position(y, x);
+        Conv2d::gemm_at(convs.into_iter(), input, taps, q0, relu, out);
+    }
+
+    /// The tap row tables of `convs` over `input`, one after another, in
+    /// a buffer from `ws` (hand it back with [`Workspace::give_rows`]):
+    /// tap `(in, ky, kx)` of a convolution, in the reference loop's
+    /// accumulation order, reads plane `in` at `ky · dilation` rows and
+    /// `kx · dilation` columns past its top-left tap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some convolution does not take `input`'s channel count
+    /// or reaches further than its padding.
+    pub fn stack_taps<'a, I>(convs: I, input: &PaddedInput, ws: &mut Workspace) -> Vec<usize>
+    where
+        I: IntoIterator<Item = &'a Conv2d>,
+        I::IntoIter: Clone,
+    {
+        let convs = convs.into_iter();
+        let k_all = convs.clone().map(|conv| conv.k_dim()).sum();
+        let mut rows = ws.take_rows(k_all);
+        let (wp, plane) = (input.layout.padded_width(), input.layout.plane());
+        let mut k0 = 0;
+        for conv in convs {
+            assert_eq!(
+                input.channels, conv.in_channels,
+                "Conv2d expected {} input channels, got {}",
+                conv.in_channels, input.channels
+            );
+            assert!(
+                conv.padding() <= input.layout.radius,
+                "input padded by {} for a convolution reaching {}",
+                input.layout.radius,
+                conv.padding()
+            );
+            let d = conv.dilation;
+            let taps = (0..conv.in_channels).flat_map(|i| {
+                (0..conv.kernel).flat_map(move |ky| {
+                    (0..conv.kernel).map(move |kx| i * plane + (ky * wp + kx) * d)
+                })
+            });
+            for (row, tap) in rows[k0..k0 + conv.k_dim()].iter_mut().zip(taps) {
+                *row = tap;
+            }
+            k0 += conv.k_dim();
+        }
+        rows
+    }
+
+    /// One GEMM per convolution at the `n = out.len() / Σ out_channels`
+    /// padded positions from `q0`, stacked `[out channel][n]` into `out`.
+    fn gemm_at<'a>(
+        convs: impl Iterator<Item = &'a Conv2d> + Clone,
+        input: &PaddedInput,
+        taps: &[usize],
+        q0: usize,
+        relu: bool,
+        out: &mut [f32],
+    ) {
+        let wp = input.layout.padded_width();
+        let n = out.len() / convs.clone().map(|conv| conv.out_channels).sum::<usize>();
+        let kernels = el_kernels::active();
+        let (mut o, mut k0) = (0, 0);
+        for conv in convs {
+            let (m, k) = (conv.out_channels, conv.k_dim());
+            // The tap table is relative to the run's top-left tap.
+            let base = q0 - conv.padding() * (wp + 1);
+            kernels.gemm_bias(
+                &conv.weight,
+                &input.buf[base..],
+                &taps[k0..k0 + k],
+                &conv.bias,
+                &mut out[o * n..(o + m) * n],
+                m,
+                n,
+                relu,
+            );
+            (o, k0) = (o + m, k0 + k);
+        }
     }
 
     /// The "same" padding: how far the kernel reaches from its centre.
@@ -329,27 +396,93 @@ impl Conv2d {
     fn k_dim(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
-
-    /// Writes this convolution's tap row table over `layout` into `rows`:
-    /// tap `(in, ky, kx)`, in the reference loop's accumulation order,
-    /// reads plane `in` at `ky · dilation` rows and `kx · dilation`
-    /// columns past the block's top-left tap.
-    fn tap_rows(&self, layout: &PaddedLayout, rows: &mut [usize]) {
-        let (wp, plane, d) = (layout.padded_width(), layout.plane(), self.dilation);
-        let taps = (0..self.in_channels).flat_map(|i| {
-            (0..self.kernel)
-                .flat_map(move |ky| (0..self.kernel).map(move |kx| i * plane + (ky * wp + kx) * d))
-        });
-        for (row, tap) in rows.iter_mut().zip(taps) {
-            *row = tap;
-        }
-    }
 }
 
 /// Padded positions per block of [`Conv2d::forward_blocks`]: 64 GEMM
 /// columns are whole column tiles on every kernel tier, and a block's
 /// outputs and tap slices stay in L1.
 pub const CONV_BLOCK: usize = 64;
+
+/// A `channels x height x width` input copied once into planes padded
+/// with `radius` zeros on every side — the B operand every convolution
+/// of the engine reads ([`Conv2d::forward_blocks`],
+/// [`Conv2d::forward_run`]). Pixel `(y, x)` sits at flat position
+/// `(radius + y) · (width + 2·radius) + radius + x` of its plane, and
+/// `CONV_BLOCK - 1` zeros of slack follow the last plane so a block may
+/// run past the last pixel.
+#[derive(Debug)]
+pub struct PaddedInput {
+    buf: Vec<f32>,
+    channels: usize,
+    layout: PaddedLayout,
+}
+
+impl PaddedInput {
+    /// Pads an input of the given shape into a buffer from `ws`:
+    /// `fill(ch, y, row)` writes the `width` pixels of row `y` of channel
+    /// `ch`, and every other element is written zero, so stale pool
+    /// contents never leak in.
+    pub fn new(
+        channels: usize,
+        height: usize,
+        width: usize,
+        radius: usize,
+        ws: &mut Workspace,
+        mut fill: impl FnMut(usize, usize, &mut [f32]),
+    ) -> Self {
+        let layout = PaddedLayout {
+            height,
+            width,
+            radius,
+        };
+        let (r, wp, plane) = (radius, layout.padded_width(), layout.plane());
+        let mut buf = ws.take(channels * plane + CONV_BLOCK - 1);
+        let (planes, slack) = buf.split_at_mut(channels * plane);
+        slack.fill(0.0);
+        if plane > 0 {
+            for (ch, dst) in planes.chunks_exact_mut(plane).enumerate() {
+                for (py, row) in dst.chunks_exact_mut(wp).enumerate() {
+                    match py.checked_sub(r).filter(|&y| y < height) {
+                        Some(y) => {
+                            row[..r].fill(0.0);
+                            fill(ch, y, &mut row[r..r + width]);
+                            row[r + width..].fill(0.0);
+                        }
+                        None => row.fill(0.0),
+                    }
+                }
+            }
+        }
+        PaddedInput {
+            buf,
+            channels,
+            layout,
+        }
+    }
+
+    /// `input` padded by `radius`.
+    pub fn from_tensor(input: &Tensor, radius: usize, ws: &mut Workspace) -> Self {
+        let (c, h, w) = input.shape();
+        PaddedInput::new(c, h, w, radius, ws, |ch, y, row| {
+            row.copy_from_slice(&input.channel(ch)[y * w..][..w]);
+        })
+    }
+
+    /// Unpadded height.
+    pub fn height(&self) -> usize {
+        self.layout.height
+    }
+
+    /// Unpadded width.
+    pub fn width(&self) -> usize {
+        self.layout.width
+    }
+
+    /// Hands the buffer back to `ws`.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.give(self.buf);
+    }
+}
 
 /// Where an `height x width` image sits inside its copy zero-padded by
 /// `radius` on every side.
@@ -369,13 +502,17 @@ impl PaddedLayout {
         (self.height + 2 * self.radius) * self.padded_width()
     }
 
+    /// Flat padded position of pixel `(y, x)`.
+    fn position(&self, y: usize, x: usize) -> usize {
+        (self.radius + y) * self.padded_width() + self.radius + x
+    }
+
     /// Flat padded positions from the first pixel to one past the last.
     fn span(&self) -> Range<usize> {
         if self.height == 0 || self.width == 0 {
             return 0..0;
         }
-        let (r, wp) = (self.radius, self.padded_width());
-        r * wp + r..(r + self.height - 1) * wp + r + self.width
+        self.position(0, 0)..self.position(self.height - 1, self.width)
     }
 
     /// The pixel runs of the block starting at padded position `q0`.
@@ -386,32 +523,6 @@ impl PaddedLayout {
             q: q0,
             end: (q0 + CONV_BLOCK).min(self.span().end),
         }
-    }
-
-    /// A padded copy of `input` from `ws`: every plane, then
-    /// `CONV_BLOCK - 1` zeros of slack for the last block's columns past
-    /// the last pixel. Every element is written.
-    fn pad(&self, input: &Tensor, ws: &mut Workspace) -> Vec<f32> {
-        let (r, w, plane) = (self.radius, self.width, self.plane());
-        let mut buf = ws.take(input.channels() * plane + CONV_BLOCK - 1);
-        let (planes, slack) = buf.split_at_mut(input.channels() * plane);
-        slack.fill(0.0);
-        if plane > 0 {
-            for (ch, dst) in planes.chunks_exact_mut(plane).enumerate() {
-                let src = input.channel(ch);
-                for (py, row) in dst.chunks_exact_mut(self.padded_width()).enumerate() {
-                    match py.checked_sub(r).filter(|&y| y < self.height) {
-                        Some(y) => {
-                            row[..r].fill(0.0);
-                            row[r..r + w].copy_from_slice(&src[y * w..][..w]);
-                            row[r + w..].fill(0.0);
-                        }
-                        None => row.fill(0.0),
-                    }
-                }
-            }
-        }
-        buf
     }
 }
 
@@ -714,14 +825,16 @@ mod tests {
             for conv in &convs {
                 expect.extend(conv.forward_reference(&input).as_slice());
             }
+            let radius = convs.iter().map(|c| c.padding()).max().unwrap();
             for relu in [false, true] {
                 // Poison the pool: the padded copy must write every
                 // element, its zeros included.
                 let mut ws = Workspace::new();
                 ws.give(vec![f32::NAN; 4 * (h + 8) * (w + 8) + 1024]);
+                let padded = PaddedInput::from_tensor(&input, radius, &mut ws);
                 let mut got = vec![f32::NAN; 7 * h * w];
                 let mut next = 0;
-                Conv2d::forward_blocks(&convs, &input, relu, &mut ws, |block, runs| {
+                Conv2d::forward_blocks(&convs, &padded, relu, &mut ws, |block, runs| {
                     for (cols, pixel) in runs.clone() {
                         assert_eq!(pixel, next, "runs tile the image in order");
                         next += cols.len();
@@ -737,6 +850,59 @@ mod tests {
                 assert_eq!(got, expect, "k{k0}/{k1} d{d0}/{d1} {h}x{w} relu {relu}");
             }
         }
+    }
+
+    #[test]
+    fn pixel_runs_match_reference_at_every_offset() {
+        // Every run of every row, on an input padded wider than the
+        // convolutions reach (as a frame padded for its widest branch
+        // is for the narrower ones): each run's columns are the
+        // reference's pixels, bit for bit, with and without ReLU.
+        let mut r = rng();
+        let convs = [
+            Conv2d::new(3, 2, 3, 1, &mut r),
+            Conv2d::new(3, 5, 3, 3, &mut r),
+        ];
+        for (h, w) in [(1, 1), (4, 9), (7, 70), (9, 3)] {
+            let input = Tensor::from_fn(3, h, w, |c, y, x| {
+                ((c * 17 + y * 5 + x) as f32 * 0.29).sin()
+            });
+            let mut expect: Vec<f32> = Vec::new();
+            for conv in &convs {
+                expect.extend(conv.forward_reference(&input).as_slice());
+            }
+            let mut ws = Workspace::new();
+            ws.give(vec![f32::NAN; 3 * (h + 10) * (w + 10) + 64]);
+            let padded = PaddedInput::from_tensor(&input, 5, &mut ws);
+            let taps = Conv2d::stack_taps(&convs, &padded, &mut ws);
+            for relu in [false, true] {
+                for y in 0..h {
+                    for x in 0..w {
+                        for n in 1..=(w - x).min(CONV_BLOCK) {
+                            let mut out = vec![f32::NAN; 7 * n];
+                            Conv2d::forward_run(&convs, &padded, &taps, (y, x), relu, &mut out);
+                            for (o, row) in out.chunks_exact(n).enumerate() {
+                                for (j, &v) in row.iter().enumerate() {
+                                    let want = expect[(o * h + y) * w + x + j];
+                                    let want = if relu { el_kernels::relu(want) } else { want };
+                                    assert_eq!(v, want, "{h}x{w} run ({y}, {x}) +{n} channel {o}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input padded by 1 for a convolution reaching 2")]
+    fn under_padded_input_rejected() {
+        let mut r = rng();
+        let conv = Conv2d::new(1, 1, 3, 2, &mut r);
+        let mut ws = Workspace::new();
+        let padded = PaddedInput::from_tensor(&Tensor::zeros(1, 4, 4), 1, &mut ws);
+        let _ = Conv2d::stack_taps([&conv], &padded, &mut ws);
     }
 
     #[test]

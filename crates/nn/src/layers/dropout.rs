@@ -23,7 +23,7 @@ use crate::tensor::Tensor;
 /// ([`keyed_row_seed`] + [`keyed_mask_word`], evaluated a row segment at
 /// a time by `el_kernels::Kernels::mask_scale_row`), so a crop, tile or
 /// block draws exactly the mask the whole frame would. `el-seg`'s
-/// `MsdNet::mc_sample_blocks` applies it with this layer's [`rate`].
+/// `MsdNet::mc_blocks` applies it with this layer's [`rate`].
 ///
 /// [`rate`]: Dropout::rate
 ///

@@ -58,9 +58,8 @@
 //!   the sample seed and each element's global coordinates, no RNG
 //!   stream), and [`layers::Relu::apply_slice`] clamps a raw buffer in
 //!   place. The `el-seg` network composes these with the `el_kernels`
-//!   mask rows and GEMM into its Monte-Carlo prefix and block-wise
-//!   sample passes, on which the `el-monitor` crate builds its parallel
-//!   Bayesian monitor.
+//!   mask rows and GEMM into its block-wise Monte-Carlo pass, on which
+//!   the `el-monitor` crate builds its parallel Bayesian monitor.
 //!
 //! # Example
 //!

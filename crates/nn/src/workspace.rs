@@ -3,10 +3,10 @@
 //! The inference engine's `&self` entry points —
 //! [`Conv2d::forward_blocks`](crate::layers::Conv2d::forward_blocks) and
 //! [`Conv2d::forward_with`](crate::layers::Conv2d::forward_with) here,
-//! and the network-level prefix, Monte-Carlo sample and block-wise Eval
-//! passes built on them in `el-seg` — draw their output buffers and
-//! internal scratch (the zero-padded input copy, the GEMM row tables and
-//! the block buffers) from a [`Workspace`] and return intermediates to
+//! and the network-level Monte-Carlo and Eval block passes built on them
+//! in `el-seg` — draw their output buffers and internal scratch (the
+//! zero-padded input copy, the GEMM row tables and the block buffers)
+//! from a [`Workspace`] and return intermediates to
 //! it, so a warm workspace services whole forward passes with **zero
 //! heap allocations**: buffers are recycled between layers and between
 //! passes.

@@ -2,26 +2,32 @@
 
 use el_geom::transform::Dihedral;
 use el_geom::{Grid, LabelMap, Rect, SemanticClass};
-use el_nn::Tensor;
+use el_nn::layers::PaddedInput;
+use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 use rand::Rng;
 
 /// Converts a rendered RGB image into a 3-channel input tensor.
 pub fn image_to_tensor(image: &Image) -> Tensor {
     let mut t = Tensor::zeros(3, image.height(), image.width());
-    write_image(image, &mut t);
-    t
-}
-
-/// Writes a rendered RGB image into a `(3, h, w)` tensor of its size:
-/// [`image_to_tensor`] into a caller-owned (e.g. workspace) buffer.
-pub(crate) fn write_image(image: &Image, out: &mut Tensor) {
-    debug_assert_eq!(out.shape(), (3, image.height(), image.width()));
     for c in 0..3 {
-        for (dst, px) in out.channel_mut(c).iter_mut().zip(image.as_slice()) {
+        for (dst, px) in t.channel_mut(c).iter_mut().zip(image.as_slice()) {
             *dst = px[c];
         }
     }
+    t
+}
+
+/// A rendered RGB image zero-padded by `radius`, in a buffer from `ws`:
+/// the engine's one input copy, for the core segmentation's frames, the
+/// monitor's crops and the audit's once-per-sweep frame.
+pub fn pad_image(image: &Image, radius: usize, ws: &mut Workspace) -> PaddedInput {
+    let (w, h) = (image.width(), image.height());
+    PaddedInput::new(3, h, w, radius, ws, |c, y, row| {
+        for (dst, px) in row.iter_mut().zip(image.row(y)) {
+            *dst = px[c];
+        }
+    })
 }
 
 /// Converts a label map into a row-major target-index slice.

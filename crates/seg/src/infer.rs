@@ -7,7 +7,7 @@ use el_nn::layers::CONV_BLOCK;
 use el_nn::Workspace;
 use el_scene::Image;
 
-use crate::data::write_image;
+use crate::data::pad_image;
 use crate::msdnet::MsdNet;
 
 /// How far (2⁻⁸) every other logit must sit below a pixel's maximum for
@@ -57,15 +57,14 @@ pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult 
         net.classes()
     );
     let (w, h) = (image.width(), image.height());
-    let mut input = ws.take_tensor(3, h, w);
-    write_image(image, &mut input);
+    let input = pad_image(image, net.receptive_radius(), ws);
     let mut labels = Vec::with_capacity(w * h);
     net.eval_blocks(&input, ws, |logits, runs| {
         for (cols, _) in runs {
             push_labels(logits, CONV_BLOCK, cols, &mut labels);
         }
     });
-    ws.recycle(input);
+    input.recycle(ws);
     SegResult {
         labels: LabelMap::from_vec(w, h, labels).expect("one label per pixel"),
     }

@@ -1,7 +1,9 @@
 //! The Multi-Scale-Dilation segmentation network.
 
+use el_geom::Rect;
 use el_nn::layers::{
-    keyed_row_seed, BlockRuns, Conv2d, Dropout, Layer, ParamRef, Phase, Relu, CONV_BLOCK,
+    keyed_row_seed, BlockRuns, Conv2d, Dropout, Layer, PaddedInput, ParamRef, Phase, Relu,
+    CONV_BLOCK,
 };
 use el_nn::{Tensor, Workspace};
 use rand::RngCore;
@@ -111,9 +113,8 @@ struct Branch {
 ///
 /// Dropout appears after every stage, so one Monte-Carlo sample with
 /// dropout live is exactly one pass of the paper's Bayesian MSDnet
-/// (Monte-Carlo dropout with rate 0.5). That sample has one definition:
-/// [`MsdNet::mc_prefix`] (once per crop) followed by
-/// [`MsdNet::mc_sample_blocks`] under coordinate-keyed masks.
+/// (Monte-Carlo dropout with rate 0.5). That sample has one definition,
+/// [`MsdNet::mc_blocks`], under coordinate-keyed masks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsdNet {
     config: MsdNetConfig,
@@ -203,27 +204,6 @@ impl MsdNet {
         Ok(net)
     }
 
-    /// The Monte-Carlo-invariant prefix of a stochastic forward pass:
-    /// every dilated branch's `conv → relu`, concatenated along channels.
-    ///
-    /// No dropout layer precedes this computation, so the result is
-    /// identical across all Monte-Carlo-dropout samples — the monitor
-    /// computes it **once** per verified crop or audit tile and replays
-    /// only the stochastic suffix ([`MsdNet::mc_sample_blocks`]) per sample.
-    /// The branches run together through [`Conv2d::forward_blocks`], the
-    /// lowering [`MsdNet::eval_blocks`] runs, with ReLU applied as each
-    /// GEMM stores, and each block's pixels are copied into the fused
-    /// tensor. Immutable on `self` and allocation-free with a warm
-    /// workspace.
-    pub fn mc_prefix(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (h, w) = (input.height(), input.width());
-        let mut fused = ws.take_tensor(self.config.branch_channels * self.branches.len(), h, w);
-        Conv2d::forward_blocks(self.branch_convs(), input, true, ws, |block, runs| {
-            runs.scatter(block, fused.as_mut_slice());
-        });
-        fused
-    }
-
     /// The dilated branches' convolutions, in fused-channel order.
     fn branch_convs(&self) -> impl Iterator<Item = &Conv2d> + Clone {
         self.branches.iter().map(|b| &b.conv)
@@ -242,75 +222,107 @@ impl MsdNet {
             .unwrap_or(0)
     }
 
-    /// One Monte-Carlo-dropout sample of the suffix over a prefix from
-    /// [`MsdNet::mc_prefix`]: calls `visit(p0, logits)` for consecutive
-    /// pixel blocks `p0..p0 + n` (`n <= 64`, logits `[class][n]`), each run
-    /// through branch masks, head1 (ReLU on store), head mask and head2 in
-    /// one L1-resident scratch buffer. Masks are **coordinate-keyed**
-    /// ([`el_nn::layers::keyed_mask_word`] of the sample seed and the
-    /// *global* frame coordinates; `origin` locates the crop), so a block,
-    /// crop or tile draws exactly the whole frame's masks, and each logit
-    /// is a GEMM column in strict `k` order whatever the block.
-    /// Immutable on `self`, allocation-free warm.
-    pub fn mc_sample_blocks(
+    /// The Monte-Carlo-dropout pass over the `window` pixels of `input`
+    /// (input pixel `(0, 0)` at frame coordinates `origin`), one
+    /// L1-resident block of at most [`CONV_BLOCK`] window pixels
+    /// (row-major) at a time. Per block: the dropout-free **prefix** once
+    /// (each branch's GEMM with ReLU on store, straight from the padded
+    /// input, [`Conv2d::forward_run`] per row segment), then for each
+    /// sample `k` in order the stochastic **suffix** under `seeds[k]`
+    /// (branch masks, head1 with ReLU on store, head mask, head2) and
+    /// `visit(p0, k, logits)`: the block's first window pixel and its
+    /// logits `[class][n]`.
+    ///
+    /// Masks are **coordinate-keyed** by the sample seed and the *global*
+    /// frame coordinates ([`el_nn::layers::keyed_mask_word`]), and each
+    /// prefix value and logit is a GEMM column in strict `k` order, so no
+    /// output depends on the window or the block partition. Scratch comes
+    /// from `ws`; immutable on `self`, allocation-free warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside `input`, or `input` is not
+    /// padded for the branches.
+    pub fn mc_blocks(
         &self,
-        fused: &Tensor,
-        sample_seed: u64,
+        input: &PaddedInput,
+        window: Rect,
         origin: (usize, usize),
+        seeds: &[u64],
         ws: &mut Workspace,
-        mut visit: impl FnMut(usize, &mut [f32]),
+        mut visit: impl FnMut(usize, usize, &mut [f32]),
     ) {
-        let (c, h, w) = fused.shape();
-        let (hw, hid, classes) = (h * w, self.config.head_hidden, self.config.classes);
+        let frame = Rect::new(0, 0, input.width() as i64, input.height() as i64);
+        assert!(frame.contains_rect(window), "window outside the input");
+        let c = self.config.branch_channels * self.branches.len();
+        let (wy, wx, w) = (window.y as usize, window.x as usize, window.w as usize);
+        let hw = window.area() as usize;
+        let (hid, classes) = (self.config.head_hidden, self.config.classes);
         let (head1, head2, kernels) = (&self.head1, &self.head2, el_kernels::active());
-        let mut scratch = ws.take((c + hid + classes) * CONV_BLOCK);
+        let taps = Conv2d::stack_taps(self.branch_convs(), input, ws);
         let mut rows = ws.take_rows(c.max(hid));
+        let mut scratch = ws.take((2 * c + hid + classes) * CONV_BLOCK);
+        let (prefix, rest) = scratch.split_at_mut(c * CONV_BLOCK);
+        let (x, rest) = rest.split_at_mut(c * CONV_BLOCK);
+        let (y, z) = rest.split_at_mut(hid * CONV_BLOCK);
         for p0 in (0..hw).step_by(CONV_BLOCK) {
             let n = CONV_BLOCK.min(hw - p0);
             dense_rows(&mut rows, n);
-            let (x, rest) = scratch.split_at_mut(c * n);
-            let (y, z) = rest.split_at_mut(hid * n);
-            // The block's row segments: (range in the block, global y, x).
+            // The block's row segments: (columns of the block, input
+            // row, input column).
             let segments = (p0 / w..=(p0 + n - 1) / w).map(move |r| {
                 let (a, b) = ((r * w).max(p0), ((r + 1) * w).min(p0 + n));
-                (a - p0..b - p0, origin.0 + r, origin.1 + a - r * w)
+                (a - p0..b - p0, wy + r, wx + a - r * w)
             });
-            for (ch, row) in x.chunks_exact_mut(n).enumerate() {
-                let src = &fused.channel(ch)[p0..p0 + n];
-                let rate = self.branches[ch / self.config.branch_channels].drop.rate();
-                if rate == 0.0 {
-                    row.copy_from_slice(src);
-                    continue;
-                }
-                let scale = 1.0 / (1.0 - rate);
-                for (seg, gy, gx) in segments.clone() {
-                    let rs = keyed_row_seed(sample_seed, MC_LAYER_BRANCH, ch, gy);
-                    kernels.mask_scale_row(rs, gx, rate, scale, &src[seg.clone()], &mut row[seg]);
-                }
+            // The prefix is segment-major (a segment's `[channel][len]`
+            // rows start at `c · cols.start`); the branch masks gather
+            // it into `[channel][n]`.
+            for (cols, iy, ix) in segments.clone() {
+                let out = &mut prefix[c * cols.start..c * cols.end];
+                Conv2d::forward_run(self.branch_convs(), input, &taps, (iy, ix), true, out);
             }
-            kernels.gemm_bias(head1.weight(), x, &rows[..c], head1.bias(), y, hid, n, true);
-            let rate = self.head_drop.rate();
-            if rate > 0.0 {
-                let scale = 1.0 / (1.0 - rate);
-                for (ch, row) in y.chunks_exact_mut(n).enumerate() {
-                    for (seg, gy, gx) in segments.clone() {
-                        let rs = keyed_row_seed(sample_seed, MC_LAYER_HEAD, ch, gy);
-                        kernels.mask_scale_row_in_place(rs, gx, rate, scale, &mut row[seg]);
+            let (x, y, z) = (&mut x[..c * n], &mut y[..hid * n], &mut z[..classes * n]);
+            for (k, &seed) in seeds.iter().enumerate() {
+                for (ch, row) in x.chunks_exact_mut(n).enumerate() {
+                    let rate = self.branches[ch / self.config.branch_channels].drop.rate();
+                    let scale = 1.0 / (1.0 - rate);
+                    for (cols, iy, ix) in segments.clone() {
+                        let src = &prefix[c * cols.start + ch * cols.len()..][..cols.len()];
+                        if rate == 0.0 {
+                            row[cols].copy_from_slice(src);
+                            continue;
+                        }
+                        let rs = keyed_row_seed(seed, MC_LAYER_BRANCH, ch, origin.0 + iy);
+                        let gx = origin.1 + ix;
+                        kernels.mask_scale_row(rs, gx, rate, scale, src, &mut row[cols]);
                     }
                 }
+                kernels.gemm_bias(head1.weight(), x, &rows[..c], head1.bias(), y, hid, n, true);
+                let rate = self.head_drop.rate();
+                if rate > 0.0 {
+                    let scale = 1.0 / (1.0 - rate);
+                    for (ch, row) in y.chunks_exact_mut(n).enumerate() {
+                        for (cols, iy, ix) in segments.clone() {
+                            let rs = keyed_row_seed(seed, MC_LAYER_HEAD, ch, origin.0 + iy);
+                            let gx = origin.1 + ix;
+                            kernels.mask_scale_row_in_place(rs, gx, rate, scale, &mut row[cols]);
+                        }
+                    }
+                }
+                let (w2, b2) = (head2.weight(), head2.bias());
+                kernels.gemm_bias(w2, y, &rows[..hid], b2, z, classes, n, false);
+                visit(p0, k, z);
             }
-            let z = &mut z[..classes * n];
-            let (w2, b2) = (head2.weight(), head2.bias());
-            kernels.gemm_bias(w2, y, &rows[..hid], b2, z, classes, n, false);
-            visit(p0, z);
         }
-        ws.give_rows(rows);
         ws.give(scratch);
+        ws.give_rows(rows);
+        ws.give_rows(taps);
     }
 
     /// Deterministic (Eval-phase) inference block by block: calls
     /// `visit(logits, runs)` once per [`Conv2d::forward_blocks`] block of
-    /// the zero-padded input, in order, with the block's logits laid out
+    /// the zero-padded input (padded by at least
+    /// [`MsdNet::receptive_radius`]), in order, with the block's logits laid out
     /// `[class][CONV_BLOCK]` and its [`BlockRuns`] naming which columns
     /// are pixels.
     ///
@@ -324,7 +336,7 @@ impl MsdNet {
     /// allocation-free with a warm workspace.
     pub fn eval_blocks(
         &self,
-        input: &Tensor,
+        input: &PaddedInput,
         ws: &mut Workspace,
         mut visit: impl FnMut(&[f32], BlockRuns),
     ) {
@@ -557,7 +569,8 @@ mod tests {
             let eval_fwd = net.forward(&x, Phase::Eval, &mut r.clone());
             let mut blocked = Tensor::full(net.classes(), h, w, f32::NAN);
             let mut next = 0;
-            net.eval_blocks(&x, &mut ws, |logits, runs| {
+            let padded = PaddedInput::from_tensor(&x, net.receptive_radius(), &mut ws);
+            net.eval_blocks(&padded, &mut ws, |logits, runs| {
                 for (cols, pixel) in runs.clone() {
                     assert_eq!(pixel, next, "runs tile the frame in order");
                     next += cols.len();
@@ -565,6 +578,7 @@ mod tests {
                 runs.scatter(logits, blocked.as_mut_slice());
             });
             assert_eq!(next, h * w, "blocks cover the frame");
+            padded.recycle(&mut ws);
             assert_eq!(
                 blocked, eval_fwd,
                 "eval_blocks diverges from forward on {h}x{w}"
@@ -596,15 +610,41 @@ mod tests {
         assert_eq!(a, b, "naive reference and optimized forward diverge");
     }
 
+    /// `mc_blocks` logits of one sample over `window` of `input`,
+    /// reassembled `[class][height][width]`, asserting the blocks arrive
+    /// in order and cover the window.
+    fn mc_logits(
+        net: &MsdNet,
+        input: &PaddedInput,
+        window: Rect,
+        seed: u64,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (h, w) = (window.h as usize, window.w as usize);
+        let hw = h * w;
+        let mut out = Tensor::full(net.classes(), h, w, f32::NAN);
+        let mut next = 0;
+        net.mc_blocks(input, window, (0, 0), &[seed], ws, |p0, k, logits| {
+            assert_eq!((p0, k), (next, 0), "blocks arrive in order");
+            let n = logits.len() / net.classes();
+            assert!((1..=CONV_BLOCK).contains(&n));
+            for (c, plane) in logits.chunks_exact(n).enumerate() {
+                out.as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
+            }
+            next += n;
+        });
+        assert_eq!(next, hw, "blocks cover the window");
+        out
+    }
+
     #[test]
     fn keyed_sample_with_zero_dropout_matches_eval() {
         // With dropout 0 a Monte-Carlo sample is the deterministic head
         // pass, so it must agree exactly with Eval inference. This pins
-        // the slab-writing prefix and the block walk against
-        // `Layer::forward` on every shape a clipped audit prefix can
-        // take: square, 1x1, 1xN, Nx1, smaller than the receptive radius
-        // (tiny: radius 2) and more than one 64-pixel block, on a stale
-        // workspace.
+        // the block prefix and the block walk against `Layer::forward`
+        // on every shape a monitor crop can take: square, 1x1, 1xN, Nx1,
+        // smaller than the receptive radius (tiny: radius 2) and more
+        // than one 64-pixel block, on a stale workspace.
         let mut r = rng();
         let mut net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
         net.set_dropout(0.0);
@@ -623,62 +663,67 @@ mod tests {
             (1, 65),
         ] {
             let x = Tensor::from_fn(3, h, w, |c, y, x| ((c + y * 2 + x) as f32 * 0.31).sin());
-            let fused = net.mc_prefix(&x, &mut ws);
-            let hw = h * w;
-            let mut keyed = Tensor::full(net.classes(), h, w, f32::NAN);
-            let mut next = 0;
-            net.mc_sample_blocks(&fused, 9, (0, 0), &mut ws, |p0, logits| {
-                assert_eq!(p0, next, "blocks arrive in order");
-                let n = logits.len() / net.classes();
-                for (k, plane) in logits.chunks_exact(n).enumerate() {
-                    keyed.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
-                }
-                next += n;
-            });
-            assert_eq!(next, hw, "blocks cover the crop");
+            let padded = PaddedInput::from_tensor(&x, net.receptive_radius(), &mut ws);
+            let whole = Rect::new(0, 0, w as i64, h as i64);
+            let keyed = mc_logits(&net, &padded, whole, 9, &mut ws);
+            padded.recycle(&mut ws);
             assert_eq!(
                 keyed,
                 net.forward(&x, Phase::Eval, &mut r),
-                "prefix + keyed sample diverges from Eval on {h}x{w}"
+                "keyed sample diverges from Eval on {h}x{w}"
             );
-            ws.recycle(fused);
         }
     }
 
     #[test]
-    fn mc_prefix_matches_reference_branches_plus_relu() {
-        // The prefix is every branch's naive convolution, rectified and
-        // concatenated, bit for bit (after ReLU even the sign of a zero
-        // agrees): on crops one column wide, a monitor crop's 29, 37, one
-        // block and one past it, at heights below the receptive radius
-        // and above, from a NaN-poisoned workspace.
+    fn mc_windows_match_reference_network() {
+        // At dropout 0 every window of a padded frame — one column wide,
+        // a monitor crop's 29, 37, one block and one past it, at heights
+        // below the receptive radius and above, at offsets that put it
+        // against the frame border and inside it — gives the naive
+        // reference network's logits at its pixels (the branch
+        // convolutions' `forward_reference` plus ReLU, then the heads'),
+        // from a NaN-poisoned workspace.
         let mut r = rng();
         for cfg in [MsdNetConfig::tiny(), MsdNetConfig::default_uavid()] {
-            let net = MsdNet::new(&cfg, &mut r);
+            let mut net = MsdNet::new(&cfg, &mut r);
+            net.set_dropout(0.0);
+            let (fh, fw) = (33, 70);
+            let x = Tensor::from_fn(3, fh, fw, |c, y, x| {
+                ((c * 13 + y * 5 + x) as f32 * 0.37).sin()
+            });
+            let outs: Vec<Tensor> = net
+                .branches
+                .iter()
+                .map(|b| {
+                    let mut y = b.conv.forward_reference(&x);
+                    Relu::apply(&mut y);
+                    y
+                })
+                .collect();
+            let refs: Vec<&Tensor> = outs.iter().collect();
+            let mut hidden = net
+                .head1
+                .forward_reference(&Tensor::concat_channels(&refs).unwrap());
+            Relu::apply(&mut hidden);
+            let expect = net.head2.forward_reference(&hidden);
             let mut ws = Workspace::new();
             ws.give(vec![f32::NAN; 1 << 16]);
             ws.give(vec![f32::NAN; 1 << 12]);
+            let padded = PaddedInput::from_tensor(&x, net.receptive_radius(), &mut ws);
             for w in [1, 29, 37, 64, 65] {
                 for h in [1, 3, 29] {
-                    let x = Tensor::from_fn(3, h, w, |c, y, x| {
-                        ((c * 13 + y * 5 + x) as f32 * 0.37).sin()
-                    });
-                    let outs: Vec<Tensor> = net
-                        .branches
-                        .iter()
-                        .map(|b| {
-                            let mut y = b.conv.forward_reference(&x);
-                            Relu::apply(&mut y);
-                            y
-                        })
-                        .collect();
-                    let refs: Vec<&Tensor> = outs.iter().collect();
-                    let expect = Tensor::concat_channels(&refs).unwrap();
-                    let fused = net.mc_prefix(&x, &mut ws);
-                    let bits =
-                        |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&fused), bits(&expect), "mc_prefix diverges on {h}x{w}");
-                    ws.recycle(fused);
+                    for (y0, x0) in [(0, 0), (fh - h, fw - w), (2, 3)] {
+                        let window = Rect::new(x0 as i64, y0 as i64, w as i64, h as i64);
+                        let got = mc_logits(&net, &padded, window, 5, &mut ws);
+                        for (c, plane) in got.as_slice().chunks_exact(h * w).enumerate() {
+                            for (i, &v) in plane.iter().enumerate() {
+                                let want =
+                                    expect.as_slice()[(c * fh + y0 + i / w) * fw + x0 + i % w];
+                                assert_eq!(v, want, "{h}x{w} window at ({y0}, {x0}), class {c}");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -51,8 +51,8 @@ impl TileConfig {
 
 /// One planned tile: the crop rectangle plus the interior this tile is
 /// responsible for in the stitched output. The Bayesian sweep computes
-/// only the kept interior (its prefix over the interior grown by the
-/// receptive radius); the rest of the rectangle is never evaluated.
+/// only the kept interior, as a window of the once-padded frame; the
+/// rest of the rectangle is never evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// The crop rectangle, in image coordinates.

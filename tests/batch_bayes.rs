@@ -11,10 +11,12 @@
 //!    bit, and a budget-truncated pass returns a well-formed prefix of
 //!    that exact answer (consistent coverage mask, no NaNs, coverage
 //!    monotone in the budget).
-//! 3. **Blocking is invisible**: the 64-pixel block suffix
-//!    (`MsdNet::mc_sample_blocks`) equals a staged whole-plane reference
-//!    bit for bit, and a crop's blocks equal the frame's at the same
-//!    global pixels.
+//! 3. **Blocking is invisible**: the 64-pixel block pass
+//!    (`MsdNet::mc_blocks`: prefix GEMMs once per block, then every
+//!    sample) equals a staged whole-plane reference bit for bit — per
+//!    sample on logits and probabilities, and on the mean and `σ` the
+//!    engine folds from them at any thread count — and a window of a
+//!    frame equals the frame at the same global pixels.
 //!
 //! As in `tests/properties.rs`, properties run as seeded-RNG loops
 //! (no proptest in the build environment).
@@ -23,11 +25,11 @@ use certel::prelude::*;
 use el_geom::Grid;
 
 mod common;
-use common::expected_admitted;
+use common::{expected_admitted, with_thread_count};
 use el_monitor::{
     bayesian_segment, bayesian_segment_batch, bayesian_segment_tiled, BayesStats, BATCH_SEED_STRIDE,
 };
-use el_nn::layers::{keyed_mask_word, keyed_row_seed, Conv2d, Layer, Relu};
+use el_nn::layers::{keyed_mask_word, keyed_row_seed, Conv2d, Layer, PaddedInput, Relu};
 use el_nn::loss::softmax_in_place;
 use el_nn::{Tensor, Workspace};
 use el_seg::data::image_to_tensor;
@@ -360,43 +362,67 @@ fn crop_at_origin_agrees_with_frame_interior() {
     assert!(interior_pixels > 0);
 }
 
-/// The staged Monte-Carlo suffix, spelled out from public pieces: masks
-/// drawn per whole plane and row from `keyed_row_seed`/`keyed_mask_word`,
-/// the two heads as `Conv2d::forward_with`, ReLU, and `softmax_in_place`
-/// over the whole crop. Mask-key layer 0 is the branch dropout (keyed by
-/// fused channel), layer 1 the head dropout.
-struct StagedSuffix {
+/// The staged Monte-Carlo pass, spelled out from public pieces: the
+/// prefix as every branch's naive `Conv2d::forward_reference` plus ReLU
+/// over the whole crop, masks drawn per whole plane and row from
+/// `keyed_row_seed`/`keyed_mask_word`, the two heads as
+/// `Conv2d::forward_with`, ReLU, and `softmax_in_place` over the whole
+/// crop. Mask-key layer 0 is the branch dropout (keyed by fused
+/// channel), layer 1 the head dropout.
+struct StagedOracle {
+    branches: Vec<Conv2d>,
     head1: Conv2d,
     head2: Conv2d,
-    branch_channels: usize,
     rate: f32,
 }
 
-impl StagedSuffix {
+impl StagedOracle {
     fn of(net: &MsdNet) -> Self {
         let cfg = net.config().clone();
         let fused = cfg.branch_channels * cfg.dilations.len();
         let mut r = ChaCha8Rng::seed_from_u64(0);
+        let mut branches: Vec<Conv2d> = cfg
+            .dilations
+            .iter()
+            .map(|&d| Conv2d::new(cfg.in_channels, cfg.branch_channels, 3, d, &mut r))
+            .collect();
         let mut head1 = Conv2d::new(fused, cfg.head_hidden, 1, 1, &mut r);
         let mut head2 = Conv2d::new(cfg.head_hidden, cfg.classes, 1, 1, &mut r);
-        // `Layer::params` lists the heads' weight and bias last.
+        // `Layer::params` lists each branch's weight and bias, then the
+        // heads'.
         let mut net = net.clone();
         let params = net.params();
-        let n = params.len();
-        for (head, theirs) in [
-            (&mut head1, &params[n - 4..n - 2]),
-            (&mut head2, &params[n - 2..]),
-        ] {
-            for (mine, theirs) in head.params().into_iter().zip(theirs) {
-                mine.value.copy_from_slice(theirs.value);
-            }
+        let mut theirs = params.iter();
+        let mine = branches
+            .iter_mut()
+            .chain([&mut head1, &mut head2])
+            .flat_map(|conv| conv.params());
+        for mine in mine {
+            mine.value
+                .copy_from_slice(theirs.next().expect("one source per parameter").value);
         }
-        StagedSuffix {
+        assert!(theirs.next().is_none(), "every parameter copied");
+        StagedOracle {
+            branches,
             head1,
             head2,
-            branch_channels: cfg.branch_channels,
             rate: cfg.dropout,
         }
+    }
+
+    /// The Monte-Carlo-invariant prefix of the whole crop.
+    fn prefix(&self, input: &Tensor) -> Tensor {
+        let outs: Vec<Tensor> = self
+            .branches
+            .iter()
+            .map(|b| {
+                let mut y = b.forward_reference(input);
+                Relu::apply(&mut y);
+                y
+            })
+            .collect();
+        let refs: Vec<&Tensor> = outs.iter().collect();
+        Tensor::concat_channels(&refs).expect("branch outputs share shapes")
     }
 
     /// Keyed inverted dropout over whole `h x w` planes, channel `c` of
@@ -420,7 +446,7 @@ impl StagedSuffix {
         }
     }
 
-    /// `(logits, probabilities)` of one sample.
+    /// `(logits, probabilities)` of one sample over a prefix.
     fn sample(
         &self,
         fused: &Tensor,
@@ -428,7 +454,6 @@ impl StagedSuffix {
         origin: (usize, usize),
         ws: &mut Workspace,
     ) -> (Tensor, Tensor) {
-        assert_eq!(fused.channels() % self.branch_channels, 0);
         let mut x = fused.clone();
         self.mask(&mut x, seed, 0, origin);
         let mut y = self.head1.forward_with(&x, ws);
@@ -439,41 +464,107 @@ impl StagedSuffix {
         softmax_in_place(&mut probs);
         (logits, probs)
     }
+
+    /// Mean and `σ` over `seeds.len()` samples of `input`: whole-plane
+    /// Welford pushes per chunk of the engine's documented layout (at
+    /// most `MC_CHUNKS` contiguous chunks, the first `samples %
+    /// chunks` one sample longer), each chunk from zero, Chan-merged in
+    /// chunk order, then `sqrt(max(m2 / n, 0))`.
+    fn stats(
+        &self,
+        input: &Tensor,
+        seeds: &[u64],
+        origin: (usize, usize),
+        ws: &mut Workspace,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let fused = self.prefix(input);
+        let probs: Vec<Tensor> = seeds
+            .iter()
+            .map(|&seed| self.sample(&fused, seed, origin, ws).1)
+            .collect();
+        let samples = seeds.len();
+        let chunks = samples.clamp(1, el_monitor::bayes::MC_CHUNKS);
+        let len = probs[0].len();
+        let mut total: Option<(usize, Vec<f32>, Vec<f32>)> = None;
+        let mut start = 0;
+        for i in 0..chunks {
+            let n_chunk = samples / chunks + usize::from(i < samples % chunks);
+            let (mut mean, mut m2) = (vec![0.0f32; len], vec![0.0f32; len]);
+            for (j, p) in probs[start..start + n_chunk].iter().enumerate() {
+                let inv_n = 1.0 / (j + 1) as f32;
+                for ((m, s2), &x) in mean.iter_mut().zip(&mut m2).zip(p.as_slice()) {
+                    let delta = x - *m;
+                    *m += delta * inv_n;
+                    *s2 += delta * (x - *m);
+                }
+            }
+            start += n_chunk;
+            total = Some(match total {
+                None => (n_chunk, mean, m2),
+                Some((na, mut ma, mut s2a)) => {
+                    let (fa, fb) = (na as f32, n_chunk as f32);
+                    let n = fa + fb;
+                    let (w_mean, w_m2) = (fb / n, fa * fb / n);
+                    for i in 0..len {
+                        let delta = mean[i] - ma[i];
+                        ma[i] += delta * w_mean;
+                        s2a[i] += m2[i] + delta * delta * w_m2;
+                    }
+                    (na + n_chunk, ma, s2a)
+                }
+            });
+        }
+        let (count, mean, m2) = total.expect("at least one chunk");
+        assert_eq!(count, samples);
+        let std = m2
+            .iter()
+            .map(|&s2| (s2 / samples as f32).max(0.0).sqrt())
+            .collect();
+        (mean, std)
+    }
 }
 
-/// `(logits, probabilities)` of one sample through the block suffix,
-/// each block softmaxed as the monitor does, reassembled `[class][hw]`.
-fn block_sample(
+/// Per-sample `(logits, probabilities)` of `window` of `input` through
+/// the block pass, each block softmaxed as the monitor does, reassembled
+/// `[class][hw]`.
+fn block_samples(
     net: &MsdNet,
-    fused: &Tensor,
-    seed: u64,
-    origin: (usize, usize),
+    input: &PaddedInput,
+    (window, origin): (Rect, (usize, usize)),
+    seeds: &[u64],
     ws: &mut Workspace,
-) -> (Tensor, Tensor) {
-    let (_, h, w) = fused.shape();
+) -> Vec<(Tensor, Tensor)> {
+    let (h, w) = (window.h as usize, window.w as usize);
     let (classes, hw) = (net.classes(), h * w);
-    let mut logits = Tensor::full(classes, h, w, f32::NAN);
-    let mut probs = logits.clone();
+    let blank = Tensor::full(classes, h, w, f32::NAN);
+    let mut out = vec![(blank.clone(), blank); seeds.len()];
     let mut next = 0;
-    net.mc_sample_blocks(fused, seed, origin, ws, |p0, block| {
+    net.mc_blocks(input, window, origin, seeds, ws, |p0, k, block| {
         assert_eq!(p0, next, "blocks arrive in pixel order");
         let n = block.len() / classes;
         assert!((1..=64).contains(&n), "block of {n} pixels");
-        for (k, plane) in block.chunks_exact(n).enumerate() {
-            logits.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
+        let (logits, probs) = &mut out[k];
+        for (c, plane) in block.chunks_exact(n).enumerate() {
+            logits.as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
         }
         el_kernels::active().softmax(block, classes, n);
-        for (k, plane) in block.chunks_exact(n).enumerate() {
-            probs.as_mut_slice()[k * hw + p0..][..n].copy_from_slice(plane);
+        for (c, plane) in block.chunks_exact(n).enumerate() {
+            probs.as_mut_slice()[c * hw + p0..][..n].copy_from_slice(plane);
         }
-        next += n;
+        if k + 1 == seeds.len() {
+            next += n;
+        }
     });
-    assert_eq!(next, hw, "blocks cover the crop");
-    (logits, probs)
+    assert_eq!(next, hw, "blocks cover the window");
+    out
 }
 
 fn tensor_bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
 }
 
 /// A paper-geometry network (48 fused channels, 32 hidden, 8 classes)
@@ -484,9 +575,8 @@ fn paper_net(seed: u64, dropout: f32) -> MsdNet {
     MsdNet::new(&cfg, &mut ChaCha8Rng::seed_from_u64(seed))
 }
 
-fn random_fused(r: &mut ChaCha8Rng, h: usize, w: usize) -> Tensor {
-    // Negatives too, so dropped lanes must give -0.0 on both paths.
-    Tensor::from_fn(48, h, w, |_, _, _| r.gen_range(-1.5..2.0f32))
+fn random_input(r: &mut ChaCha8Rng, h: usize, w: usize) -> Tensor {
+    Tensor::from_fn(3, h, w, |_, _, _| r.gen_range(-1.5..2.0f32))
 }
 
 #[test]
@@ -508,61 +598,122 @@ fn block_suffix_matches_staged_oracle() {
     ];
     for dropout in [0.0, 0.5] {
         let net = paper_net(41, dropout);
-        let oracle = StagedSuffix::of(&net);
+        let oracle = StagedOracle::of(&net);
         let mut ws = Workspace::new();
         for (i, &(h, w)) in shapes.iter().enumerate() {
             // Stale NaN buffers of assorted sizes: every value the block
-            // suffix hands out must be written this sample.
-            for len in [1, 64, 88 * 64, 48 * h * w, 4096] {
+            // pass hands out must be written this sample.
+            for len in [1, 64, 136 * 64, 3 * (h + 8) * (w + 8), 4096] {
                 ws.give(vec![f32::NAN; len]);
             }
-            let fused = random_fused(&mut r, h, w);
+            let input = random_input(&mut r, h, w);
+            let padded = PaddedInput::from_tensor(&input, net.receptive_radius(), &mut ws);
+            let fused = oracle.prefix(&input);
             for origin in [(0, 0), (3 + i, 40 + 7 * i), (1000, 2)] {
-                let seed = r.gen::<u64>();
-                let (logits, probs) = block_sample(&net, &fused, seed, origin, &mut ws);
-                let (want_logits, want_probs) = oracle.sample(&fused, seed, origin, &mut ws);
-                assert_eq!(
-                    tensor_bits(&logits),
-                    tensor_bits(&want_logits),
-                    "logits diverge on {h}x{w} at {origin:?}, dropout {dropout}"
-                );
-                assert_eq!(
-                    tensor_bits(&probs),
-                    tensor_bits(&want_probs),
-                    "probabilities diverge on {h}x{w} at {origin:?}, dropout {dropout}"
-                );
+                let seeds: Vec<u64> = (0..3).map(|_| r.gen()).collect();
+                let window = Rect::new(0, 0, w as i64, h as i64);
+                let got = block_samples(&net, &padded, (window, origin), &seeds, &mut ws);
+                for (&seed, (logits, probs)) in seeds.iter().zip(&got) {
+                    let (want_logits, want_probs) = oracle.sample(&fused, seed, origin, &mut ws);
+                    assert_eq!(
+                        tensor_bits(logits),
+                        tensor_bits(&want_logits),
+                        "logits diverge on {h}x{w} at {origin:?}, dropout {dropout}"
+                    );
+                    assert_eq!(
+                        tensor_bits(probs),
+                        tensor_bits(&want_probs),
+                        "probabilities diverge on {h}x{w} at {origin:?}, dropout {dropout}"
+                    );
+                }
             }
+            padded.recycle(&mut ws);
         }
     }
 }
 
 #[test]
 fn block_suffix_crop_agrees_with_frame() {
-    // The suffix is pointwise and its masks are keyed by global
-    // coordinates, so a crop of a frame's prefix sampled at its frame
-    // origin reproduces the frame's logits exactly — whatever the block
+    // The pass is pointwise after the prefix, each prefix value is its
+    // own GEMM column, and the masks are keyed by global coordinates, so
+    // a window of a padded frame, sampled at the frame's origin,
+    // reproduces the frame's logits exactly — whatever the block
     // boundaries of the two walks.
     let net = paper_net(43, 0.5);
     let mut r = rng();
     let mut ws = Workspace::new();
     let (fh, fw) = (23, 86);
-    let frame = random_fused(&mut r, fh, fw);
-    let (whole, _) = block_sample(&net, &frame, 77, (0, 0), &mut ws);
+    let frame = PaddedInput::from_tensor(&random_input(&mut r, fh, fw), 4, &mut ws);
+    let whole = Rect::new(0, 0, fw as i64, fh as i64);
+    let (all, _) = block_samples(&net, &frame, (whole, (0, 0)), &[77], &mut ws).remove(0);
     for (oy, ox, ch, cw) in [(2, 1, 4, 7), (0, 0, 23, 29), (5, 50, 9, 36), (22, 85, 1, 1)] {
-        let crop = Tensor::from_fn(48, ch, cw, |c, y, x| {
-            frame.as_slice()[(c * fh + oy + y) * fw + ox + x]
-        });
-        let (part, _) = block_sample(&net, &crop, 77, (oy, ox), &mut ws);
+        let window = Rect::new(ox as i64, oy as i64, cw as i64, ch as i64);
+        let (part, _) = block_samples(&net, &frame, (window, (0, 0)), &[77], &mut ws).remove(0);
         for k in 0..net.classes() {
             for y in 0..ch {
                 for x in 0..cw {
                     assert_eq!(
                         part.as_slice()[(k * ch + y) * cw + x].to_bits(),
-                        whole.as_slice()[(k * fh + oy + y) * fw + ox + x].to_bits(),
-                        "crop {ch}x{cw} at ({oy}, {ox}) diverges at class {k} ({x}, {y})"
+                        all.as_slice()[(k * fh + oy + y) * fw + ox + x].to_bits(),
+                        "window {ch}x{cw} at ({oy}, {ox}) diverges at class {k} ({x}, {y})"
                     );
                 }
             }
         }
     }
+}
+
+/// The block pass's mean and `σ` equal the staged whole-plane oracle bit
+/// for bit: crops narrower than a block, exactly one block wide, wider
+/// and not a multiple of it, one row and one column, and two crops large
+/// enough to split into several row-band tasks; every sample count from
+/// 1 to 20, so one-sample and multi-sample chunks both run; random
+/// origins; 1, 2 and 8 rayon workers.
+#[test]
+fn block_pass_stats_match_staged_oracle_at_any_thread_count() {
+    let mut r = rng();
+    let net = paper_net(47, 0.5);
+    let oracle = StagedOracle::of(&net);
+    let mut ws = Workspace::new();
+    let shapes = [
+        (7, 29),
+        (3, 64),
+        (5, 86),
+        (1, 77),
+        (77, 1),
+        (2, 130),
+        (30, 86),
+        (2100, 1),
+    ];
+    for samples in 1..=20 {
+        let (h, w) = shapes[samples % shapes.len()];
+        let input = random_input(&mut r, h, w);
+        let seed = r.gen::<u64>();
+        let origin = (r.gen_range(0usize..500), r.gen_range(0usize..500));
+        let seeds: Vec<u64> = (0..samples).map(|k| mc_sample_seed(seed, k)).collect();
+        let (mean, std) = oracle.stats(&input, &seeds, origin, &mut ws);
+        for threads in [1, 2, 8] {
+            let got =
+                with_thread_count(threads, || single_crop(&net, &input, samples, seed, origin));
+            assert_eq!(
+                bits(got.mean.as_slice()),
+                bits(&mean),
+                "{h}x{w}, {samples} samples, {threads} threads: mean diverges"
+            );
+            assert_eq!(
+                bits(got.std.as_slice()),
+                bits(&std),
+                "{h}x{w}, {samples} samples, {threads} threads: std diverges"
+            );
+        }
+    }
+}
+
+/// Sample `k`'s seed as the engine documents it: the SplitMix64
+/// finaliser over `seed + (k+1)·φ`.
+fn mc_sample_seed(seed: u64, k: usize) -> u64 {
+    let mut z = seed.wrapping_add((k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
